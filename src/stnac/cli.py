@@ -34,6 +34,23 @@ EXIT_CONSISTENT = 0
 EXIT_INCONSISTENT = 1
 EXIT_ERROR = 2
 
+# Generator parameters that `gen` takes as --flags, named as in GenSpec.params.
+GEN_FLAGS = (
+    "n",
+    "density",
+    "rows",
+    "cols",
+    "m",
+    "agents",
+    "activities",
+    "externals",
+    "tasks",
+    "wmin",
+    "wmax",
+    "horizon",
+    "consistent",
+)
+
 
 def _default_seed() -> int:
     raw = os.environ.get("STNAC_SEED")
@@ -72,23 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pg.add_argument("family", choices=FAMILIES)
     pg.add_argument("-o", "--output", metavar="FILE", help="default: stdout")
     pg.add_argument("--seed", type=int, default=None)
-    for flag in (
-        "n",
-        "density",
-        "rows",
-        "cols",
-        "m",
-        "agents",
-        "activities",
-        "externals",
-        "tasks",
-        "wmin",
-        "wmax",
-        "horizon",
-    ):
-        typ = float if flag == "density" else int
-        pg.add_argument(f"--{flag}", type=typ, default=None)
-    pg.add_argument("--consistent", action="store_true", default=None)
+    for flag in GEN_FLAGS:
+        if flag == "consistent":
+            pg.add_argument("--consistent", action="store_true", default=None)
+        else:
+            typ = float if flag == "density" else int
+            pg.add_argument(f"--{flag}", type=typ, default=None)
 
     pb = sub.add_parser("bench", help="run a sweep from a key=value config")
     pb.add_argument("config")
@@ -195,21 +201,7 @@ def _cmd_dsolve(args) -> int:
 
 def _cmd_gen(args) -> int:
     params = {}
-    for key in (
-        "n",
-        "density",
-        "rows",
-        "cols",
-        "m",
-        "agents",
-        "activities",
-        "externals",
-        "tasks",
-        "wmin",
-        "wmax",
-        "horizon",
-        "consistent",
-    ):
+    for key in GEN_FLAGS:
         value = getattr(args, key)
         if value is not None:
             params[key] = value

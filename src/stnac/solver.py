@@ -6,17 +6,34 @@ tightening each domain against every incident constraint:
     I_v <- I_v  intersect  (I_w compose I_wv)
 
 A run ends when a full sweep changes nothing (the closure is reached), a
-domain empties, or the budget of n + 1 sweeps is exhausted; the latter two
-both mean the network has no solution.  On consistent input the closure's
-domains are minimal: every value in them extends to a full solution, and
-the vectors of all lower (or all upper) endpoints are themselves solutions.
+negative cycle is found, or the budget of n + 1 sweeps is exhausted; the
+latter two both mean the network has no solution.  On consistent input the
+closure's domains are minimal: every value in them extends to a full
+solution, and the vectors of all lower (or all upper) endpoints are
+themselves solutions.
+
+The upper bounds are shortest distances from the zero time point and the
+lower bounds negated distances to it, over the distance graph that
+oracle.py describes, so each sweep is a round of label-correcting
+relaxations.  The kernel records, for every lo and every hi, the
+neighbor (or the zero point) whose arc last tightened it.  Any cycle of
+these parent pointers has negative weight (Cherkassky & Goldberg,
+"Negative-cycle detection algorithms", Math. Programming 1999), so once
+at least n domains have changed since the last look, both parent graphs
+are searched in O(n) and a cycle ends the run.  An emptied domain
+lo_v > hi_v is a negative cycle too: the hi-parent path 0 -> v plus the
+lo-parent path v -> 0 weighs at most hi_v - lo_v < 0.  An empty
+constraint between v and w gives the 2-cycle v -> w -> v.  Every
+refutation therefore carries a NegativeCycle re-summed from the arcs,
+except when the budget runs out and a final parent search finds none.
 
 Each evaluation of the update rule against a pairwise constraint counts as
 one constraint check.  The domain itself acts as a virtual edge from the
 zero time point and is re-applied first in every sweep of a variable;
 those evaluations are tallied separately as domain updates.  Sweep order
 is fixed (variables ascending, neighbors ascending within a variable), so
-identical inputs give identical counts.
+identical inputs give identical counts.  The parent searches do no
+constraint checks.
 """
 
 from __future__ import annotations
@@ -26,6 +43,7 @@ from typing import Sequence
 
 from .errors import ValidationError
 from .intervals import Interval, interval
+from .oracle import NegativeCycle
 from .rng import SplitMix64
 from .stn import Stn
 
@@ -44,13 +62,18 @@ class AcClosure:
 
 @dataclass(frozen=True)
 class AcInconsistent:
-    """No solution: the domain of `witness` emptied, or None when the
-    sweep budget ran out without reaching a fixpoint."""
+    """No solution, certified by `cycle`: a closed walk of negative weight
+    in the oracle's distance graph (vertex n is the zero point, the start
+    domains are the zero-point edges).  `witness` is the variable whose
+    domain emptied, or else a vertex on the cycle; it is cycle.vertices[0].
+    Both are None only when the sweep budget ran out and the final parent
+    search found no cycle."""
 
     witness: int | None
     iterations: int
     checks: int
     domain_updates: int
+    cycle: NegativeCycle | None = None
 
     @property
     def cap_exhausted(self) -> bool:
@@ -90,17 +113,23 @@ def propagate(
     base_lo: Sequence[int],
     base_hi: Sequence[int],
     max_sweeps: int,
-) -> tuple[bool, int | None, int, int, int]:
-    """Sweep lo/hi in place until stable, empty, or out of budget.
+) -> tuple[bool, NegativeCycle | None, int, int, int]:
+    """Sweep lo/hi in place until stable, refuted, or out of budget.
 
-    Returns (stable, witness, sweeps, checks, domain_updates).  The bound
-    magnitudes stay within a few times the parse-time cap, so the plain
-    integer sums here cannot reach the 64-bit overflow range.
+    lo/hi must start equal to base_lo/base_hi, whose bounds are the
+    zero-point edges.  Returns (stable, cycle, sweeps, checks,
+    domain_updates); cycle is the certificate of a refutation, None when
+    stable or when the budget ran out without one.  The bound magnitudes
+    stay within a few times the parse-time cap, so the plain integer sums
+    here cannot reach the 64-bit overflow range.
     """
     n = len(lo)
+    lo_par = [n] * n  # lo_v was last set along the edge v -> lo_par[v]
+    hi_par = [n] * n  # hi_v was last set along the edge hi_par[v] -> v
     checks = 0
     dom_updates = 0
     sweeps = 0
+    changed = 0
     while sweeps < max_sweeps:
         sweeps += 1
         stable = True
@@ -109,13 +138,16 @@ def propagate(
             hv = hi[v]
             old_lo = lv
             old_hi = hv
+            plo = phi = -1
             # the zero-point edge first: re-intersect with the run's start domain
             blv = base_lo[v]
             if blv > lv:
                 lv = blv
+                plo = n
             bhv = base_hi[v]
             if bhv < hv:
                 hv = bhv
+                phi = n
             dom_updates += 1
             for w, add_lo, add_hi, dead in arcs[v]:
                 checks += 1
@@ -126,19 +158,113 @@ def propagate(
                     cand = lo[w] + add_lo
                     if cand > lv:
                         lv = cand
+                        plo = w
                 if add_hi is not None:
                     cand = hi[w] + add_hi
                     if cand < hv:
                         hv = cand
-            lo[v] = lv
-            hi[v] = hv
-            if lv > hv:
-                return False, v, sweeps, checks, dom_updates
+                        phi = w
             if lv != old_lo or hv != old_hi:
+                lo[v] = lv
+                hi[v] = hv
+                if plo >= 0:
+                    lo_par[v] = plo
+                if phi >= 0:
+                    hi_par[v] = phi
+                if lv > hv:
+                    walk = _emptied_walk(arcs, lo_par, hi_par, v)
+                    cycle = _certificate(arcs, base_lo, base_hi, walk)
+                    return False, cycle, sweeps, checks, dom_updates
                 stable = False
+                changed += 1
         if stable:
             return True, None, sweeps, checks, dom_updates
-    return False, None, sweeps, checks, dom_updates
+        if changed >= n:
+            changed = 0
+            walk = _parent_cycle(lo_par, hi_par)
+            if walk is not None:
+                return False, _certificate(arcs, base_lo, base_hi, walk), sweeps, checks, dom_updates
+    walk = _parent_cycle(lo_par, hi_par)
+    cycle = None if walk is None else _certificate(arcs, base_lo, base_hi, walk)
+    return False, cycle, sweeps, checks, dom_updates
+
+
+def _parent_cycle(lo_par: list[int], hi_par: list[int]) -> tuple[int, ...] | None:
+    """A cycle of either parent graph as a closed walk along its edges, or None.
+
+    Each graph is walked once, every vertex at most once, in O(n); vertex n
+    (the zero point) is the root and has no parent.
+    """
+    n = len(lo_par)
+    for par, along_edges in ((hi_par, False), (lo_par, True)):
+        mark = [-1] * n
+        for start in range(n):
+            v = start
+            while v < n and mark[v] < 0:
+                mark[v] = start
+                v = par[v]
+            if v < n and mark[v] == start:
+                walk = [v]
+                u = par[v]
+                while u != v:
+                    walk.append(u)
+                    u = par[u]
+                walk.append(v)
+                if not along_edges:  # hi parents point against the edges
+                    walk.reverse()
+                return tuple(walk)
+    return None
+
+
+def _emptied_walk(
+    arcs: list[list[Arc]], lo_par: list[int], hi_par: list[int], v: int
+) -> tuple[int, ...]:
+    """Closed walk from v through the zero point certifying that v emptied."""
+    for w, _, _, dead in arcs[v]:
+        if dead:
+            return (v, w, v)
+    n = len(lo_par)
+    to_zero = [v]  # lo parents: v -> ... -> zero point
+    from_zero = [v]  # hi parents, reversed below: zero point -> ... -> v
+    for path, par in ((to_zero, lo_par), (from_zero, hi_par)):
+        u = v
+        while u < n:
+            if len(path) > n:  # no root within n steps: the path entered a cycle
+                walk = _parent_cycle(lo_par, hi_par)
+                assert walk is not None
+                return walk
+            u = par[u]
+            path.append(u)
+    return tuple(to_zero + from_zero[-2::-1])
+
+
+def _certificate(
+    arcs: list[list[Arc]],
+    base_lo: Sequence[int],
+    base_hi: Sequence[int],
+    walk: tuple[int, ...],
+) -> NegativeCycle:
+    """Re-sum the walk over the distance graph's edges; it must be negative.
+
+    The edge u -> v (x_v - x_u <= c) is the hi side of v's arc from u, the
+    zero point's edges are the start domains, and an empty constraint is
+    the -1 pair of the oracle's convention.
+    """
+    n = len(arcs)
+    weight = 0
+    for u, v in zip(walk, walk[1:]):
+        if u == n:
+            weight += base_hi[v]
+        elif v == n:
+            weight -= base_lo[u]
+        else:
+            c = next((-1 if dead else add_hi for w, _, add_hi, dead in arcs[v] if w == u), None)
+            if c is None:
+                raise RuntimeError(f"certificate walk uses a missing edge {u}->{v}")
+            weight += c
+    if weight >= 0:
+        raise RuntimeError("negative-cycle certificate failed re-summation")
+    return NegativeCycle(walk, weight)
 
 
 def _start_domains(net: Stn, domains: Sequence[Interval] | None) -> list[Interval]:
@@ -163,13 +289,14 @@ def enforce_ac(net: Stn, domains: Sequence[Interval] | None = None) -> AcOutcome
     lo = [d.lo for d in start]
     hi = [d.hi for d in start]
     arcs = build_arcs(net)
-    stable, witness, sweeps, checks, dom_updates = propagate(
+    stable, cycle, sweeps, checks, dom_updates = propagate(
         arcs, lo, hi, list(lo), list(hi), net.n + 1
     )
     if stable:
         closed = tuple(interval(a, b) for a, b in zip(lo, hi))
         return AcClosure(closed, sweeps, checks, dom_updates)
-    return AcInconsistent(witness, sweeps, checks, dom_updates)
+    witness = None if cycle is None else cycle.vertices[0]
+    return AcInconsistent(witness, sweeps, checks, dom_updates, cycle)
 
 
 def is_arc_consistent(

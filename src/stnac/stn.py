@@ -94,10 +94,6 @@ class Stn:
             raise ValidationError(f"variable {v} has no domain")
         return d
 
-    def has_domain(self, v: int) -> bool:
-        self._check_var(v)
-        return self._domains[v] is not None
-
     # -- constraints -----------------------------------------------
 
     def add_constraint(self, v: int, w: int, ivl: Interval) -> ConstraintUpdate:

@@ -16,7 +16,31 @@ from stnac import (
     sample_solution,
     verify_assignment,
 )
-from stnac.workloads import gen_random_stn
+from stnac.workloads import gen_grid_stn, gen_random_stn, gen_scale_free_stn
+
+
+def edge_weight(net, domains, u, v):
+    """Weight of the distance-graph edge u->v in the oracle's convention
+    (vertex net.n is the zero point, `domains` its edges), or None."""
+    zero = net.n
+    if u == zero:
+        return domains[v].hi
+    if v == zero:
+        return -domains[u].lo
+    c = net.constraint(u, v)
+    if c is None:
+        return None
+    return -1 if c.is_empty else c.hi
+
+
+def assert_certificate(net, domains, out):
+    """The refutation's cycle is a closed walk of the network's own edges
+    that re-sums to its negative weight, starting at the witness."""
+    walk = out.cycle.vertices
+    assert len(walk) >= 3 and walk[0] == walk[-1] == out.witness
+    weights = [edge_weight(net, domains, u, v) for u, v in zip(walk, walk[1:])]
+    assert None not in weights
+    assert sum(weights) == out.cycle.weight < 0
 
 
 class TestEnforceAc:
@@ -58,10 +82,11 @@ class TestEnforceAc:
         out = enforce_ac(net)
         assert isinstance(out, AcInconsistent)
         assert out.witness == 0
+        assert out.cycle == NegativeCycle((0, 1, 0), -2)
 
-    def test_weak_cycle_hits_the_sweep_cap(self):
+    def test_weak_cycle_stops_at_its_parent_cycle(self):
         # total cycle weight -1 per lap with huge domains: no domain can empty
-        # within the budget, so inconsistency comes from the cap
+        # within the budget, but the relaxation parents close the cycle early
         net = Stn(3)
         for v in range(3):
             net.set_domain(v, interval(0, 10**6))
@@ -71,8 +96,12 @@ class TestEnforceAc:
         assert isinstance(oracle_minimal_domains(net), NegativeCycle)
         out = enforce_ac(net)
         assert isinstance(out, AcInconsistent)
-        assert out.cap_exhausted
-        assert out.iterations == net.n + 1
+        assert not out.cap_exhausted
+        # the first sweep changes all n domains, so the parents are searched
+        # right after it, and their lo side already closes the cycle
+        assert out.iterations == 1 <= net.n + 1
+        assert_certificate(net, [net.domain(v) for v in range(net.n)], out)
+        assert out.cycle.weight == -1
 
     def test_iteration_cap_bound(self):
         for seed in range(30):
@@ -110,6 +139,55 @@ class TestEnforceAc:
         out = enforce_ac(net, domains=[interval(8, 8), interval(0, 10)])
         assert isinstance(out, AcClosure)
         assert out.domains == (interval(8, 8), interval(10, 10))
+
+
+class TestCertificates:
+    """Every refutation agrees with the oracle and carries a cycle that
+    re-sums negative over the network's own edges."""
+
+    @staticmethod
+    def check(net, domains=None):
+        if domains is None:
+            domains = [net.domain(v) for v in range(net.n)]
+        ref = Stn(net.n)
+        for v, d in enumerate(domains):
+            ref.set_domain(v, d)
+        for v, w, ivl in net.pairs():
+            ref.add_constraint(v, w, ivl)
+        out = enforce_ac(net, domains=domains)
+        oracle = oracle_minimal_domains(ref)
+        assert isinstance(out, AcInconsistent) == isinstance(oracle, NegativeCycle)
+        if isinstance(out, AcInconsistent):
+            assert_certificate(net, domains, out)
+            return 1
+        return 0
+
+    # the default horizon leaves refutations to parent cycles; a horizon of
+    # 40 also empties domains, whose walks pass through the zero point
+    @pytest.mark.parametrize("horizon", [None, 40])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda seed, h: gen_grid_stn(4, 5, wmin=-20, wmax=20, horizon=h, seed=seed),
+            lambda seed, h: gen_scale_free_stn(20, 2, wmin=-20, wmax=20, horizon=h, seed=seed),
+            lambda seed, h: gen_random_stn(n=16, density=0.2, wmin=-20, wmax=20, horizon=h, seed=seed),
+        ],
+        ids=["grid-stn", "scale-free-stn", "random-stn"],
+    )
+    def test_seeded_families(self, make, horizon):
+        refuted = sum(self.check(make(seed, horizon)) for seed in range(30))
+        assert refuted > 0
+
+    def test_domain_override(self):
+        # consistent as stored; pinning both ends of one constraint one step
+        # past its upper bound refutes it through the overridden domains
+        net = gen_random_stn(n=12, density=0.3, wmin=-6, wmax=9, horizon=60, seed=4, consistent=True)
+        assert self.check(net) == 0
+        v, w, ivl = next((v, w, ivl) for v, w, ivl in net.pairs() if ivl.hi is not None)
+        domains = [net.domain(x) for x in range(net.n)]
+        domains[v] = interval(0, 0)
+        domains[w] = interval(ivl.hi + 1, ivl.hi + 1)
+        assert self.check(net, domains) == 1
 
 
 class TestIsArcConsistent:
