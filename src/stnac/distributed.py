@@ -2,8 +2,9 @@
 
 Each iteration k an agent sends the current domains of its shared variables
 to its neighbors, waits until every neighbor's iteration-k domains have
-arrived, then sweeps its own variables against local and cross-agent
-constraints exactly like the centralized solver.  If the sweep changed
+arrived, writes them into its ghost slots (one per peer variable its
+external constraints read, after its own variables), then runs the
+solver's own sweep_once() over its own variables.  If the sweep changed
 nothing the agent is quiescent and joins the termination round for k;
 otherwise it moves straight to k+1, and the fresh domain message doubles as
 the signal that wakes quiescent neighbors out of their round.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .errors import ProtocolError
 from .intervals import Interval, interval
@@ -41,7 +43,7 @@ from .sim import (
     echo_setup,
     run_simulation,
 )
-from .solver import build_arcs
+from .solver import build_arcs, sweep_once
 
 
 class Phase(Enum):
@@ -49,10 +51,6 @@ class Phase(Enum):
     AWAIT_SYNC = "AwaitSync"
     AWAIT_TERMINATION = "AwaitTermination"
     DONE = "Done"
-
-
-# external update arc: (peer key, lower summand, upper summand, dead)
-ExtArc = tuple[tuple[int, int], int | None, int | None, bool]
 
 
 class SolverAgent:
@@ -76,31 +74,25 @@ class SolverAgent:
         self.phase = Phase.AWAIT_SYNC
 
         stn = view.stn
-        self._n = stn.n
-        self._base_lo = [stn.domain(v).lo for v in range(stn.n)]
-        self._base_hi = [stn.domain(v).hi for v in range(stn.n)]
-        self._lo = list(self._base_lo)
-        self._hi = list(self._base_hi)
-        self._local_arcs = build_arcs(stn)
-        self._ext_arcs: list[list[ExtArc]] = [[] for _ in range(stn.n)]
-        for edge in view.externals:
-            ivl = edge.ivl
-            key = (edge.peer_agent, edge.peer_var)
-            if ivl.is_empty:
-                self._ext_arcs[edge.local_var].append((key, None, None, True))
-            else:
-                a, b = ivl.lo, ivl.hi
-                self._ext_arcs[edge.local_var].append(
-                    (key, None if b is None else -b, None if a is None else -a, False)
-                )
-        for lst in self._ext_arcs:
-            lst.sort(key=lambda arc: arc[0])
+        n = self._n = stn.n
+        # peer variable (agent, var) -> its ghost slot; sorted keys keep each
+        # variable's arcs in the order local neighbors, then peers by key
+        ghosts = {key: n + i for i, key in enumerate(view.external_vars)}
+        self._base_lo = [stn.domain(v).lo for v in range(n)]
+        self._base_hi = [stn.domain(v).hi for v in range(n)]
+        self._lo = self._base_lo + [0] * len(ghosts)
+        self._hi = self._base_hi + [0] * len(ghosts)
+        self._parents = ([n] * n, [n] * n)  # kept by sweep_once, never read here
+        ext = ((e.local_var, ghosts[(e.peer_agent, e.peer_var)], e.ivl) for e in view.externals)
+        self._arcs = build_arcs(n + len(ghosts), chain(stn.pairs(), ext))[:n]
+        # neighbor -> {(neighbor, var): ghost slot}, exactly the keys its syncs carry
+        self._reads = {
+            j: {key: slot for key, slot in ghosts.items() if key[0] == j} for j in view.neighbors
+        }
 
-        # (neighbor, k) -> (arrival stamp, {(neighbor, var): (lo, hi)})
-        self._sync_cache: dict[
-            tuple[int, int], tuple[int, dict[tuple[int, int], tuple[int, int]]]
-        ] = {}
-        self._stable = [False] * stn.n
+        # (neighbor, k) -> (arrival stamp, [(ghost slot, lo, hi)])
+        self._sync_cache: dict[tuple[int, int], tuple[int, list[tuple[int, int, int]]]] = {}
+        self._changed = n  # domains changed by the last sweep
         self._buffered_inquiries: set[int] = set()
         self._feedback_pending: set[int] = set()
         self._inquiry_handled = False
@@ -131,16 +123,17 @@ class SolverAgent:
         return self._drain()
 
     def domains(self) -> tuple[Interval, ...]:
-        return tuple(interval(a, b) for a, b in zip(self._lo, self._hi))
+        return tuple(interval(self._lo[v], self._hi[v]) for v in range(self._n))
 
     # -- message handlers -------------------------------------------
 
     def _on_sync(self, msg: AgentMessage) -> None:
-        if msg.sender not in self.view.neighbors or msg.domains is None:
+        reads = self._reads.get(msg.sender)
+        if reads is None or msg.domains is None or msg.domains.keys() != reads.keys():
             self._fail(f"malformed domain sync from {msg.sender}")
         self._sync_cache[(msg.sender, msg.k)] = (
             msg.arrival,
-            {key: (ivl.lo, ivl.hi) for key, ivl in msg.domains.items()},
+            [(reads[key], ivl.lo, ivl.hi) for key, ivl in msg.domains.items()],
         )
         if self.phase is Phase.AWAIT_TERMINATION:
             # a neighbor moved on, so iteration k is not globally quiescent;
@@ -244,63 +237,26 @@ class SolverAgent:
 
     def _sweep(self) -> None:
         self.phase = Phase.SWEEPING
-        ext_domains: dict[tuple[int, int], tuple[int, int]] = {}
+        lo = self._lo
+        hi = self._hi
         for j in self.view.neighbors:
             stamp, payload = self._sync_cache[(j, self.k)]
             if stamp > self.clock:  # receiving the awaited domains
                 self.clock = stamp
-            ext_domains.update(payload)
-        lo = self._lo
-        hi = self._hi
-        for v in range(self._n):
-            lv = lo[v]
-            hv = hi[v]
-            old_lo = lv
-            old_hi = hv
-            blv = self._base_lo[v]
-            if blv > lv:
-                lv = blv
-            bhv = self._base_hi[v]
-            if bhv < hv:
-                hv = bhv
-            self.domain_updates += 1
-            for w, add_lo, add_hi, dead in self._local_arcs[v]:
-                self.checks += 1
-                self.clock += 1
-                if dead:
-                    hv = lv - 1
-                    continue
-                if add_lo is not None:
-                    cand = lo[w] + add_lo
-                    if cand > lv:
-                        lv = cand
-                if add_hi is not None:
-                    cand = hi[w] + add_hi
-                    if cand < hv:
-                        hv = cand
-            for key, add_lo, add_hi, dead in self._ext_arcs[v]:
-                self.checks += 1
-                self.clock += 1
-                if dead:
-                    hv = lv - 1
-                    continue
-                plo, phi = ext_domains[key]
-                if add_lo is not None:
-                    cand = plo + add_lo
-                    if cand > lv:
-                        lv = cand
-                if add_hi is not None:
-                    cand = phi + add_hi
-                    if cand < hv:
-                        hv = cand
-            lo[v] = lv
-            hi[v] = hv
-            if lv > hv:
-                self._originate_broadcast(MsgKind.INCONSISTENT)
-                self._finish("inconsistent")
-                return
-            self._stable[v] = lv == old_lo and hv == old_hi
-        if not all(self._stable):
+            for slot, a, b in payload:
+                lo[slot] = a
+                hi[slot] = b
+        self._changed, emptied, checks, dom_updates = sweep_once(
+            self._arcs, lo, hi, self._base_lo, self._base_hi, *self._parents
+        )
+        self.clock += checks
+        self.checks += checks
+        self.domain_updates += dom_updates
+        if emptied is not None:
+            self._originate_broadcast(MsgKind.INCONSISTENT)
+            self._finish("inconsistent")
+            return
+        if self._changed:
             # the not-quiescent signal is indirect: moving on and sending the
             # next domain sync is what wakes waiting neighbors
             self._advance()
@@ -372,7 +328,7 @@ class SolverAgent:
     def _fail(self, reason: str) -> None:
         raise ProtocolError(
             f"agent {self.agent_id}: {reason} "
-            f"(phase={self.phase.value}, k={self.k}, q={sum(self._stable)}/{self._n})"
+            f"(phase={self.phase.value}, k={self.k}, q={self._n - self._changed}/{self._n})"
         )
 
 

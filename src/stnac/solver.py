@@ -34,12 +34,18 @@ those evaluations are tallied separately as domain updates.  Sweep order
 is fixed (variables ascending, neighbors ascending within a variable), so
 identical inputs give identical counts.  The parent searches do no
 constraint checks.
+
+One sweep is sweep_once(), the single update step of the package: propagate()
+runs it under the budget and the parent searches, and each agent of
+distributed.py runs it once per iteration.  An agent's lo/hi arrays end in
+ghost slots that hold its peers' synced domains; sweep_once() reads them as
+arc sources and never writes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ValidationError
 from .intervals import Interval, interval
@@ -89,10 +95,13 @@ AcOutcome = AcClosure | AcInconsistent
 Arc = tuple[int, int | None, int | None, bool]
 
 
-def build_arcs(net: Stn) -> list[list[Arc]]:
-    """Per-variable incoming update arcs, neighbors in ascending order."""
-    arcs: list[list[Arc]] = [[] for _ in range(net.n)]
-    for v, w, ivl in net.pairs():
+def build_arcs(n: int, pairs: Iterable[tuple[int, int, Interval]]) -> list[list[Arc]]:
+    """Per-variable incoming update arcs, sources in ascending order.
+
+    `pairs` yields (v, w, interval from v to w) over the vertices 0..n-1.
+    """
+    arcs: list[list[Arc]] = [[] for _ in range(n)]
+    for v, w, ivl in pairs:
         if ivl.is_empty:
             arcs[v].append((w, None, None, True))
             arcs[w].append((v, None, None, True))
@@ -104,6 +113,72 @@ def build_arcs(net: Stn) -> list[list[Arc]]:
     for lst in arcs:
         lst.sort(key=lambda arc: arc[0])
     return arcs
+
+
+def sweep_once(
+    arcs: list[list[Arc]],
+    lo: list[int],
+    hi: list[int],
+    base_lo: Sequence[int],
+    base_hi: Sequence[int],
+    lo_par: list[int],
+    hi_par: list[int],
+) -> tuple[int, int | None, int, int]:
+    """Sweep the variables 0..len(arcs)-1 once, in ascending order, in place.
+
+    Slots of lo/hi beyond len(arcs) (an agent's ghost slots, holding its
+    peers' variables) are read as arc sources and never written.  lo_par
+    and hi_par get the source whose arc last tightened each bound, with
+    len(arcs) for the zero point.  Returns (changed, emptied, checks,
+    domain_updates): the number of changed domains and the variable whose
+    domain emptied, or None.  An emptied domain ends the sweep at once, so
+    the counts stop with that variable.
+    """
+    n = len(arcs)
+    checks = 0
+    changed = 0
+    for v in range(n):
+        lv = lo[v]
+        hv = hi[v]
+        old_lo = lv
+        old_hi = hv
+        plo = phi = -1
+        # the zero-point edge first: re-intersect with the run's start domain
+        blv = base_lo[v]
+        if blv > lv:
+            lv = blv
+            plo = n
+        bhv = base_hi[v]
+        if bhv < hv:
+            hv = bhv
+            phi = n
+        arcs_v = arcs[v]
+        checks += len(arcs_v)
+        for w, add_lo, add_hi, dead in arcs_v:
+            if dead:
+                hv = lv - 1
+                continue
+            if add_lo is not None:
+                cand = lo[w] + add_lo
+                if cand > lv:
+                    lv = cand
+                    plo = w
+            if add_hi is not None:
+                cand = hi[w] + add_hi
+                if cand < hv:
+                    hv = cand
+                    phi = w
+        if lv != old_lo or hv != old_hi:
+            lo[v] = lv
+            hi[v] = hv
+            if plo >= 0:
+                lo_par[v] = plo
+            if phi >= 0:
+                hi_par[v] = phi
+            if lv > hv:
+                return changed, v, checks, v + 1
+            changed += 1
+    return changed, None, checks, n
 
 
 def propagate(
@@ -129,62 +204,27 @@ def propagate(
     checks = 0
     dom_updates = 0
     sweeps = 0
-    changed = 0
+    since_search = 0  # domain changes since the last parent search
     while sweeps < max_sweeps:
         sweeps += 1
-        stable = True
-        for v in range(n):
-            lv = lo[v]
-            hv = hi[v]
-            old_lo = lv
-            old_hi = hv
-            plo = phi = -1
-            # the zero-point edge first: re-intersect with the run's start domain
-            blv = base_lo[v]
-            if blv > lv:
-                lv = blv
-                plo = n
-            bhv = base_hi[v]
-            if bhv < hv:
-                hv = bhv
-                phi = n
-            dom_updates += 1
-            for w, add_lo, add_hi, dead in arcs[v]:
-                checks += 1
-                if dead:
-                    hv = lv - 1
-                    continue
-                if add_lo is not None:
-                    cand = lo[w] + add_lo
-                    if cand > lv:
-                        lv = cand
-                        plo = w
-                if add_hi is not None:
-                    cand = hi[w] + add_hi
-                    if cand < hv:
-                        hv = cand
-                        phi = w
-            if lv != old_lo or hv != old_hi:
-                lo[v] = lv
-                hi[v] = hv
-                if plo >= 0:
-                    lo_par[v] = plo
-                if phi >= 0:
-                    hi_par[v] = phi
-                if lv > hv:
-                    walk = _emptied_walk(arcs, lo_par, hi_par, v)
-                    cycle = _certificate(arcs, base_lo, base_hi, walk)
-                    return False, cycle, sweeps, checks, dom_updates
-                stable = False
-                changed += 1
-        if stable:
+        changed, emptied, sweep_checks, sweep_updates = sweep_once(
+            arcs, lo, hi, base_lo, base_hi, lo_par, hi_par
+        )
+        checks += sweep_checks
+        dom_updates += sweep_updates
+        if emptied is not None:
+            walk = _emptied_walk(arcs, lo_par, hi_par, emptied)
+            break
+        if not changed:
             return True, None, sweeps, checks, dom_updates
-        if changed >= n:
-            changed = 0
+        since_search += changed
+        if since_search >= n:
+            since_search = 0
             walk = _parent_cycle(lo_par, hi_par)
             if walk is not None:
-                return False, _certificate(arcs, base_lo, base_hi, walk), sweeps, checks, dom_updates
-    walk = _parent_cycle(lo_par, hi_par)
+                break
+    else:
+        walk = _parent_cycle(lo_par, hi_par)
     cycle = None if walk is None else _certificate(arcs, base_lo, base_hi, walk)
     return False, cycle, sweeps, checks, dom_updates
 
@@ -288,7 +328,7 @@ def enforce_ac(net: Stn, domains: Sequence[Interval] | None = None) -> AcOutcome
     start = _start_domains(net, domains)
     lo = [d.lo for d in start]
     hi = [d.hi for d in start]
-    arcs = build_arcs(net)
+    arcs = build_arcs(net.n, net.pairs())
     stable, cycle, sweeps, checks, dom_updates = propagate(
         arcs, lo, hi, list(lo), list(hi), net.n + 1
     )
@@ -351,8 +391,10 @@ def sample_solution(net: Stn, closure: AcClosure, seed: int) -> Assignment:
     seeded-uniform value of its current domain, re-closing after each pick."""
     if not isinstance(closure, AcClosure):
         raise ValidationError("sampling requires a consistent closure")
+    if len(closure.domains) != net.n:
+        raise ValidationError(f"expected a closure of {net.n} domains, got {len(closure.domains)}")
     rng = SplitMix64(seed)
-    arcs = build_arcs(net)
+    arcs = build_arcs(net.n, net.pairs())
     lo = [d.lo for d in closure.domains]
     hi = [d.hi for d in closure.domains]
     for v in range(net.n):

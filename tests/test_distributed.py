@@ -2,6 +2,7 @@ import pytest
 
 from conftest import SAMPLES
 from stnac import (
+    EMPTY,
     AcClosure,
     AgentMessage,
     Mastn,
@@ -98,6 +99,41 @@ class TestRingInstances:
         assert run.verdict == "inconsistent"
         kinds = run.histogram
         assert kinds.get("Inconsistent", 0) >= 1
+
+
+class TestSharedGhostSlot:
+    """Both variables of agent 0 constrain agent 1's only variable, which
+    agent 0 therefore keeps in one ghost slot.  The per-agent checks and
+    NCCC are pinned: they count every arc of the swept variables, and an
+    emptied domain stops its agent's sweep."""
+
+    @staticmethod
+    def instance(empty: bool) -> Mastn:
+        a = Stn(2)
+        a.set_domain(0, interval(0, 100))
+        a.set_domain(1, interval(0, 100))
+        a.add_constraint(0, 1, interval(1, 10))
+        b = Stn(1)
+        b.set_domain(0, interval(0, 30))
+        m = Mastn([a, b])
+        m.add_external(0, 0, 1, 0, EMPTY if empty else interval(5, 20))
+        m.add_external(0, 1, 1, 0, interval(-3, 4))
+        return m
+
+    @pytest.mark.parametrize("seed,checks,nccc", [(0, [8, 4], 8), (1, [8, 4], 12), (2, [8, 4], 16)])
+    def test_consistent(self, seed, checks, nccc):
+        m = self.instance(empty=False)
+        run = solve_distributed(m, SimConfig(scheduler_seed=seed, latency=seed))
+        assert_matches_central(m, run)
+        assert (run.verdict, run.agent_checks, run.nccc) == ("consistent", checks, nccc)
+
+    @pytest.mark.parametrize("seed,checks,nccc", [(0, [2, 2], 2), (1, [2, 0], 4), (2, [2, 2], 4)])
+    def test_empty_external(self, seed, checks, nccc):
+        # agent 0's first variable empties after its two checks; its second
+        # variable is never swept
+        m = self.instance(empty=True)
+        run = solve_distributed(m, SimConfig(scheduler_seed=seed, latency=seed))
+        assert (run.verdict, run.agent_checks, run.nccc) == ("inconsistent", checks, nccc)
 
 
 class TestScheduleIndependence:
@@ -292,3 +328,22 @@ class TestProtocolErrors:
         agent.on_start()
         with pytest.raises(ProtocolError):
             agent.on_message(AgentMessage(MsgKind.INQUIRY, 2, 1, k=1))
+
+    def ring4_agent0(self) -> SolverAgent:
+        # agent 0 reads (1, 0) from agent 1 and (3, 0) from agent 3
+        view = agent_view(parse_mastn((SAMPLES / "ring4.mastn").read_text()), 0)
+        tree = TreeInfo(parent=None, children=(1, 3), is_root=True, is_leaf=False, n_total=8)
+        agent = SolverAgent(view, tree)
+        agent.on_start()
+        return agent
+
+    def test_sync_missing_a_key(self):
+        agent = self.ring4_agent0()
+        with pytest.raises(ProtocolError, match="malformed domain sync from 1"):
+            agent.on_message(AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains={}))
+
+    def test_sync_with_a_foreign_key(self):
+        agent = self.ring4_agent0()
+        domains = {(1, 0): interval(0, 100), (2, 0): interval(0, 100)}
+        with pytest.raises(ProtocolError, match="malformed domain sync from 1"):
+            agent.on_message(AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains=domains))

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import cycle3_net, scale_stn, two_var_net
+from conftest import SAMPLES, cycle3_net, scale_stn, two_var_net
 from stnac import (
     AcClosure,
     AcInconsistent,
@@ -13,9 +13,11 @@ from stnac import (
     interval,
     is_arc_consistent,
     oracle_minimal_domains,
+    parse_stn,
     sample_solution,
     verify_assignment,
 )
+from stnac.solver import build_arcs, sweep_once
 from stnac.workloads import gen_grid_stn, gen_random_stn, gen_scale_free_stn
 
 
@@ -190,6 +192,46 @@ class TestCertificates:
         assert self.check(net, domains) == 1
 
 
+class TestSweepOnce:
+    """The kernel contract: slot 2 is a ghost, beyond the two swept variables."""
+
+    def test_tightens_from_ghost_and_leaves_it(self):
+        # y - x in [2, 3]; g - y in [0, 4] with the ghost g in [10, 12]
+        arcs = build_arcs(3, [(0, 1, interval(2, 3)), (1, 2, interval(0, 4))])[:2]
+        lo, hi = [0, 0, 10], [100, 100, 12]
+        lo_par, hi_par = [-1, -1], [-1, -1]
+        out = sweep_once(arcs, lo, hi, [0, 0], [100, 100], lo_par, hi_par)
+        assert out == (2, None, 3, 2)  # changed, emptied, checks, domain updates
+        assert (lo, hi) == ([0, 6, 10], [98, 12, 12])
+        assert (lo_par, hi_par) == ([-1, 2], [1, 2])  # y's bounds both came from g
+
+    def test_emptied_stops_the_sweep(self):
+        # x has two arcs (y and g); g = x forces x to 200, past its bound 100
+        arcs = build_arcs(3, [(0, 1, interval(0, 10)), (0, 2, interval(0, 0))])[:2]
+        lo, hi = [0, 0, 200], [100, 100, 200]
+        out = sweep_once(arcs, lo, hi, [0, 0], [100, 100], [2, 2], [2, 2])
+        assert out == (0, 0, 2, 1)  # checks stop with x's two arcs
+        assert (lo[1:], hi[1:]) == ([0, 200], [100, 200])  # y not swept, g untouched
+
+    def test_propagate_counts_are_sweep_sums(self):
+        net = gen_random_stn(n=12, density=0.3, seed=2, consistent=True)
+        arcs = build_arcs(net.n, net.pairs())
+        lo = [net.domain(v).lo for v in range(net.n)]
+        hi = [net.domain(v).hi for v in range(net.n)]
+        base_lo, base_hi = list(lo), list(hi)
+        par = ([net.n] * net.n, [net.n] * net.n)
+        checks = updates = 0
+        while True:
+            changed, emptied, c, d = sweep_once(arcs, lo, hi, base_lo, base_hi, *par)
+            checks, updates = checks + c, updates + d
+            assert emptied is None
+            if not changed:
+                break
+        out = enforce_ac(net)
+        assert (out.checks, out.domain_updates) == (checks, updates)
+        assert list(out.domains) == [interval(a, b) for a, b in zip(lo, hi)]
+
+
 class TestIsArcConsistent:
     def test_closure_is_arc_consistent(self):
         net = two_var_net()
@@ -298,6 +340,12 @@ class TestSampleSolution:
         net = gen_random_stn(n=10, density=0.35, wmin=-5, wmax=9, horizon=60, seed=4, consistent=True)
         out = enforce_ac(net)
         assert sample_solution(net, out, 9) == sample_solution(net, out, 9)
+
+    def test_closure_of_another_network_is_rejected(self):
+        net = parse_stn((SAMPLES / "cycle3.stn").read_text())
+        other = enforce_ac(parse_stn((SAMPLES / "two_var.stn").read_text()))
+        with pytest.raises(ValidationError):
+            sample_solution(net, other, 0)
 
 
 class TestVerifyAssignment:
