@@ -124,19 +124,6 @@ def _rows_from(reader) -> list[RunMetrics]:
     return out
 
 
-_TOP_KEYS = {
-    "command",
-    "family",
-    "sweep",
-    "values",
-    "seeds",
-    "seed",
-    "sched-seed",
-    "latency",
-    "timing",
-}
-
-
 def parse_bench_config(text: str) -> dict:
     """Parse the flat key=value bench format into a validated dict."""
     cfg: dict = {}

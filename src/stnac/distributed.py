@@ -18,10 +18,12 @@ plus one) runs out, broadcasts inconsistency instead; broadcasting before
 returning keeps the rest of the system from waiting on a silent agent.
 Broadcasts flood the agent graph and duplicates are dropped by origin.
 
-State transitions are pure functions of (state, message); messages an
-agent cannot yet act on (a next-iteration domain sync, an inquiry arriving
-mid-iteration) are cached or buffered, and anything genuinely impossible
-raises ProtocolError with a state dump.
+State transitions are pure functions of (state, message).  Domain syncs
+wait in an inbox keyed by iteration, one entry per neighbor, until the
+sweep that reads them pops the iteration; an inquiry that arrives before
+the sweep it asks about is remembered by a flag until that sweep ends.
+Anything genuinely impossible, a second sync from one neighbor for one
+iteration included, raises ProtocolError with a state dump.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .sim import (
     LogEntry,
     MsgKind,
     SimConfig,
-    SimReport,
     TreeInfo,
     echo_setup,
     run_simulation,
@@ -47,7 +48,6 @@ from .solver import build_arcs, sweep_once
 
 
 class Phase(Enum):
-    SWEEPING = "Sweeping"
     AWAIT_SYNC = "AwaitSync"
     AWAIT_TERMINATION = "AwaitTermination"
     DONE = "Done"
@@ -90,10 +90,10 @@ class SolverAgent:
             j: {key: slot for key, slot in ghosts.items() if key[0] == j} for j in view.neighbors
         }
 
-        # (neighbor, k) -> (arrival stamp, [(ghost slot, lo, hi)])
-        self._sync_cache: dict[tuple[int, int], tuple[int, list[tuple[int, int, int]]]] = {}
+        # k -> {neighbor: (arrival stamp, [(ghost slot, lo, hi)])}
+        self._inbox: dict[int, dict[int, tuple[int, list[tuple[int, int, int]]]]] = {}
         self._changed = n  # domains changed by the last sweep
-        self._buffered_inquiries: set[int] = set()
+        self._inquiry_buffered = False  # the parent asked about k before k's sweep
         self._feedback_pending: set[int] = set()
         self._inquiry_handled = False
         self._seen_broadcasts: set[tuple[int, MsgKind]] = set()
@@ -131,7 +131,16 @@ class SolverAgent:
         reads = self._reads.get(msg.sender)
         if reads is None or msg.domains is None or msg.domains.keys() != reads.keys():
             self._fail(f"malformed domain sync from {msg.sender}")
-        self._sync_cache[(msg.sender, msg.k)] = (
+        if self.phase is Phase.AWAIT_TERMINATION and msg.k != self.k + 1:
+            self._fail(f"domain sync for iteration {msg.k} while waiting at {self.k}")
+        if self.phase is Phase.AWAIT_SYNC and msg.k not in (self.k, self.k + 1):
+            self._fail(f"domain sync for iteration {msg.k} while at {self.k}")
+        if self.phase is Phase.DONE:
+            self._fail(f"domain sync in phase {self.phase.value}")
+        syncs = self._inbox.setdefault(msg.k, {})
+        if msg.sender in syncs:
+            self._fail(f"second domain sync from {msg.sender} for iteration {msg.k}")
+        syncs[msg.sender] = (
             msg.arrival,
             [(reads[key], ivl.lo, ivl.hi) for key, ivl in msg.domains.items()],
         )
@@ -139,16 +148,9 @@ class SolverAgent:
             # a neighbor moved on, so iteration k is not globally quiescent;
             # abandon the round and join the next iteration.  This consumes
             # the message, so its stamp lands on the clock now.
-            if msg.k != self.k + 1:
-                self._fail(f"domain sync for iteration {msg.k} while waiting at {self.k}")
             if msg.arrival > self.clock:
                 self.clock = msg.arrival
             self._advance()
-        elif self.phase is Phase.AWAIT_SYNC:
-            if msg.k not in (self.k, self.k + 1):
-                self._fail(f"domain sync for iteration {msg.k} while at {self.k}")
-        else:
-            self._fail(f"domain sync in phase {self.phase.value}")
         self._pump()
 
     def _on_inquiry(self, msg: AgentMessage) -> None:
@@ -161,7 +163,7 @@ class SolverAgent:
         if self.phase is Phase.AWAIT_TERMINATION:
             self._handle_inquiry()
         elif self.phase is Phase.AWAIT_SYNC:
-            self._buffered_inquiries.add(msg.k)
+            self._inquiry_buffered = True
         else:
             self._fail(f"inquiry in phase {self.phase.value}")
 
@@ -215,10 +217,7 @@ class SolverAgent:
             self._finish("inconsistent")
             return
         self.k += 1
-        self._buffered_inquiries = {k for k in self._buffered_inquiries if k >= self.k}
-        self._sync_cache = {
-            key: payload for key, payload in self._sync_cache.items() if key[1] >= self.k
-        }
+        self._inquiry_buffered = False
         for j in self.view.neighbors:
             payload = {
                 (self.agent_id, v): interval(self._lo[v], self._hi[v])
@@ -228,19 +227,16 @@ class SolverAgent:
         self.phase = Phase.AWAIT_SYNC
 
     def _pump(self) -> None:
-        """Sweep as long as the next iteration's inputs are already here."""
-        while not self.done and self.phase is Phase.AWAIT_SYNC and self._sync_ready():
+        """Sweep as long as every neighbor's sync for the iteration is here."""
+        n_neighbors = len(self.view.neighbors)
+        while self.phase is Phase.AWAIT_SYNC and len(self._inbox.get(self.k, ())) == n_neighbors:
             self._sweep()
 
-    def _sync_ready(self) -> bool:
-        return all((j, self.k) in self._sync_cache for j in self.view.neighbors)
-
     def _sweep(self) -> None:
-        self.phase = Phase.SWEEPING
         lo = self._lo
         hi = self._hi
-        for j in self.view.neighbors:
-            stamp, payload = self._sync_cache[(j, self.k)]
+        # an agent without neighbors has no inbox entry for k
+        for stamp, payload in self._inbox.pop(self.k, {}).values():
             if stamp > self.clock:  # receiving the awaited domains
                 self.clock = stamp
             for slot, a, b in payload:
@@ -261,7 +257,7 @@ class SolverAgent:
             # next domain sync is what wakes waiting neighbors
             self._advance()
             return
-        if any((j, self.k + 1) in self._sync_cache for j in self.view.neighbors):
+        if self.k + 1 in self._inbox:
             # a neighbor already moved past k, so this round can never
             # complete; its buffered sync plays the role a late-arriving one
             # would have played and sends this agent straight to k+1
@@ -277,7 +273,7 @@ class SolverAgent:
             for child in self.tree.children:
                 self._emit(MsgKind.INQUIRY, child, k=self.k)
             self._inquiry_handled = True
-        elif self.k in self._buffered_inquiries:
+        elif self._inquiry_buffered:
             self._handle_inquiry()
 
     def _handle_inquiry(self) -> None:
@@ -367,20 +363,14 @@ def solve_distributed(m: Mastn, cfg: SimConfig | None = None) -> DistributedRun:
     var_counts = {i: m.agents[i].n for i in range(m.p)}
     trees: dict[int, TreeInfo] = {}
     setup_msgs: list[AgentMessage] = []
-    next_id = 0
     for comp in components(adjacency, m.p):
-        tree, _, delivered, next_id = echo_setup(comp, adjacency, var_counts, next_id)
+        tree, _, delivered = echo_setup(comp, adjacency, var_counts)
         trees.update(tree)
         setup_msgs.extend(delivered)
     agents = [SolverAgent(views[i], trees[i]) for i in range(m.p)]
-    report: SimReport = run_simulation(agents, cfg, msg_id_start=next_id)
-
+    # the solve run's deliveries are numbered on after the setup wave's
     log = [LogEntry(i + 1, msg) for i, msg in enumerate(setup_msgs)]
-    offset = len(log)
-    log.extend(LogEntry(offset + e.step, e.message) for e in report.log)
-    histogram = dict(report.histogram)
-    for msg in setup_msgs:
-        histogram[msg.kind.value] = histogram.get(msg.kind.value, 0) + 1
+    report = run_simulation(agents, cfg, log)
 
     verdict = "inconsistent" if any(a.result == "inconsistent" for a in agents) else "consistent"
     agent_domains = [a.domains() for a in agents] if verdict == "consistent" else None
@@ -391,9 +381,9 @@ def solve_distributed(m: Mastn, cfg: SimConfig | None = None) -> DistributedRun:
         checks=sum(a.checks for a in agents),
         domain_updates=sum(a.domain_updates for a in agents),
         nccc=report.nccc,
-        messages=len(setup_msgs) + report.message_count,
+        messages=len(log),
         setup_messages=len(setup_msgs),
-        histogram=histogram,
+        histogram=report.histogram,
         log=log,
         trees=trees,
         agent_checks=[a.checks for a in agents],

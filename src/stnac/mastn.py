@@ -32,6 +32,7 @@ from .stn import (
     ConstraintUpdate,
     Stn,
     _finite_cap_check,
+    _parse_index,
     apply_stn_line,
 )
 
@@ -138,10 +139,12 @@ class FlatIndex:
         return self.offsets[agent] + var
 
     def to_local(self, g: int) -> tuple[int, int]:
-        for agent in range(len(self.offsets) - 1, -1, -1):
-            if g >= self.offsets[agent]:
-                return agent, g - self.offsets[agent]
-        raise ValidationError(f"global index {g} out of range")
+        if not 0 <= g < sum(self.sizes):
+            raise ValidationError(f"global index {g} out of range")
+        # the last agent starting at or before g: agents without variables
+        # share their offset with the next agent, which owns g
+        agent = max(a for a, off in enumerate(self.offsets) if off <= g)
+        return agent, g - self.offsets[agent]
 
 
 def flatten(m: Mastn) -> tuple[Stn, FlatIndex]:
@@ -299,8 +302,8 @@ def parse_mastn(text: str, magnitude_cap: int = DEFAULT_MAGNITUDE_CAP) -> Mastn:
             raise FormatError("external agent ids must be integers", lineno) from None
         if not 0 <= i < p or not 0 <= j < p:
             raise FormatError(f"unknown agent in external ({i}, {j})", lineno)
-        v = _endpoint(agents[i], tokens[2], lineno)
-        w = _endpoint(agents[j], tokens[4], lineno)
+        v = _parse_index(agents[i], tokens[2], lineno)
+        w = _parse_index(agents[j], tokens[4], lineno)
         try:
             ivl = interval_from_tokens(tokens[5:])
         except ValueError as exc:
@@ -311,20 +314,6 @@ def parse_mastn(text: str, magnitude_cap: int = DEFAULT_MAGNITUDE_CAP) -> Mastn:
         except ValidationError as exc:
             raise FormatError(str(exc), lineno) from None
     return m
-
-
-def _endpoint(agent: Stn, token: str, lineno: int) -> int:
-    """An external-constraint endpoint: a local index or a declared name."""
-    try:
-        v = int(token)
-    except ValueError:
-        named = agent.index_of(token)
-        if named is None:
-            raise FormatError(f"unknown variable {token!r}", lineno) from None
-        return named
-    if not 0 <= v < agent.n:
-        raise FormatError(f"unknown variable {v} (agent has {agent.n})", lineno)
-    return v
 
 
 def _build_agent(i: int, lines: list[tuple[int, list[str]]], cap: int) -> Stn:

@@ -15,9 +15,10 @@ An agent is any object with::
     on_start() -> list[AgentMessage]
     on_message(msg) -> list[AgentMessage]
 
-The runtime assigns message ids in send order, logs every delivery, and
-reports a deadlock (all blocked, nothing in flight) or a runaway (step
-budget exhausted) as errors that valid protocols never trigger.
+The runtime logs every delivery, numbering steps on from any entries
+already in the log it is given, and reports a deadlock (all blocked,
+nothing in flight) or a runaway (step budget exhausted) as errors that
+valid protocols never trigger.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from enum import Enum
 
 from .errors import DeadlockError, RunawayError, ValidationError
 from .intervals import Interval
-from .mastn import Mastn, agent_adjacency, agent_view
+from .mastn import Mastn
 from .rng import SplitMix64
 
 
@@ -42,12 +43,9 @@ class MsgKind(Enum):
     ECHO_REPLY = "EchoReply"
 
 
-BROADCAST_KINDS = frozenset({MsgKind.INCONSISTENT, MsgKind.ARC_CONSISTENT})
-
-
 @dataclass
 class AgentMessage:
-    """One protocol message.  msg_id is assigned by the runtime at send time.
+    """One protocol message.
 
     `origin` names the agent that started a broadcast; together with the
     kind it is the key under which forwarded copies are deduplicated.
@@ -59,7 +57,6 @@ class AgentMessage:
     sender: int
     receiver: int
     clock: int = 0
-    msg_id: int = -1
     k: int | None = None
     domains: dict[tuple[int, int], Interval] | None = None
     subtree_agents: int | None = None
@@ -88,16 +85,19 @@ class LogEntry:
 @dataclass
 class SimReport:
     log: list[LogEntry]
-    message_count: int
     histogram: dict[str, int]
     nccc: int
-    total_checks: int
     steps: int
-    next_msg_id: int
 
 
-def run_simulation(agents: list, cfg: SimConfig, msg_id_start: int = 0) -> SimReport:
-    """Drive the agents until all terminate; returns the delivery log and metrics."""
+def run_simulation(agents: list, cfg: SimConfig, log: list[LogEntry] | None = None) -> SimReport:
+    """Drive the agents until all terminate; returns the delivery log and metrics.
+
+    Each delivery is appended to `log` (a new list when None) with its step
+    numbered on from the entries already there, and the histogram counts
+    the whole log.  `steps`, and the `max_steps` budget, count only this
+    run's deliveries.
+    """
     if not agents:
         raise ValidationError("agent set must be non-empty")
     by_id = {}
@@ -107,21 +107,19 @@ def run_simulation(agents: list, cfg: SimConfig, msg_id_start: int = 0) -> SimRe
         by_id[a.agent_id] = a
     rng = SplitMix64(cfg.scheduler_seed)
     pending: list[AgentMessage] = []
-    next_id = msg_id_start
 
     def enqueue(msgs: list[AgentMessage]) -> None:
-        nonlocal next_id
         for msg in msgs:
             if msg.receiver not in by_id:
                 raise ValidationError(f"message to unknown agent {msg.receiver}")
-            msg.msg_id = next_id
-            next_id += 1
             pending.append(msg)
 
     for a in sorted(agents, key=lambda a: a.agent_id):
         enqueue(a.on_start())
 
-    log: list[LogEntry] = []
+    if log is None:
+        log = []
+    offset = len(log)
     step = 0
     while True:
         if not pending:
@@ -134,7 +132,7 @@ def run_simulation(agents: list, cfg: SimConfig, msg_id_start: int = 0) -> SimRe
         step += 1
         if step > cfg.max_steps:
             raise RunawayError(f"exceeded {cfg.max_steps} delivery steps")
-        log.append(LogEntry(step, msg))
+        log.append(LogEntry(offset + step, msg))
         agent = by_id[msg.receiver]
         if agent.done:
             continue
@@ -149,15 +147,7 @@ def run_simulation(agents: list, cfg: SimConfig, msg_id_start: int = 0) -> SimRe
 
     histogram = Counter(entry.message.kind.value for entry in log)
     nccc = max((a.clock for a in agents), default=0)
-    return SimReport(
-        log=log,
-        message_count=len(log),
-        histogram=dict(histogram),
-        nccc=nccc,
-        total_checks=sum(getattr(a, "checks", 0) for a in agents),
-        steps=step,
-        next_msg_id=next_id,
-    )
+    return SimReport(log=log, histogram=dict(histogram), nccc=nccc, steps=step)
 
 
 def _describe(agent) -> str:
@@ -184,8 +174,7 @@ def echo_setup(
     component: list[int],
     adjacency: dict[int, tuple[int, ...]],
     var_counts: dict[int, int],
-    msg_id_start: int = 0,
-) -> tuple[dict[int, TreeInfo], int, list[AgentMessage], int]:
+) -> tuple[dict[int, TreeInfo], int, list[AgentMessage]]:
     """Build a rooted spanning tree of one connected component with a probe wave.
 
     The root is the lowest agent id.  Probes fan out in FIFO order, so each
@@ -203,7 +192,7 @@ def echo_setup(
     n_single = var_counts[root] + 1
     if len(comp) == 1:
         tree = {root: TreeInfo(None, (), True, True, n_single)}
-        return tree, n_single, [], msg_id_start
+        return tree, n_single, []
 
     parent: dict[int, int | None] = {root: None}
     heard: dict[int, set[int]] = {i: set() for i in comp}
@@ -213,12 +202,9 @@ def echo_setup(
     replied: set[int] = set()
     delivered: list[AgentMessage] = []
     queue: deque[AgentMessage] = deque()
-    next_id = msg_id_start
 
     def send(kind: MsgKind, s: int, r: int, **fields) -> None:
-        nonlocal next_id
-        queue.append(AgentMessage(kind, s, r, msg_id=next_id, **fields))
-        next_id += 1
+        queue.append(AgentMessage(kind, s, r, **fields))
 
     for j in adjacency[root]:
         send(MsgKind.ECHO_PROBE, root, j)
@@ -262,7 +248,7 @@ def echo_setup(
         )
         for i in comp
     }
-    return tree, n_total, delivered, next_id
+    return tree, n_total, delivered
 
 
 # -- privacy audit -----------------------------------------------------
@@ -282,20 +268,25 @@ def audit_privacy(log: list[LogEntry], m: Mastn) -> AuditResult:
     share (echo replies are exempt: they carry only aggregate counts), when
     it carries interval payloads on anything but a domain synchronization,
     or when it travels between agents that are not agent-graph neighbors.
+    Shared variables and agent edges are read from the external constraints
+    themselves, not from the agent views that decide what agents send.
     """
-    adjacency = agent_adjacency(m)
-    shared = {i: set(agent_view(m, i).shared_vars) for i in range(m.p)}
+    edges: set[tuple[int, int]] = set()  # (agent, agent), both ways
+    shared: set[tuple[int, int]] = set()  # (agent, var) on an external constraint
+    for ext in m.external_constraints():
+        edges.update(((ext.i, ext.j), (ext.j, ext.i)))
+        shared.update(((ext.i, ext.v), (ext.j, ext.w)))
     for entry in log:
         msg = entry.message
-        if msg.receiver not in adjacency.get(msg.sender, ()):
+        if (msg.sender, msg.receiver) not in edges:
             return AuditResult(False, entry, "message between non-neighbor agents")
         if msg.kind is MsgKind.DOMAIN_SYNC:
             if msg.domains is None:
                 return AuditResult(False, entry, "domain sync without a payload")
-            for agent, var in msg.domains:
-                if agent != msg.sender:
+            for key in msg.domains:
+                if key[0] != msg.sender:
                     return AuditResult(False, entry, "payload names a foreign variable")
-                if var not in shared[agent]:
+                if key not in shared:
                     return AuditResult(False, entry, "payload names a private variable")
         elif msg.kind is MsgKind.ECHO_REPLY:
             if msg.domains is not None:

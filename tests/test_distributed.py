@@ -347,3 +347,12 @@ class TestProtocolErrors:
         domains = {(1, 0): interval(0, 100), (2, 0): interval(0, 100)}
         with pytest.raises(ProtocolError, match="malformed domain sync from 1"):
             agent.on_message(AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains=domains))
+
+    def test_second_sync_for_one_iteration(self):
+        agent = self.ring4_agent0()
+        sync = AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains={(1, 0): interval(0, 100)})
+        agent.on_message(sync)
+        with pytest.raises(ProtocolError, match="second domain sync from 1 for iteration 1"):
+            agent.on_message(
+                AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains={(1, 0): interval(0, 50)})
+            )

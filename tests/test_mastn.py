@@ -41,6 +41,15 @@ class TestFlatten:
         assert fi.to_global(1, 0) == 2
         assert fi.to_local(3) == (1, 1)
 
+    def test_to_local_rejects_indices_past_the_last_variable(self):
+        text = "mastn 3\nagent 0\ndomain 0 0 10\nagent 1\nagent 2\ndomain 0 0 10\n"
+        flat, fi = flatten(parse_mastn(text))
+        assert flat.n == 2
+        assert [fi.to_local(g) for g in range(2)] == [(0, 0), (2, 0)]
+        for g in (2, 3, -1):
+            with pytest.raises(ValidationError):
+                fi.to_local(g)
+
     def test_block_diagonal_without_externals(self):
         m = Mastn([local(2), local(3)])
         flat, _ = flatten(m)

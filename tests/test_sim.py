@@ -96,7 +96,8 @@ class TestRunSimulation:
     def test_token_run_terminates(self):
         agents = couriers(hops=4)
         report = run_simulation(agents, SimConfig())
-        assert report.message_count == 5  # four token hops plus the stop
+        assert report.steps == 5  # four token hops plus the stop
+        assert len(report.log) == 5
         assert all(a.done for a in agents)
 
     def test_deadlock_reported_with_snapshot(self):
@@ -118,6 +119,25 @@ class TestRunSimulation:
             report = run_simulation(agents, SimConfig(latency=latency))
             assert report.nccc == 2 * 4 + latency * 5
 
+    def test_prefilled_log_numbers_steps_on(self):
+        prefix = [LogEntry(i + 1, AgentMessage(MsgKind.INQUIRY, 0, 1)) for i in range(3)]
+        log = list(prefix)
+        report = run_simulation(couriers(hops=4), SimConfig(), log)
+        assert report.log is log
+        assert log[:3] == prefix
+        assert [e.step for e in log] == list(range(1, 9))
+        assert report.steps == 5  # this run's deliveries only
+        # the histogram counts the whole log, the prefix included
+        assert report.histogram == {"Inquiry": 3, "EchoProbe": 4, "EchoReply": 1}
+
+    def test_prefilled_log_leaves_the_step_budget_alone(self):
+        log = [LogEntry(i + 1, AgentMessage(MsgKind.INQUIRY, 0, 1)) for i in range(60)]
+        report = run_simulation(couriers(hops=4), SimConfig(max_steps=5), log)
+        assert report.steps == 5
+        assert log[-1].step == 65
+        with pytest.raises(RunawayError):
+            run_simulation(couriers(hops=4), SimConfig(max_steps=4), [])
+
     def test_latency_must_be_non_negative(self):
         with pytest.raises(Exception):
             SimConfig(latency=-1)
@@ -136,14 +156,15 @@ class TestRunSimulation:
                 return []
 
         report = run_simulation([Instant()], SimConfig())
-        assert report.message_count == 0
+        assert report.steps == 0
+        assert report.log == []
         assert report.nccc == 3
 
 
 class TestEchoSetup:
     def test_ring_of_four(self):
         adjacency = {0: (1, 3), 1: (0, 2), 2: (1, 3), 3: (0, 2)}
-        tree, n_total, messages, _ = echo_setup([0, 1, 2, 3], adjacency, {i: 2 for i in range(4)})
+        tree, n_total, messages = echo_setup([0, 1, 2, 3], adjacency, {i: 2 for i in range(4)})
         assert n_total == 9  # eight variables plus the zero point
         edges = sorted((tree[i].parent, i) for i in range(4) if tree[i].parent is not None)
         assert edges == [(0, 1), (0, 3), (1, 2)]
@@ -153,13 +174,13 @@ class TestEchoSetup:
         assert messages  # probes and replies were exchanged
 
     def test_single_agent(self):
-        tree, n_total, messages, _ = echo_setup([4], {4: ()}, {4: 3})
+        tree, n_total, messages = echo_setup([4], {4: ()}, {4: 3})
         assert n_total == 4
         assert tree[4].is_root and tree[4].is_leaf
         assert messages == []
 
     def test_two_agents(self):
-        tree, n_total, messages, _ = echo_setup([0, 1], {0: (1,), 1: (0,)}, {0: 1, 1: 2})
+        tree, n_total, messages = echo_setup([0, 1], {0: (1,), 1: (0,)}, {0: 1, 1: 2})
         assert tree[0].is_root and tree[1].parent == 0
         assert tree[0].children == (1,)
         assert n_total == 4
@@ -167,7 +188,7 @@ class TestEchoSetup:
 
     def test_replies_aggregate_counts(self):
         adjacency = {0: (1,), 1: (0, 2), 2: (1,)}
-        tree, n_total, messages, _ = echo_setup([0, 1, 2], adjacency, {0: 5, 1: 7, 2: 11})
+        tree, n_total, messages = echo_setup([0, 1, 2], adjacency, {0: 5, 1: 7, 2: 11})
         assert n_total == 5 + 7 + 11 + 1
         reply = [m for m in messages if m.kind is MsgKind.ECHO_REPLY and m.sender == 1]
         assert reply[0].subtree_vars == 18
