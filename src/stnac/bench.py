@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .distributed import solve_distributed
 from .errors import FormatError
@@ -226,7 +226,7 @@ def run_bench(cfg: dict) -> list[RunMetrics]:
             metrics = _run_one(cfg, instance, obj)
             if cfg["timing"]:
                 wall = int((time.perf_counter() - started) * 1000)
-                metrics = RunMetrics(**{**metrics.__dict__, "wall_ms": wall})
+                metrics = replace(metrics, wall_ms=wall)
             rows.append(metrics)
     return rows
 

@@ -16,7 +16,9 @@ its whole tree quiescent at the same k broadcasts the consistent verdict.
 An agent whose domain empties, or whose sweep budget (component variables
 plus one) runs out, broadcasts inconsistency instead; broadcasting before
 returning keeps the rest of the system from waiting on a silent agent.
-Broadcasts flood the agent graph and duplicates are dropped by origin.
+Broadcasts flood the agent graph.  The first copy an agent receives
+finishes it, and the runtime delivers nothing to a finished agent, so
+later copies are never processed.
 
 State transitions are pure functions of (state, message).  Domain syncs
 wait in an inbox keyed by iteration, one entry per neighbor, until the
@@ -78,10 +80,8 @@ class SolverAgent:
         # peer variable (agent, var) -> its ghost slot; sorted keys keep each
         # variable's arcs in the order local neighbors, then peers by key
         ghosts = {key: n + i for i, key in enumerate(view.external_vars)}
-        self._base_lo = [stn.domain(v).lo for v in range(n)]
-        self._base_hi = [stn.domain(v).hi for v in range(n)]
-        self._lo = self._base_lo + [0] * len(ghosts)
-        self._hi = self._base_hi + [0] * len(ghosts)
+        self._lo = [stn.domain(v).lo for v in range(n)] + [0] * len(ghosts)
+        self._hi = [stn.domain(v).hi for v in range(n)] + [0] * len(ghosts)
         self._parents = ([n] * n, [n] * n)  # kept by sweep_once, never read here
         ext = ((e.local_var, ghosts[(e.peer_agent, e.peer_var)], e.ivl) for e in view.externals)
         self._arcs = build_arcs(n + len(ghosts), chain(stn.pairs(), ext))[:n]
@@ -96,7 +96,6 @@ class SolverAgent:
         self._inquiry_buffered = False  # the parent asked about k before k's sweep
         self._feedback_pending: set[int] = set()
         self._inquiry_handled = False
-        self._seen_broadcasts: set[tuple[int, MsgKind]] = set()
         self._out: list[AgentMessage] = []
 
     # -- runtime protocol --------------------------------------------
@@ -188,8 +187,6 @@ class SolverAgent:
             self._emit(MsgKind.FEEDBACK, self.tree.parent, k=self.k)
 
     def _on_arc_consistent(self, msg: AgentMessage) -> None:
-        if not self._register_broadcast(msg):
-            return
         self._forward_broadcast(msg)
         # the verdict can only fire when the whole component is quiescent at
         # the same iteration; anything else is a protocol bug
@@ -198,8 +195,6 @@ class SolverAgent:
         self._finish("consistent")
 
     def _on_inconsistent(self, msg: AgentMessage) -> None:
-        if not self._register_broadcast(msg):
-            return
         self._forward_broadcast(msg)
         self._finish("inconsistent")
 
@@ -242,9 +237,7 @@ class SolverAgent:
             for slot, a, b in payload:
                 lo[slot] = a
                 hi[slot] = b
-        self._changed, emptied, checks, dom_updates = sweep_once(
-            self._arcs, lo, hi, self._base_lo, self._base_hi, *self._parents
-        )
+        self._changed, emptied, checks, dom_updates = sweep_once(self._arcs, lo, hi, *self._parents)
         self.clock += checks
         self.checks += checks
         self.domain_updates += dom_updates
@@ -294,17 +287,8 @@ class SolverAgent:
         )
 
     def _originate_broadcast(self, kind: MsgKind, k: int | None = None) -> None:
-        self._seen_broadcasts.add((self.agent_id, kind))
         for j in self.view.neighbors:
             self._emit(kind, j, k=k, origin=self.agent_id)
-
-    def _register_broadcast(self, msg: AgentMessage) -> bool:
-        """True when this copy is new and must be processed."""
-        key = (msg.origin, msg.kind)
-        if key in self._seen_broadcasts:
-            return False
-        self._seen_broadcasts.add(key)
-        return True
 
     def _forward_broadcast(self, msg: AgentMessage) -> None:
         for j in self.view.neighbors:
@@ -342,7 +326,6 @@ class DistributedRun:
     setup_messages: int
     histogram: dict[str, int]
     log: list[LogEntry]
-    trees: dict[int, TreeInfo]
     agent_checks: list[int]
 
 
@@ -364,7 +347,7 @@ def solve_distributed(m: Mastn, cfg: SimConfig | None = None) -> DistributedRun:
     trees: dict[int, TreeInfo] = {}
     setup_msgs: list[AgentMessage] = []
     for comp in components(adjacency, m.p):
-        tree, _, delivered = echo_setup(comp, adjacency, var_counts)
+        tree, delivered = echo_setup(comp, adjacency, var_counts)
         trees.update(tree)
         setup_msgs.extend(delivered)
     agents = [SolverAgent(views[i], trees[i]) for i in range(m.p)]
@@ -385,6 +368,5 @@ def solve_distributed(m: Mastn, cfg: SimConfig | None = None) -> DistributedRun:
         setup_messages=len(setup_msgs),
         histogram=report.histogram,
         log=log,
-        trees=trees,
         agent_checks=[a.checks for a in agents],
     )

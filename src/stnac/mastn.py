@@ -136,6 +136,8 @@ class FlatIndex:
     sizes: tuple[int, ...]
 
     def to_global(self, agent: int, var: int) -> int:
+        if not 0 <= agent < len(self.sizes) or not 0 <= var < self.sizes[agent]:
+            raise ValidationError(f"variable {var} of agent {agent} out of range")
         return self.offsets[agent] + var
 
     def to_local(self, g: int) -> tuple[int, int]:

@@ -47,8 +47,8 @@ class MsgKind(Enum):
 class AgentMessage:
     """One protocol message.
 
-    `origin` names the agent that started a broadcast; together with the
-    kind it is the key under which forwarded copies are deduplicated.
+    `origin` names the agent that started a broadcast; forwarded copies
+    keep it.
     `arrival` is runtime metadata: the carried clock plus latency, filled in
     at delivery for agents that consume a kind later than they receive it.
     """
@@ -97,6 +97,10 @@ def run_simulation(agents: list, cfg: SimConfig, log: list[LogEntry] | None = No
     numbered on from the entries already there, and the histogram counts
     the whole log.  `steps`, and the `max_steps` budget, count only this
     run's deliveries.
+
+    Contract: no message is delivered to an agent whose `done` is set; the
+    step is logged and counted, but on_message is not called and the
+    agent's clock does not move.
     """
     if not agents:
         raise ValidationError("agent set must be non-empty")
@@ -174,32 +178,30 @@ def echo_setup(
     component: list[int],
     adjacency: dict[int, tuple[int, ...]],
     var_counts: dict[int, int],
-) -> tuple[dict[int, TreeInfo], int, list[AgentMessage]]:
+) -> tuple[dict[int, TreeInfo], list[AgentMessage]]:
     """Build a rooted spanning tree of one connected component with a probe wave.
 
     The root is the lowest agent id.  Probes fan out in FIFO order, so each
     agent adopts as parent its first prober, which is its lowest-id neighbor
-    one hop closer to the root: a breadth-first tree.  Once an agent has
-    heard from every non-parent neighbor it replies to its parent with its
-    subtree's agent and variable totals; the root's total, plus one for the
-    zero time point, becomes everyone's n.
+    one hop closer to the root: a breadth-first tree.  Once an agent has a
+    parent and has heard from every neighbor it replies to its parent with
+    its subtree's agent and variable totals; the root's total, plus one for
+    the zero time point, becomes everyone's n_total.  Returns the tree and
+    the delivered messages in delivery order.
 
     Setup messages never touch the logical clocks: no constraint checks have
     happened yet, and their cost is reported separately from the solve run.
     """
     comp = sorted(component)
     root = comp[0]
-    n_single = var_counts[root] + 1
     if len(comp) == 1:
-        tree = {root: TreeInfo(None, (), True, True, n_single)}
-        return tree, n_single, []
+        return {root: TreeInfo(None, (), True, True, var_counts[root] + 1)}, []
 
     parent: dict[int, int | None] = {root: None}
     heard: dict[int, set[int]] = {i: set() for i in comp}
     children: dict[int, list[int]] = {i: [] for i in comp}
     agg_agents = {i: 1 for i in comp}
     agg_vars = {i: var_counts[i] for i in comp}
-    replied: set[int] = set()
     delivered: list[AgentMessage] = []
     queue: deque[AgentMessage] = deque()
 
@@ -223,12 +225,9 @@ def echo_setup(
             agg_agents[i] += msg.subtree_agents
             agg_vars[i] += msg.subtree_vars
         heard[i].add(msg.sender)
-        if i in replied or i not in parent:
-            continue
-        waiting_on = set(adjacency[i]) - heard[i]
-        waiting_on.discard(parent[i] if parent[i] is not None else -1)
-        if not waiting_on and parent[i] is not None:
-            replied.add(i)
+        # each neighbor sends i one message, so i replies once and last (the
+        # root has no parent to reply to)
+        if parent[i] is not None and heard[i].issuperset(adjacency[i]):
             send(
                 MsgKind.ECHO_REPLY,
                 i,
@@ -248,7 +247,7 @@ def echo_setup(
         )
         for i in comp
     }
-    return tree, n_total, delivered
+    return tree, delivered
 
 
 # -- privacy audit -----------------------------------------------------

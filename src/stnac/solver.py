@@ -29,11 +29,12 @@ except when the budget runs out and a final parent search finds none.
 
 Each evaluation of the update rule against a pairwise constraint counts as
 one constraint check.  The domain itself acts as a virtual edge from the
-zero time point and is re-applied first in every sweep of a variable;
-those evaluations are tallied separately as domain updates.  Sweep order
-is fixed (variables ascending, neighbors ascending within a variable), so
-identical inputs give identical counts.  The parent searches do no
-constraint checks.
+zero time point.  Bounds only ever tighten from the start domains, so every
+domain stays inside its zero-point edge and the kernel never re-applies
+it; a sweep tallies the variables it visits as domain updates instead.
+Sweep order is fixed (variables ascending, neighbors ascending within a
+variable), so identical inputs give identical counts.  The parent searches
+do no constraint checks.
 
 One sweep is sweep_once(), the single update step of the package: propagate()
 runs it under the budget and the parent searches, and each agent of
@@ -119,20 +120,22 @@ def sweep_once(
     arcs: list[list[Arc]],
     lo: list[int],
     hi: list[int],
-    base_lo: Sequence[int],
-    base_hi: Sequence[int],
     lo_par: list[int],
     hi_par: list[int],
 ) -> tuple[int, int | None, int, int]:
     """Sweep the variables 0..len(arcs)-1 once, in ascending order, in place.
 
     Slots of lo/hi beyond len(arcs) (an agent's ghost slots, holding its
-    peers' variables) are read as arc sources and never written.  lo_par
-    and hi_par get the source whose arc last tightened each bound, with
-    len(arcs) for the zero point.  Returns (changed, emptied, checks,
-    domain_updates): the number of changed domains and the variable whose
-    domain emptied, or None.  An emptied domain ends the sweep at once, so
-    the counts stop with that variable.
+    peers' variables) are read as arc sources and never written.  The
+    kernel only tightens lo/hi, so bounds that start as the start domains
+    stay within them and the zero-point edges never need re-applying.
+    lo_par and hi_par get the source whose arc last tightened each bound;
+    a bound no arc has tightened keeps its parent, len(arcs) (the zero
+    point) at the start.  Returns (changed, emptied, checks,
+    domain_updates): the number of changed domains, the variable whose
+    domain emptied or None, the arcs evaluated and the variables visited.
+    An emptied domain ends the sweep at once, so the counts stop with that
+    variable.
     """
     n = len(arcs)
     checks = 0
@@ -143,15 +146,6 @@ def sweep_once(
         old_lo = lv
         old_hi = hv
         plo = phi = -1
-        # the zero-point edge first: re-intersect with the run's start domain
-        blv = base_lo[v]
-        if blv > lv:
-            lv = blv
-            plo = n
-        bhv = base_hi[v]
-        if bhv < hv:
-            hv = bhv
-            phi = n
         arcs_v = arcs[v]
         checks += len(arcs_v)
         for w, add_lo, add_hi, dead in arcs_v:
@@ -185,31 +179,28 @@ def propagate(
     arcs: list[list[Arc]],
     lo: list[int],
     hi: list[int],
-    base_lo: Sequence[int],
-    base_hi: Sequence[int],
-    max_sweeps: int,
 ) -> tuple[bool, NegativeCycle | None, int, int, int]:
-    """Sweep lo/hi in place until stable, refuted, or out of budget.
+    """Sweep lo/hi in place until stable, refuted, or out of n + 1 sweeps.
 
-    lo/hi must start equal to base_lo/base_hi, whose bounds are the
-    zero-point edges.  Returns (stable, cycle, sweeps, checks,
-    domain_updates); cycle is the certificate of a refutation, None when
-    stable or when the budget ran out without one.  The bound magnitudes
-    stay within a few times the parse-time cap, so the plain integer sums
-    here cannot reach the 64-bit overflow range.
+    The bounds lo/hi start with are the start domains, the zero-point
+    edges.  Returns (stable, cycle, sweeps, checks, domain_updates); cycle
+    is the certificate of a refutation, None when stable or when the budget
+    ran out without one.  domain_updates counts the variables the sweeps
+    visited.  The bound magnitudes stay within a few times the parse-time
+    cap, so the plain integer sums here cannot reach the 64-bit overflow
+    range.
     """
     n = len(lo)
+    base_lo, base_hi = lo[:], hi[:]  # the zero-point edges, for the certificate
     lo_par = [n] * n  # lo_v was last set along the edge v -> lo_par[v]
     hi_par = [n] * n  # hi_v was last set along the edge hi_par[v] -> v
     checks = 0
     dom_updates = 0
     sweeps = 0
     since_search = 0  # domain changes since the last parent search
-    while sweeps < max_sweeps:
+    while sweeps <= n:  # a budget of n + 1 sweeps
         sweeps += 1
-        changed, emptied, sweep_checks, sweep_updates = sweep_once(
-            arcs, lo, hi, base_lo, base_hi, lo_par, hi_par
-        )
+        changed, emptied, sweep_checks, sweep_updates = sweep_once(arcs, lo, hi, lo_par, hi_par)
         checks += sweep_checks
         dom_updates += sweep_updates
         if emptied is not None:
@@ -329,9 +320,7 @@ def enforce_ac(net: Stn, domains: Sequence[Interval] | None = None) -> AcOutcome
     lo = [d.lo for d in start]
     hi = [d.hi for d in start]
     arcs = build_arcs(net.n, net.pairs())
-    stable, cycle, sweeps, checks, dom_updates = propagate(
-        arcs, lo, hi, list(lo), list(hi), net.n + 1
-    )
+    stable, cycle, sweeps, checks, dom_updates = propagate(arcs, lo, hi)
     if stable:
         closed = tuple(interval(a, b) for a, b in zip(lo, hi))
         return AcClosure(closed, sweeps, checks, dom_updates)
@@ -401,7 +390,7 @@ def sample_solution(net: Stn, closure: AcClosure, seed: int) -> Assignment:
         t = rng.randint(lo[v], hi[v])
         lo[v] = t
         hi[v] = t
-        stable, _, _, _, _ = propagate(arcs, lo, hi, list(lo), list(hi), net.n + 1)
+        stable, _, _, _, _ = propagate(arcs, lo, hi)
         if not stable:
             raise RuntimeError(
                 "re-propagation from a closure emptied a domain; minimality is broken"

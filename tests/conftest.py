@@ -1,10 +1,29 @@
 """Shared helpers for the test suite."""
 
+import os
+import shutil
+import tempfile
 from pathlib import Path
 
 from stnac import Interval, Stn, interval
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def pytest_configure(config):
+    # hypothesis caches what it reads from local modules under ./.hypothesis
+    # unless told otherwise, already while tests are collected; a directory
+    # for the session, removed at its end, keeps the tree clean
+    if "HYPOTHESIS_STORAGE_DIRECTORY" in os.environ:
+        return
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = home
+
+    def cleanup():
+        os.environ.pop("HYPOTHESIS_STORAGE_DIRECTORY", None)
+        shutil.rmtree(home, ignore_errors=True)
+
+    config.add_cleanup(cleanup)
 
 
 def scaled_interval(ivl: Interval, factor: int) -> Interval:

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -105,6 +106,13 @@ class TestRunBench:
         rows = run_bench(cfg)
         ns = [r.n for r in rows]
         assert ns == sorted(ns) and len(set(ns)) == len(ns)
+
+    def test_timing_fills_only_wall_ms(self):
+        text = "family = random-stn\nsweep = n\nvalues = 5,8\ndensity = 0.3\n"
+        timed = run_bench(parse_bench_config(text + "timing = on\n"))
+        untimed = run_bench(parse_bench_config(text + "timing = off\n"))
+        assert all(type(r.wall_ms) is int and r.wall_ms >= 0 for r in timed)
+        assert [replace(r, wall_ms=0) for r in timed] == untimed
 
     def test_determinism(self):
         cfg = parse_bench_config(CONFIG)

@@ -1,3 +1,5 @@
+import pytest
+
 from conftest import SAMPLES
 from stnac import parse_mastn, parse_stn
 from stnac.cli import main
@@ -36,6 +38,24 @@ class TestSolve:
         )
         assert code == 0
         assert out.splitlines()[-1] == "verify: pass"
+
+    @pytest.mark.parametrize("seed", ["3", "11"])
+    def test_sample_seed_from_env(self, capsys, monkeypatch, seed):
+        path = str(SAMPLES / "two_var.stn")
+        _, explicit, _ = run_cli(capsys, "solve", path, "--solution", f"sample:{seed}")
+        _, unset, _ = run_cli(capsys, "solve", path, "--solution", "sample:0")
+        assert explicit != unset  # the seeds draw different samples
+        monkeypatch.setenv("STNAC_SEED", seed)
+        code, out, _ = run_cli(capsys, "solve", path, "--solution", "sample")
+        assert code == 0
+        assert out == explicit
+
+    def test_sample_with_bad_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("STNAC_SEED", "1.5")
+        path = str(SAMPLES / "two_var.stn")
+        code, _, err = run_cli(capsys, "solve", path, "--solution", "sample")
+        assert code == 2
+        assert "STNAC_SEED" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "no_such_file.stn")

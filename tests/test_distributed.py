@@ -10,6 +10,7 @@ from stnac import (
     ProtocolError,
     SimConfig,
     Stn,
+    agent_adjacency,
     agent_view,
     enforce_ac,
     flatten,
@@ -18,8 +19,8 @@ from stnac import (
     serialize_mastn,
     solve_distributed,
 )
-from stnac.distributed import SolverAgent
-from stnac.sim import TreeInfo, audit_privacy
+from stnac.distributed import Phase, SolverAgent
+from stnac.sim import TreeInfo, audit_privacy, echo_setup
 from stnac.workloads import gen_random_mastn
 
 
@@ -254,11 +255,11 @@ class TestBroadcastDedup:
         first = AgentMessage(MsgKind.INCONSISTENT, 0, 1, origin=0)
         out1 = agent.on_message(first)
         assert agent.done and agent.result == "inconsistent"
-        assert out1  # forwarded to the other neighbor
-        dup = AgentMessage(MsgKind.INCONSISTENT, 2, 1, origin=0)
-        # the runtime drops deliveries to done agents; even if it did not,
-        # the origin key makes reprocessing a no-op
-        assert agent._register_broadcast(dup) is False
+        assert [(msg.kind, msg.receiver, msg.origin) for msg in out1] == [
+            (MsgKind.INCONSISTENT, 2, 0)
+        ]  # forwarded to the other neighbor
+        # the copy agent 2 forwards back is never processed: run_simulation
+        # delivers nothing to a done agent (tests/test_sim.py)
 
 
 class TestAgentStep:
@@ -312,6 +313,16 @@ class TestAgentStep:
         ]
 
 
+def ring4_sync(sender: int, k: int) -> AgentMessage:
+    """Agent 1 or 3 of ring4 syncs the variable agent 0 reads, at [0, 100]."""
+    domains = {(sender, 0): interval(0, 100)}
+    return AgentMessage(MsgKind.DOMAIN_SYNC, sender, 0, k=k, domains=domains)
+
+
+def ring4_feedback(sender: int, k: int) -> AgentMessage:
+    return AgentMessage(MsgKind.FEEDBACK, sender, 0, k=k)
+
+
 class TestProtocolErrors:
     def test_unexpected_echo_probe(self):
         view = agent_view(split_cycle3(), 0)
@@ -347,6 +358,41 @@ class TestProtocolErrors:
         domains = {(1, 0): interval(0, 100), (2, 0): interval(0, 100)}
         with pytest.raises(ProtocolError, match="malformed domain sync from 1"):
             agent.on_message(AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains=domains))
+
+    @pytest.mark.parametrize(
+        "agent_id, quiescent, msgs, match",
+        [
+            (0, False, [ring4_sync(1, 3)], "domain sync for iteration 3 while at 1"),
+            (0, True, [ring4_sync(1, 4)], "domain sync for iteration 4 while waiting at 2"),
+            (1, False, [AgentMessage(MsgKind.INQUIRY, 0, 1, k=5)], "inquiry for future iteration"),
+            (1, False, [AgentMessage(MsgKind.FEEDBACK, 0, 1, k=1)], "feedback from non-child 0"),
+            (0, True, [ring4_feedback(1, 2)] * 2, "duplicate feedback from 1"),
+            (0, False, [ring4_feedback(1, 3)], "feedback for iteration 3 in phase AwaitSync"),
+            (
+                1,
+                False,
+                [AgentMessage(MsgKind.ARC_CONSISTENT, 0, 1, k=5, origin=0)],
+                "consistent verdict for iteration 5",
+            ),
+        ],
+    )
+    def test_guard(self, agent_id, quiescent, msgs, match):
+        m = parse_mastn((SAMPLES / "ring4.mastn").read_text())
+        adjacency = agent_adjacency(m)
+        trees, _ = echo_setup(list(range(m.p)), adjacency, {i: 2 for i in range(m.p)})
+        agent = SolverAgent(agent_view(m, agent_id), trees[agent_id])
+        agent.on_start()
+        if quiescent:
+            # agent 0's first sweep tightens its own domains, its second is
+            # quiescent, and as the root it then opens the round for k = 2
+            for k in (1, 2):
+                for j in (1, 3):
+                    agent.on_message(ring4_sync(j, k))
+            assert (agent.phase, agent.k) == (Phase.AWAIT_TERMINATION, 2)
+        for msg in msgs[:-1]:
+            agent.on_message(msg)
+        with pytest.raises(ProtocolError, match=match):
+            agent.on_message(msgs[-1])
 
     def test_second_sync_for_one_iteration(self):
         agent = self.ring4_agent0()

@@ -50,6 +50,13 @@ class TestFlatten:
             with pytest.raises(ValidationError):
                 fi.to_local(g)
 
+    def test_to_global_rejects_unknown_agents_and_variables(self):
+        _, fi = flatten(parse_mastn((SAMPLES / "ring4.mastn").read_text()))
+        assert [fi.to_global(a, v) for a in range(4) for v in range(2)] == list(range(8))
+        for agent, var in ((0, 99), (-1, 0), (1, -1), (9, 0), (3, 2)):
+            with pytest.raises(ValidationError):
+                fi.to_global(agent, var)
+
     def test_block_diagonal_without_externals(self):
         m = Mastn([local(2), local(3)])
         flat, _ = flatten(m)

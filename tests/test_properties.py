@@ -1,0 +1,173 @@
+"""Property tests: text-format round trips, parser robustness on malformed
+input, and the solver against the oracle on generated networks.
+
+Every test runs a fixed, bounded set of examples (derandomize=True) without
+an example database, so a run is reproducible and cheap; conftest.py keeps
+hypothesis's other caches out of the tree.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stnac import (
+    AcClosure,
+    FormatError,
+    Mastn,
+    NegativeCycle,
+    Stn,
+    enforce_ac,
+    interval,
+    oracle_minimal_domains,
+    parse_bench_config,
+    parse_mastn,
+    parse_stn,
+    serialize_mastn,
+    serialize_stn,
+)
+from stnac.stn import DEFAULT_MAGNITUDE_CAP
+
+
+def bounded(max_examples: int):
+    return settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
+
+
+# -- generated instances ---------------------------------------------------
+
+NAMES = st.sampled_from(["a", "x1", "y_2", "b.c", "z-0", "9", "start"])
+
+
+@st.composite
+def stns(draw, max_n=5, ends=st.integers(-DEFAULT_MAGNITUDE_CAP, DEFAULT_MAGNITUDE_CAP)):
+    n = draw(st.integers(0, max_n))
+    net = Stn(n)
+    names = draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
+    for v in range(n):
+        a, b = sorted((draw(ends), draw(ends)))
+        net.set_domain(v, interval(a, b))
+        if draw(st.booleans()):
+            net.set_name(v, names[v])
+    if n >= 2:
+        for _ in range(draw(st.integers(0, 2 * n))):
+            v, w = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            # an optional side is infinite; finite lo > hi is the empty interval
+            net.add_constraint(v, w, interval(draw(st.none() | ends), draw(st.none() | ends)))
+    return net
+
+
+@st.composite
+def mastns(draw):
+    m = Mastn(draw(st.lists(stns(max_n=3), max_size=4)))
+    owners = [i for i, a in enumerate(m.agents) if a.n]
+    if len(owners) >= 2:
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = draw(st.lists(st.sampled_from(owners), min_size=2, max_size=2, unique=True))
+            v = draw(st.integers(0, m.agents[i].n - 1))
+            w = draw(st.integers(0, m.agents[j].n - 1))
+            lo, hi = draw(st.none() | st.integers(-99, 99)), draw(st.none() | st.integers(-99, 99))
+            m.add_external(i, v, j, w, interval(lo, hi))
+    return m
+
+
+@bounded(30)
+@given(stns())
+def test_stn_round_trip(net):
+    assert parse_stn(serialize_stn(net)) == net
+
+
+@bounded(20)
+@given(mastns())
+def test_mastn_round_trip(m):
+    assert parse_mastn(serialize_mastn(m)) == m
+
+
+@bounded(40)
+@given(stns(max_n=6, ends=st.integers(-30, 30)))
+def test_solver_matches_oracle(net):
+    out = enforce_ac(net)
+    oracle = oracle_minimal_domains(net)
+    if isinstance(oracle, NegativeCycle):
+        assert not isinstance(out, AcClosure)
+        assert out.cycle is None or out.cycle.weight < 0
+    else:
+        assert isinstance(out, AcClosure) and list(out.domains) == oracle
+
+
+# -- malformed text ----------------------------------------------------------
+
+TOKENS = st.sampled_from(
+    [
+        "stn", "mastn", "agent", "var", "domain", "constraint", "external",
+        "empty", "-inf", "+inf", "0", "1", "2", "3", "-1", "-7", "1.5", "x", "y",
+        "#", "=", ",", "on", "off", str(2**41), str(2**63), "9" * 40,
+    ]
+)
+LINES = st.lists(TOKENS, max_size=6).map(" ".join)
+HEADERS = st.sampled_from(["", "stn 0\n", "stn 2\n", "mastn 2\nagent 0\n", "mastn 1\n"])
+BENCH_LINES = st.tuples(
+    st.sampled_from(
+        ["command", "family", "sweep", "values", "seeds", "seed", "sched-seed", "latency",
+         "timing", "n", "density", ""]
+    ),
+    st.sampled_from(
+        ["solve", "dsolve", "random-stn", "grid-stn", "random-mastn", "factory-mastn", "n",
+         "agents", "2,3", "1,,2", "0", "-1", "1.5", "nan", "on", "off", "x", "=", ""]
+    ),
+).map(" = ".join)
+BENCH_CONFIGS = st.sampled_from(
+    [
+        "family = random-stn\nsweep = n\nvalues = 5,8\ndensity = 0.3\ntiming = on\n",
+        "# agents\nfamily = random-mastn\nsweep = agents\nvalues = 2,3\nseeds = 2\n"
+        "command = dsolve\nsched-seed = 4\nlatency = 1\n",
+    ]
+)
+
+
+@st.composite
+def mutated(draw, valid, lines=LINES):
+    """A valid text with lines dropped, repeated, inserted or given a stray token."""
+    text = draw(valid).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["drop", "repeat", "insert", "append"]))
+        if edit == "drop" and k < len(text):
+            del text[k]
+        elif edit == "repeat" and k < len(text):
+            text.insert(k, text[k])
+        elif edit == "insert":
+            text.insert(k, draw(lines))
+        elif k < len(text):
+            text[k] += " " + draw(TOKENS)
+    return "\n".join(text)
+
+
+def texts(valid):
+    noise = st.tuples(HEADERS, st.lists(LINES, max_size=6)).map(lambda t: t[0] + "\n".join(t[1]))
+    return noise | mutated(valid)
+
+
+def parses_or_format_error(parse, text):
+    try:
+        parse(text)
+    except FormatError:
+        pass
+
+
+@bounded(40)
+@given(texts(stns(max_n=3).map(serialize_stn)))
+def test_malformed_stn_raises_only_format_error(text):
+    parses_or_format_error(parse_stn, text)
+
+
+@bounded(40)
+@given(texts(mastns().map(serialize_mastn)))
+def test_malformed_mastn_raises_only_format_error(text):
+    parses_or_format_error(parse_mastn, text)
+
+
+BENCH_NOISE = st.lists(BENCH_LINES | LINES, max_size=8).map("\n".join)
+
+
+@bounded(40)
+@given(BENCH_NOISE | mutated(BENCH_CONFIGS, BENCH_LINES))
+def test_malformed_bench_config_raises_only_format_error(text):
+    parses_or_format_error(parse_bench_config, text)

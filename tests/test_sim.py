@@ -77,6 +77,29 @@ class PingPong:
         return [AgentMessage(MsgKind.ECHO_PROBE, self.agent_id, self.peer)]
 
 
+class OneShot:
+    """Sends two messages to its peer at start; finishes on the first it gets
+    and fails the test if the runtime delivers anything after that."""
+
+    def __init__(self, agent_id, peer):
+        self.agent_id = agent_id
+        self.peer = peer
+        self.clock = 0
+        self.done = False
+        self.received = []
+
+    def on_start(self):
+        kind = MsgKind.INCONSISTENT
+        return [AgentMessage(kind, self.agent_id, self.peer, clock=c) for c in (3, 7)]
+
+    def on_message(self, msg):
+        if self.done:
+            raise AssertionError(f"agent {self.agent_id} got {msg} after it finished")
+        self.received.append(msg)
+        self.done = True
+        return []
+
+
 def couriers(hops=6, work=0):
     return [
         Courier(0, 1, hops, starter=True, work=work),
@@ -138,6 +161,17 @@ class TestRunSimulation:
         with pytest.raises(RunawayError):
             run_simulation(couriers(hops=4), SimConfig(max_steps=4), [])
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nothing_is_delivered_to_a_done_agent(self, seed):
+        # each agent finishes on its first message while the second is still
+        # in flight; that one is logged and counted but never handed over
+        agents = [OneShot(0, 1), OneShot(1, 0)]
+        report = run_simulation(agents, SimConfig(scheduler_seed=seed, latency=1))
+        assert report.steps == len(report.log) == 4
+        for a in agents:
+            assert len(a.received) == 1
+            assert a.clock == a.received[0].clock + 1  # the second copy moved no clock
+
     def test_latency_must_be_non_negative(self):
         with pytest.raises(Exception):
             SimConfig(latency=-1)
@@ -164,8 +198,8 @@ class TestRunSimulation:
 class TestEchoSetup:
     def test_ring_of_four(self):
         adjacency = {0: (1, 3), 1: (0, 2), 2: (1, 3), 3: (0, 2)}
-        tree, n_total, messages = echo_setup([0, 1, 2, 3], adjacency, {i: 2 for i in range(4)})
-        assert n_total == 9  # eight variables plus the zero point
+        tree, messages = echo_setup([0, 1, 2, 3], adjacency, {i: 2 for i in range(4)})
+        assert tree[0].n_total == 9  # eight variables plus the zero point
         edges = sorted((tree[i].parent, i) for i in range(4) if tree[i].parent is not None)
         assert edges == [(0, 1), (0, 3), (1, 2)]
         assert tree[0].is_root and not tree[0].is_leaf
@@ -174,22 +208,22 @@ class TestEchoSetup:
         assert messages  # probes and replies were exchanged
 
     def test_single_agent(self):
-        tree, n_total, messages = echo_setup([4], {4: ()}, {4: 3})
-        assert n_total == 4
+        tree, messages = echo_setup([4], {4: ()}, {4: 3})
+        assert tree[4].n_total == 4
         assert tree[4].is_root and tree[4].is_leaf
         assert messages == []
 
     def test_two_agents(self):
-        tree, n_total, messages = echo_setup([0, 1], {0: (1,), 1: (0,)}, {0: 1, 1: 2})
+        tree, messages = echo_setup([0, 1], {0: (1,), 1: (0,)}, {0: 1, 1: 2})
         assert tree[0].is_root and tree[1].parent == 0
         assert tree[0].children == (1,)
-        assert n_total == 4
+        assert tree[0].n_total == tree[1].n_total == 4
         assert len(messages) == 2  # one probe, one reply
 
     def test_replies_aggregate_counts(self):
         adjacency = {0: (1,), 1: (0, 2), 2: (1,)}
-        tree, n_total, messages = echo_setup([0, 1, 2], adjacency, {0: 5, 1: 7, 2: 11})
-        assert n_total == 5 + 7 + 11 + 1
+        tree, messages = echo_setup([0, 1, 2], adjacency, {0: 5, 1: 7, 2: 11})
+        assert all(tree[i].n_total == 5 + 7 + 11 + 1 for i in range(3))
         reply = [m for m in messages if m.kind is MsgKind.ECHO_REPLY and m.sender == 1]
         assert reply[0].subtree_vars == 18
         assert reply[0].subtree_agents == 2

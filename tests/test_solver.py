@@ -200,7 +200,7 @@ class TestSweepOnce:
         arcs = build_arcs(3, [(0, 1, interval(2, 3)), (1, 2, interval(0, 4))])[:2]
         lo, hi = [0, 0, 10], [100, 100, 12]
         lo_par, hi_par = [-1, -1], [-1, -1]
-        out = sweep_once(arcs, lo, hi, [0, 0], [100, 100], lo_par, hi_par)
+        out = sweep_once(arcs, lo, hi, lo_par, hi_par)
         assert out == (2, None, 3, 2)  # changed, emptied, checks, domain updates
         assert (lo, hi) == ([0, 6, 10], [98, 12, 12])
         assert (lo_par, hi_par) == ([-1, 2], [1, 2])  # y's bounds both came from g
@@ -209,7 +209,7 @@ class TestSweepOnce:
         # x has two arcs (y and g); g = x forces x to 200, past its bound 100
         arcs = build_arcs(3, [(0, 1, interval(0, 10)), (0, 2, interval(0, 0))])[:2]
         lo, hi = [0, 0, 200], [100, 100, 200]
-        out = sweep_once(arcs, lo, hi, [0, 0], [100, 100], [2, 2], [2, 2])
+        out = sweep_once(arcs, lo, hi, [2, 2], [2, 2])
         assert out == (0, 0, 2, 1)  # checks stop with x's two arcs
         assert (lo[1:], hi[1:]) == ([0, 200], [100, 200])  # y not swept, g untouched
 
@@ -218,11 +218,10 @@ class TestSweepOnce:
         arcs = build_arcs(net.n, net.pairs())
         lo = [net.domain(v).lo for v in range(net.n)]
         hi = [net.domain(v).hi for v in range(net.n)]
-        base_lo, base_hi = list(lo), list(hi)
         par = ([net.n] * net.n, [net.n] * net.n)
         checks = updates = 0
         while True:
-            changed, emptied, c, d = sweep_once(arcs, lo, hi, base_lo, base_hi, *par)
+            changed, emptied, c, d = sweep_once(arcs, lo, hi, *par)
             checks, updates = checks + c, updates + d
             assert emptied is None
             if not changed:
