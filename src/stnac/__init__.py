@@ -33,6 +33,7 @@ from .mastn import (
 )
 from .oracle import (
     NegativeCycle,
+    certify_cycle,
     minimal_constraint_matrix,
     oracle_minimal_constraint,
     oracle_minimal_domains,

@@ -74,9 +74,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also print an assignment extracted from the closure",
     )
     ps.add_argument("--verify", action="store_true", help="re-check the printed assignment")
+    ps.set_defaults(run=_cmd_solve)
 
     po = sub.add_parser("oracle", help="shortest-path verdict and minimal domains")
     po.add_argument("file")
+    po.set_defaults(run=_cmd_oracle)
 
     pd = sub.add_parser("dsolve", help="distributed solve of a .mastn file")
     pd.add_argument("file")
@@ -84,6 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--latency", type=int, default=0)
     pd.add_argument("--log", metavar="PATH", help="write the message log")
     pd.add_argument("--audit-privacy", action="store_true")
+    pd.set_defaults(run=_cmd_dsolve)
 
     pg = sub.add_parser("gen", help="generate a workload instance")
     pg.add_argument("family", choices=FAMILIES)
@@ -95,10 +98,12 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             typ = float if flag == "density" else int
             pg.add_argument(f"--{flag}", type=typ, default=None)
+    pg.set_defaults(run=_cmd_gen)
 
     pb = sub.add_parser("bench", help="run a sweep from a key=value config")
     pb.add_argument("config")
     pb.add_argument("-o", "--output", metavar="FILE", help="default: stdout")
+    pb.set_defaults(run=_cmd_bench)
     return p
 
 
@@ -106,27 +111,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except StnacError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-
-def _dispatch(args) -> int:
-    if args.cmd == "solve":
-        return _cmd_solve(args)
-    if args.cmd == "oracle":
-        return _cmd_oracle(args)
-    if args.cmd == "dsolve":
-        return _cmd_dsolve(args)
-    if args.cmd == "gen":
-        return _cmd_gen(args)
-    if args.cmd == "bench":
-        return _cmd_bench(args)
-    raise AssertionError(f"unhandled command {args.cmd}")
 
 
 def _cmd_solve(args) -> int:

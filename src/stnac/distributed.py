@@ -24,8 +24,8 @@ State transitions are pure functions of (state, message).  Domain syncs
 wait in an inbox keyed by iteration, one entry per neighbor, until the
 sweep that reads them pops the iteration; an inquiry that arrives before
 the sweep it asks about is remembered by a flag until that sweep ends.
-Anything genuinely impossible, a second sync from one neighbor for one
-iteration included, raises ProtocolError with a state dump.
+Anything genuinely impossible, a second sync from one neighbor or a second
+inquiry for one iteration included, raises ProtocolError with a state dump.
 """
 
 from __future__ import annotations
@@ -93,9 +93,8 @@ class SolverAgent:
         # k -> {neighbor: (arrival stamp, [(ghost slot, lo, hi)])}
         self._inbox: dict[int, dict[int, tuple[int, list[tuple[int, int, int]]]]] = {}
         self._changed = n  # domains changed by the last sweep
-        self._inquiry_buffered = False  # the parent asked about k before k's sweep
+        self._inquiry_seen = False  # the parent's inquiry about k has arrived
         self._feedback_pending: set[int] = set()
-        self._inquiry_handled = False
         self._out: list[AgentMessage] = []
 
     # -- runtime protocol --------------------------------------------
@@ -159,11 +158,12 @@ class SolverAgent:
             return  # a stale round, superseded by a later iteration
         if msg.k > self.k:
             self._fail(f"inquiry for future iteration {msg.k}")
+        if self._inquiry_seen:
+            self._fail(f"duplicate inquiry for iteration {msg.k}")
+        self._inquiry_seen = True
         if self.phase is Phase.AWAIT_TERMINATION:
             self._handle_inquiry()
-        elif self.phase is Phase.AWAIT_SYNC:
-            self._inquiry_buffered = True
-        else:
+        elif self.phase is not Phase.AWAIT_SYNC:  # in AwaitSync, k's sweep answers it
             self._fail(f"inquiry in phase {self.phase.value}")
 
     def _on_feedback(self, msg: AgentMessage) -> None:
@@ -178,7 +178,7 @@ class SolverAgent:
         self._feedback_pending.discard(msg.sender)
         if self._feedback_pending:
             return
-        if not self._inquiry_handled and not self.tree.is_root:
+        if not self._inquiry_seen and not self.tree.is_root:
             self._fail("feedback complete before the inquiry arrived")
         if self.tree.is_root:
             self._originate_broadcast(MsgKind.ARC_CONSISTENT, k=self.k)
@@ -212,7 +212,7 @@ class SolverAgent:
             self._finish("inconsistent")
             return
         self.k += 1
-        self._inquiry_buffered = False
+        self._inquiry_seen = False
         for j in self.view.neighbors:
             payload = {
                 (self.agent_id, v): interval(self._lo[v], self._hi[v])
@@ -258,21 +258,16 @@ class SolverAgent:
             return
         self.phase = Phase.AWAIT_TERMINATION
         self._feedback_pending = set(self.tree.children)
-        self._inquiry_handled = False
         if self.tree.is_root:
             if not self.tree.children:
                 self._finish("consistent")  # single-agent component
                 return
             for child in self.tree.children:
                 self._emit(MsgKind.INQUIRY, child, k=self.k)
-            self._inquiry_handled = True
-        elif self._inquiry_buffered:
+        elif self._inquiry_seen:
             self._handle_inquiry()
 
     def _handle_inquiry(self) -> None:
-        if self._inquiry_handled:
-            return
-        self._inquiry_handled = True
         if self.tree.is_leaf:
             self._emit(MsgKind.FEEDBACK, self.tree.parent, k=self.k)
         else:

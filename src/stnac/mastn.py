@@ -293,7 +293,7 @@ def parse_mastn(text: str, magnitude_cap: int = DEFAULT_MAGNITUDE_CAP) -> Mastn:
     for i in range(p):
         if i not in blocks:
             raise FormatError(f"agent {i} has no block")
-    agents = [_build_agent(i, blocks[i], magnitude_cap) for i in range(p)]
+    agents = [_build_agent(blocks[i], magnitude_cap) for i in range(p)]
     m = Mastn(agents)
     for lineno, tokens in externals:
         if len(tokens) not in (6, 7):
@@ -318,16 +318,16 @@ def parse_mastn(text: str, magnitude_cap: int = DEFAULT_MAGNITUDE_CAP) -> Mastn:
     return m
 
 
-def _build_agent(i: int, lines: list[tuple[int, list[str]]], cap: int) -> Stn:
-    n = sum(1 for _, tokens in lines if tokens[0] == "domain")
-    net = Stn(n)
+def _build_agent(lines: list[tuple[int, list[str]]], cap: int) -> Stn:
+    """One agent's block as a network of one variable per domain line.
+
+    Each domain line must name a distinct variable in range, so once every
+    line applies, every variable has its domain.
+    """
+    net = Stn(sum(1 for _, tokens in lines if tokens[0] == "domain"))
     seen_domain: set[int] = set()
     for lineno, tokens in lines:
         apply_stn_line(net, tokens, lineno, cap, seen_domain)
-    try:
-        net.validate()
-    except ValidationError as exc:
-        raise FormatError(f"agent {i}: {exc}") from None
     return net
 
 

@@ -9,12 +9,16 @@ directions then yields the minimal domains, or an explicit negative cycle
 when the network is inconsistent.
 
 This module deliberately shares no propagation code with the solver so the
-two routes can check each other.
+two routes can check each other.  What they do share is certify_cycle(),
+the one re-summation of a negative-cycle certificate: it reads every edge
+back from the network itself, so a certificate from either route is
+checked against the input, not against the structures that produced it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ValidationError
 from .intervals import Interval, interval
@@ -27,8 +31,8 @@ _FW_LIMIT = 200  # all-pairs is a test fixture; cubic cost is capped on purpose
 class NegativeCycle:
     """Witness of inconsistency: a closed vertex walk of negative total weight.
 
-    Vertex n stands for the zero time point.  The weight re-sums the edge
-    list, so the witness is self-validating.
+    Vertex n stands for the zero time point.  certify_cycle() builds every
+    one by re-summing the walk over the network's edges.
     """
 
     vertices: tuple[int, ...]
@@ -98,22 +102,37 @@ def _extract_cycle(pred: list[int | None], start: int, nv: int) -> tuple[int, ..
     return tuple(cycle)
 
 
-def _cycle_weight(cycle: tuple[int, ...], edges: list[tuple[int, int, int]]) -> int:
-    weight_of = {(u, v): w for u, v, w in edges}
-    total = 0
-    for u, v in zip(cycle, cycle[1:]):
-        total += weight_of[(u, v)]
-    return total
+def certify_cycle(
+    net: Stn, walk: Sequence[int], domains: Sequence[Interval] | None = None
+) -> NegativeCycle:
+    """Re-sum a closed walk over the network's own edges; it must be negative.
 
-
-def _witness(pred, start, nv, edges, reverse: bool) -> NegativeCycle:
-    cycle = _extract_cycle(pred, start, nv)
-    if reverse:
-        cycle = tuple(reversed(cycle))
-    weight = _cycle_weight(cycle, edges)
+    Vertex net.n is the zero point, whose edges are `domains` when given and
+    the network's domains otherwise.  Raises RuntimeError when the walk is
+    not closed, uses an edge the network lacks, or sums to a non-negative
+    weight.
+    """
+    n = net.n
+    if len(walk) < 2 or walk[0] != walk[-1]:
+        raise RuntimeError(f"certificate {tuple(walk)} is not a closed walk")
+    start = [net.domain(v) for v in range(n)] if domains is None else domains
+    weight = 0
+    for u, v in zip(walk, walk[1:]):
+        if u == v:
+            c = None
+        elif u == n:
+            c = start[v].hi
+        elif v == n:
+            c = -start[u].lo
+        else:
+            ivl = net.constraint(u, v)
+            c = None if ivl is None else -1 if ivl.is_empty else ivl.hi
+        if c is None:
+            raise RuntimeError(f"certificate uses a missing edge {u}->{v}")
+        weight += c
     if weight >= 0:
-        raise RuntimeError("negative-cycle witness failed re-summation")
-    return NegativeCycle(cycle, weight)
+        raise RuntimeError(f"certificate re-sums to {weight}, not a negative weight")
+    return NegativeCycle(tuple(walk), weight)
 
 
 def oracle_minimal_domains(net: Stn) -> list[Interval] | NegativeCycle:
@@ -123,11 +142,10 @@ def oracle_minimal_domains(net: Stn) -> list[Interval] | NegativeCycle:
     edges = _edges(net)
     dist_from, pred, neg = _bellman_ford(nv, edges, net.n)
     if neg is not None:
-        return _witness(pred, neg[1], nv, edges, reverse=False)
-    reversed_edges = [(v, u, w) for u, v, w in edges]
-    dist_to, pred_r, neg_r = _bellman_ford(nv, reversed_edges, net.n)
-    if neg_r is not None:  # unreachable in practice: pass one sees every cycle
-        return _witness(pred_r, neg_r[1], nv, edges, reverse=True)
+        return certify_cycle(net, _extract_cycle(pred, neg[1], nv))
+    # every variable has a finite domain, so every vertex is reachable from
+    # the zero point and the first pass has already seen every cycle
+    dist_to, _, _ = _bellman_ford(nv, [(v, u, w) for u, v, w in edges], net.n)
     return [interval(-dist_to[v], dist_from[v]) for v in range(net.n)]
 
 

@@ -5,12 +5,11 @@ tightening each domain against every incident constraint:
 
     I_v <- I_v  intersect  (I_w compose I_wv)
 
-A run ends when a full sweep changes nothing (the closure is reached), a
-negative cycle is found, or the budget of n + 1 sweeps is exhausted; the
-latter two both mean the network has no solution.  On consistent input the
-closure's domains are minimal: every value in them extends to a full
-solution, and the vectors of all lower (or all upper) endpoints are
-themselves solutions.
+A run ends when a full sweep changes nothing (the closure is reached) or
+a negative cycle is found, which means the network has no solution; one
+turns up within n + 1 sweeps.  On consistent input the closure's domains
+are minimal: every value in them extends to a full solution, and the
+vectors of all lower (or all upper) endpoints are themselves solutions.
 
 The upper bounds are shortest distances from the zero time point and the
 lower bounds negated distances to it, over the distance graph that
@@ -24,8 +23,8 @@ are searched in O(n) and a cycle ends the run.  An emptied domain
 lo_v > hi_v is a negative cycle too: the hi-parent path 0 -> v plus the
 lo-parent path v -> 0 weighs at most hi_v - lo_v < 0.  An empty
 constraint between v and w gives the 2-cycle v -> w -> v.  Every
-refutation therefore carries a NegativeCycle re-summed from the arcs,
-except when the budget runs out and a final parent search finds none.
+refutation therefore carries a NegativeCycle, which enforce_ac() has
+oracle.certify_cycle() re-sum over the network's own edges.
 
 Each evaluation of the update rule against a pairwise constraint counts as
 one constraint check.  The domain itself acts as a virtual edge from the
@@ -50,7 +49,7 @@ from typing import Iterable, Sequence
 
 from .errors import ValidationError
 from .intervals import Interval, interval
-from .oracle import NegativeCycle
+from .oracle import NegativeCycle, certify_cycle
 from .rng import SplitMix64
 from .stn import Stn
 
@@ -73,18 +72,13 @@ class AcInconsistent:
     in the oracle's distance graph (vertex n is the zero point, the start
     domains are the zero-point edges).  `witness` is the variable whose
     domain emptied, or else a vertex on the cycle; it is cycle.vertices[0].
-    Both are None only when the sweep budget ran out and the final parent
-    search found no cycle."""
+    enforce_ac() always sets both."""
 
     witness: int | None
     iterations: int
     checks: int
     domain_updates: int
     cycle: NegativeCycle | None = None
-
-    @property
-    def cap_exhausted(self) -> bool:
-        return self.witness is None
 
 
 AcOutcome = AcClosure | AcInconsistent
@@ -179,19 +173,28 @@ def propagate(
     arcs: list[list[Arc]],
     lo: list[int],
     hi: list[int],
-) -> tuple[bool, NegativeCycle | None, int, int, int]:
-    """Sweep lo/hi in place until stable, refuted, or out of n + 1 sweeps.
+) -> tuple[bool, tuple[int, ...] | None, int, int, int]:
+    """Sweep lo/hi in place until stable or refuted.
 
     The bounds lo/hi start with are the start domains, the zero-point
-    edges.  Returns (stable, cycle, sweeps, checks, domain_updates); cycle
-    is the certificate of a refutation, None when stable or when the budget
-    ran out without one.  domain_updates counts the variables the sweeps
-    visited.  The bound magnitudes stay within a few times the parse-time
-    cap, so the plain integer sums here cannot reach the 64-bit overflow
-    range.
+    edges.  Returns (stable, walk, sweeps, checks, domain_updates); walk is
+    the closed vertex walk of a negative cycle when refuted, None when
+    stable.  domain_updates counts the variables the sweeps visited.  The
+    bound magnitudes stay within a few times the parse-time cap, so the
+    plain integer sums here cannot reach the 64-bit overflow range.
+
+    A refutation takes at most n + 1 sweeps.  Labels only tighten, so while
+    hi_par[v] = u stands, hi_v >= hi_u + c(u, v), taking hi of the zero
+    point as 0.  Were the hi parents acyclic after sweep n + 1, chaining
+    this along v's tree path to the zero point, at most n edges, would make
+    hi_v no tighter than that path's weight.  But after sweep n every hi_v
+    was already at least as tight as every walk of at most n edges from
+    the zero point, so sweep n + 1 could not have tightened it.  A hi bound
+    that sweep n + 1 still tightens therefore leaves a cycle among the hi
+    parents, and the lo side is symmetric.  A budget spent without a parent
+    cycle is a bug, and raises RuntimeError.
     """
     n = len(lo)
-    base_lo, base_hi = lo[:], hi[:]  # the zero-point edges, for the certificate
     lo_par = [n] * n  # lo_v was last set along the edge v -> lo_par[v]
     hi_par = [n] * n  # hi_v was last set along the edge hi_par[v] -> v
     checks = 0
@@ -216,8 +219,9 @@ def propagate(
                 break
     else:
         walk = _parent_cycle(lo_par, hi_par)
-    cycle = None if walk is None else _certificate(arcs, base_lo, base_hi, walk)
-    return False, cycle, sweeps, checks, dom_updates
+        if walk is None:
+            raise RuntimeError("sweep budget spent without a parent cycle")
+    return False, walk, sweeps, checks, dom_updates
 
 
 def _parent_cycle(lo_par: list[int], hi_par: list[int]) -> tuple[int, ...] | None:
@@ -269,35 +273,6 @@ def _emptied_walk(
     return tuple(to_zero + from_zero[-2::-1])
 
 
-def _certificate(
-    arcs: list[list[Arc]],
-    base_lo: Sequence[int],
-    base_hi: Sequence[int],
-    walk: tuple[int, ...],
-) -> NegativeCycle:
-    """Re-sum the walk over the distance graph's edges; it must be negative.
-
-    The edge u -> v (x_v - x_u <= c) is the hi side of v's arc from u, the
-    zero point's edges are the start domains, and an empty constraint is
-    the -1 pair of the oracle's convention.
-    """
-    n = len(arcs)
-    weight = 0
-    for u, v in zip(walk, walk[1:]):
-        if u == n:
-            weight += base_hi[v]
-        elif v == n:
-            weight -= base_lo[u]
-        else:
-            c = next((-1 if dead else add_hi for w, _, add_hi, dead in arcs[v] if w == u), None)
-            if c is None:
-                raise RuntimeError(f"certificate walk uses a missing edge {u}->{v}")
-            weight += c
-    if weight >= 0:
-        raise RuntimeError("negative-cycle certificate failed re-summation")
-    return NegativeCycle(walk, weight)
-
-
 def _start_domains(net: Stn, domains: Sequence[Interval] | None) -> list[Interval]:
     if domains is None:
         return [net.domain(v) for v in range(net.n)]
@@ -320,12 +295,11 @@ def enforce_ac(net: Stn, domains: Sequence[Interval] | None = None) -> AcOutcome
     lo = [d.lo for d in start]
     hi = [d.hi for d in start]
     arcs = build_arcs(net.n, net.pairs())
-    stable, cycle, sweeps, checks, dom_updates = propagate(arcs, lo, hi)
+    stable, walk, sweeps, checks, dom_updates = propagate(arcs, lo, hi)
     if stable:
         closed = tuple(interval(a, b) for a, b in zip(lo, hi))
         return AcClosure(closed, sweeps, checks, dom_updates)
-    witness = None if cycle is None else cycle.vertices[0]
-    return AcInconsistent(witness, sweeps, checks, dom_updates, cycle)
+    return AcInconsistent(walk[0], sweeps, checks, dom_updates, certify_cycle(net, walk, start))
 
 
 def is_arc_consistent(

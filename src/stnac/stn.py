@@ -48,7 +48,6 @@ class Stn:
         self._by_name: dict[str, int] = {}
         self._domains: list[Interval | None] = [None] * n
         self._cons: dict[tuple[int, int], Interval] = {}
-        self._adj: list[set[int]] = [set() for _ in range(n)]
 
     # -- variables -------------------------------------------------
 
@@ -114,8 +113,6 @@ class Stn:
         old = self._cons.get(key)
         new = stored if old is None else old.intersect(stored)
         self._cons[key] = new
-        self._adj[v].add(w)
-        self._adj[w].add(v)
         return ConstraintUpdate(changed=new != old, is_empty=new.is_empty)
 
     def constraint(self, v: int, w: int) -> Interval | None:
@@ -135,8 +132,9 @@ class Stn:
             yield key[0], key[1], self._cons[key]
 
     def neighbors(self, v: int) -> list[int]:
+        """Variables sharing a constraint with v, ascending; scans every pair."""
         self._check_var(v)
-        return sorted(self._adj[v])
+        return sorted(b if a == v else a for a, b in self._cons if v in (a, b))
 
     @property
     def e(self) -> int:

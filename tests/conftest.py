@@ -62,3 +62,27 @@ def cycle3_net() -> Stn:
     net.add_constraint(1, 2, interval(1, 2))
     net.add_constraint(2, 0, interval(1, 2))
     return net
+
+
+def edge_weight(net, domains, u, v):
+    """Weight of the distance-graph edge u->v in the oracle's convention
+    (vertex net.n is the zero point, `domains` its edges), or None."""
+    zero = net.n
+    if u == zero:
+        return domains[v].hi
+    if v == zero:
+        return -domains[u].lo
+    c = net.constraint(u, v)
+    if c is None:
+        return None
+    return -1 if c.is_empty else c.hi
+
+
+def assert_certificate(net, domains, out):
+    """The refutation's cycle is a closed walk of the network's own edges
+    that re-sums to its negative weight, starting at the witness."""
+    walk = out.cycle.vertices
+    assert len(walk) >= 3 and walk[0] == walk[-1] == out.witness
+    weights = [edge_weight(net, domains, u, v) for u, v in zip(walk, walk[1:])]
+    assert None not in weights
+    assert sum(weights) == out.cycle.weight < 0

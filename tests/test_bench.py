@@ -33,6 +33,12 @@ class TestCsv:
         with pytest.raises(FormatError):
             read_metrics_csv(io.StringIO("a,b,c\n1,2,3\n"))
 
+    @pytest.mark.parametrize("cells", [9, 11])
+    def test_rejects_a_row_of_the_wrong_width(self, cells):
+        text = ",".join(CSV_COLUMNS) + "\n" + ",".join(["0"] * cells) + "\n"
+        with pytest.raises(FormatError, match="bad CSV row"):
+            read_metrics_csv(io.StringIO(text))
+
     def test_column_set_is_fixed(self):
         assert CSV_COLUMNS == (
             "instance", "n", "e", "agents", "verdict",
@@ -71,6 +77,22 @@ class TestConfig:
     def test_duplicate_key(self):
         with pytest.raises(FormatError):
             parse_bench_config("family = random-stn\nfamily = grid-stn\nsweep = n\nvalues = 2\n")
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("family = random-stn\ncommand = run\nsweep = n\nvalues = 2\n", "solve or dsolve"),
+            ("family = random-stn\ncommand = dsolve\nsweep = n\nvalues = 2\n", "multi-agent family"),
+            ("family = random-stn\nvalues = 2\n", "'sweep' key"),
+            ("family = random-stn\nsweep = n\n", "'values' key"),
+            ("family = random-stn\nsweep = n\nvalues = 2,x\n", "values must be an integer"),
+            ("family = random-stn\nsweep = n\nvalues = 2\nseeds = 0\n", "at least 1"),
+            ("family = random-stn\nsweep = n\nvalues = 2\ndensity = high\n", "density must be a number"),
+        ],
+    )
+    def test_malformed_config_rejected(self, text, match):
+        with pytest.raises(FormatError, match=match):
+            parse_bench_config(text)
 
     def test_bad_timing(self):
         with pytest.raises(FormatError):

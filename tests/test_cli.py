@@ -68,6 +68,13 @@ class TestSolve:
         )
         assert code == 2
 
+    def test_bad_sample_seed(self, capsys):
+        code, _, err = run_cli(
+            capsys, "solve", str(SAMPLES / "two_var.stn"), "--solution", "sample:x"
+        )
+        assert code == 2
+        assert "bad sample seed" in err
+
 
 class TestOracle:
     def test_agrees_with_solve_on_corpus(self, capsys):

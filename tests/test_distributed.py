@@ -313,10 +313,10 @@ class TestAgentStep:
         ]
 
 
-def ring4_sync(sender: int, k: int) -> AgentMessage:
-    """Agent 1 or 3 of ring4 syncs the variable agent 0 reads, at [0, 100]."""
+def ring4_sync(sender: int, k: int, receiver: int = 0) -> AgentMessage:
+    """A ring4 agent syncs its variable 0, the one its neighbors read, at [0, 100]."""
     domains = {(sender, 0): interval(0, 100)}
-    return AgentMessage(MsgKind.DOMAIN_SYNC, sender, 0, k=k, domains=domains)
+    return AgentMessage(MsgKind.DOMAIN_SYNC, sender, receiver, k=k, domains=domains)
 
 
 def ring4_feedback(sender: int, k: int) -> AgentMessage:
@@ -373,6 +373,16 @@ class TestProtocolErrors:
                 False,
                 [AgentMessage(MsgKind.ARC_CONSISTENT, 0, 1, k=5, origin=0)],
                 "consistent verdict for iteration 5",
+            ),
+            (1, False, [AgentMessage(MsgKind.INQUIRY, 0, 1, k=1)] * 2, "duplicate inquiry for iteration 1"),
+            (
+                # agent 1's first sweep tightens its own domains, its second
+                # is quiescent, and the round for k = 2 answers the first inquiry
+                1,
+                False,
+                [ring4_sync(j, k, 1) for k in (1, 2) for j in (0, 2)]
+                + [AgentMessage(MsgKind.INQUIRY, 0, 1, k=2)] * 2,
+                "duplicate inquiry for iteration 2",
             ),
         ],
     )

@@ -137,6 +137,9 @@ class TestComponents:
         assert comps == [[0, 2], [1], [3]]
 
 
+TWO_AGENTS = "mastn 2\nagent 0\ndomain 0 0 9\nagent 1\ndomain 0 0 9\n"
+
+
 class TestFormat:
     def test_round_trip(self):
         m = two_agent_problem()
@@ -184,6 +187,26 @@ class TestFormat:
     def test_agent_declared_twice(self):
         with pytest.raises(FormatError):
             parse_mastn("mastn 1\nagent 0\ndomain 0 0 5\nagent 0\n")
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("mastn two\n", "expected an integer"),
+            ("mastn -1\n", "non-negative"),
+            ("mastn 1\nagent zero\n", "expected an agent id"),
+            ("mastn 1\nagent 1\n", "unknown agent 1"),
+            ("mastn 1\nagent -1\n", "unknown agent -1"),
+            (TWO_AGENTS + "external 0 0 1 0\n", "expected 'external"),
+            (TWO_AGENTS + "external 0 0 1 0 1 2 3\n", "expected 'external"),
+            (TWO_AGENTS + "external a 0 1 0 1 2\n", "must be integers"),
+            (TWO_AGENTS + "external 0 0 2 0 1 2\n", "unknown agent in external"),
+            (TWO_AGENTS + "external 0 0 1 0 1 x\n", "integer endpoint"),
+            (TWO_AGENTS + "external 0 0 1 0 +inf 2\n", "lower endpoint"),
+        ],
+    )
+    def test_malformed_line_rejected(self, text, match):
+        with pytest.raises(FormatError, match=match):
+            parse_mastn(text)
 
     def test_local_indices_dense(self):
         # a constraint naming a variable with no domain line must fail

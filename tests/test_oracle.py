@@ -6,6 +6,7 @@ from stnac import (
     NegativeCycle,
     Stn,
     ValidationError,
+    certify_cycle,
     enforce_ac,
     interval,
     oracle_minimal_constraint,
@@ -53,6 +54,42 @@ class TestMinimalDomains:
         net.add_constraint(0, 1, interval(4, 6))  # intersects to empty
         result = oracle_minimal_domains(net)
         assert isinstance(result, NegativeCycle)
+
+
+class TestCertifyCycle:
+    """The one re-summation of a certificate, over the network's own edges
+    (vertex n is the zero point)."""
+
+    def test_negative_walk_is_certified(self):
+        # 0 -> 2 -> 1 -> 0 takes the -1 side of each constraint of cycle3
+        assert certify_cycle(cycle3_net(), (0, 2, 1, 0)) == NegativeCycle((0, 2, 1, 0), -3)
+
+    def test_non_negative_walk_is_rejected(self):
+        with pytest.raises(RuntimeError, match="re-sums to 6"):
+            certify_cycle(cycle3_net(), (0, 1, 2, 0))
+
+    def test_open_walk_is_rejected(self):
+        with pytest.raises(RuntimeError, match="not a closed walk"):
+            certify_cycle(cycle3_net(), (0, 2, 1))
+
+    @pytest.mark.parametrize("walk", [(0, 2, 0), (0, 1, 0), (0, 0, 1, 0), (3, 3, 0, 3)])
+    def test_walk_over_a_missing_edge_is_rejected(self, walk):
+        # 0 - 1 is one-sided (no edge 0 -> 1) and 0 - 2 unconstrained
+        net = Stn(3)
+        for v in range(3):
+            net.set_domain(v, interval(0, 9))
+        net.add_constraint(0, 1, interval(5, None))
+        with pytest.raises(RuntimeError, match="missing edge"):
+            certify_cycle(net, walk)
+
+    def test_zero_point_edges_come_from_domains_when_given(self):
+        # zero -> x -> y -> zero weighs hi_x + 3 - lo_y
+        net = two_var_net()
+        walk = (2, 0, 1, 2)
+        with pytest.raises(RuntimeError, match="re-sums to 13"):
+            certify_cycle(net, walk)
+        domains = [interval(0, 0), interval(5, 5)]
+        assert certify_cycle(net, walk, domains) == NegativeCycle(walk, -2)
 
 
 class TestMinimalConstraints:

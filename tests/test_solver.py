@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import SAMPLES, cycle3_net, scale_stn, two_var_net
+from conftest import SAMPLES, assert_certificate, cycle3_net, scale_stn, two_var_net
 from stnac import (
     AcClosure,
     AcInconsistent,
@@ -17,32 +17,21 @@ from stnac import (
     sample_solution,
     verify_assignment,
 )
+from stnac import solver
 from stnac.solver import build_arcs, sweep_once
 from stnac.workloads import gen_grid_stn, gen_random_stn, gen_scale_free_stn
 
 
-def edge_weight(net, domains, u, v):
-    """Weight of the distance-graph edge u->v in the oracle's convention
-    (vertex net.n is the zero point, `domains` its edges), or None."""
-    zero = net.n
-    if u == zero:
-        return domains[v].hi
-    if v == zero:
-        return -domains[u].lo
-    c = net.constraint(u, v)
-    if c is None:
-        return None
-    return -1 if c.is_empty else c.hi
-
-
-def assert_certificate(net, domains, out):
-    """The refutation's cycle is a closed walk of the network's own edges
-    that re-sums to its negative weight, starting at the witness."""
-    walk = out.cycle.vertices
-    assert len(walk) >= 3 and walk[0] == walk[-1] == out.witness
-    weights = [edge_weight(net, domains, u, v) for u, v in zip(walk, walk[1:])]
-    assert None not in weights
-    assert sum(weights) == out.cycle.weight < 0
+def weak_cycle_net():
+    """A cycle of weight -1 per lap under huge domains: no domain can empty
+    within the sweep budget."""
+    net = Stn(3)
+    for v in range(3):
+        net.set_domain(v, interval(0, 10**6))
+    net.add_constraint(0, 1, interval(0, 0))
+    net.add_constraint(1, 2, interval(0, 0))
+    net.add_constraint(2, 0, interval(1, 1))
+    return net
 
 
 class TestEnforceAc:
@@ -87,23 +76,26 @@ class TestEnforceAc:
         assert out.cycle == NegativeCycle((0, 1, 0), -2)
 
     def test_weak_cycle_stops_at_its_parent_cycle(self):
-        # total cycle weight -1 per lap with huge domains: no domain can empty
-        # within the budget, but the relaxation parents close the cycle early
-        net = Stn(3)
-        for v in range(3):
-            net.set_domain(v, interval(0, 10**6))
-        net.add_constraint(0, 1, interval(0, 0))
-        net.add_constraint(1, 2, interval(0, 0))
-        net.add_constraint(2, 0, interval(1, 1))
+        # no domain can empty within the budget, but the relaxation parents
+        # close the cycle early
+        net = weak_cycle_net()
         assert isinstance(oracle_minimal_domains(net), NegativeCycle)
         out = enforce_ac(net)
         assert isinstance(out, AcInconsistent)
-        assert not out.cap_exhausted
         # the first sweep changes all n domains, so the parents are searched
         # right after it, and their lo side already closes the cycle
         assert out.iterations == 1 <= net.n + 1
         assert_certificate(net, [net.domain(v) for v in range(net.n)], out)
         assert out.cycle.weight == -1
+
+    def test_spent_budget_without_a_parent_cycle_is_a_bug(self, monkeypatch):
+        # hide the weak cycle's parent cycle: the sweeps then run the whole
+        # budget without emptying a domain, which propagate's docstring
+        # proves impossible, so the run must fail loudly, not end uncertified
+        net = weak_cycle_net()
+        monkeypatch.setattr(solver, "_parent_cycle", lambda lo_par, hi_par: None)
+        with pytest.raises(RuntimeError, match="without a parent cycle"):
+            enforce_ac(net)
 
     def test_iteration_cap_bound(self):
         for seed in range(30):

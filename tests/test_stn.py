@@ -135,6 +135,24 @@ class TestParsing:
             parse_stn("stn 2\ndomain 0 0 5\nfrobnicate 1 2\n")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("stn 1\nvar\ndomain 0 0 5\n", "expected 'var"),
+            ("stn 1\nvar 0 x y\ndomain 0 0 5\n", "expected 'var"),
+            ("stn 2\ndomain 0 0 5\ndomain 1 0 5\nconstraint 0 1\n", "expected 'constraint"),
+            ("stn 2\ndomain 0 0 5\ndomain 1 0 5\nconstraint 0 1 2 3 4\n", "expected 'constraint"),
+            ("stn 1 2\ndomain 0 0 5\n", "expected 'stn <n>'"),
+            ("stn two\n", "expected an integer"),
+            ("stn -1\n", "non-negative"),
+            ("stn 1\ndomain 0 0 1.5\n", "integer endpoint"),
+            (f"stn 1\ndomain 0 0 {2**63}\n", "64-bit range"),
+        ],
+    )
+    def test_malformed_line_rejected(self, text, match):
+        with pytest.raises(FormatError, match=match):
+            parse_stn(text)
+
     def test_unknown_variable_reference(self):
         with pytest.raises(FormatError):
             parse_stn("stn 1\ndomain 0 0 5\nconstraint 0 3 1 2\n")
