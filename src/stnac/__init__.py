@@ -62,7 +62,7 @@ from .solver import (
     sample_solution,
     verify_assignment,
 )
-from .stn import DEFAULT_MAGNITUDE_CAP, ConstraintUpdate, Stn, parse_stn, serialize_stn
+from .stn import DEFAULT_MAGNITUDE_CAP, Stn, parse_stn, serialize_stn
 from .workloads import (
     FAMILIES,
     GenSpec,

@@ -34,7 +34,7 @@ from .errors import FormatError
 from .mastn import Mastn
 from .sim import SimConfig
 from .solver import AcClosure, enforce_ac
-from .stn import Stn
+from .stn import Stn, content_lines
 from .workloads import GenSpec, MASTN_FAMILIES, STN_FAMILIES, generate
 
 CSV_COLUMNS = (
@@ -49,6 +49,7 @@ CSV_COLUMNS = (
     "messages",
     "wall_ms",
 )
+_TEXT_COLUMNS = ("instance", "verdict")  # every other column is an integer count
 
 
 @dataclass(frozen=True)
@@ -107,30 +108,21 @@ def _rows_from(reader) -> list[RunMetrics]:
     for row in reader:
         if len(row) != len(CSV_COLUMNS):
             raise FormatError(f"bad CSV row {row!r}")
-        out.append(
-            RunMetrics(
-                instance=row[0],
-                n=int(row[1]),
-                e=int(row[2]),
-                agents=int(row[3]),
-                verdict=row[4],
-                iterations=int(row[5]),
-                checks=int(row[6]),
-                nccc=int(row[7]),
-                messages=int(row[8]),
-                wall_ms=int(row[9]),
-            )
-        )
+        try:
+            cells = {
+                col: cell if col in _TEXT_COLUMNS else int(cell)
+                for col, cell in zip(CSV_COLUMNS, row)
+            }
+        except ValueError:
+            raise FormatError(f"bad CSV row {row!r}") from None
+        out.append(RunMetrics(**cells))
     return out
 
 
 def parse_bench_config(text: str) -> dict:
     """Parse the flat key=value bench format into a validated dict."""
     cfg: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text.splitlines()):
         if "=" not in line:
             raise FormatError("expected 'key = value'", lineno)
         key, _, value = line.partition("=")

@@ -17,7 +17,9 @@ File format (UTF-8, '#' comments)::
     external <i> <v> <j> <w> <a> <b>   # a <= w_j - v_i <= b, i != j
 
 The size of each local block is inferred from its domain lines (one per
-variable, indices dense from 0).
+variable, indices dense from 0).  An agent block is .stn body text, and
+both formats share stn.py's line reader, header parser, interval parser
+and body writer, so endpoints here have the same fixed magnitude cap.
 """
 
 from __future__ import annotations
@@ -26,14 +28,15 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import FormatError, ValidationError
-from .intervals import Interval, interval_from_tokens
+from .intervals import Interval
 from .stn import (
-    DEFAULT_MAGNITUDE_CAP,
-    ConstraintUpdate,
     Stn,
-    _finite_cap_check,
-    _parse_index,
     apply_stn_line,
+    content_lines,
+    parse_index,
+    parse_interval,
+    read_header,
+    write_body,
 )
 
 
@@ -86,7 +89,7 @@ class Mastn:
         if not 0 <= v < self.agents[i].n:
             raise ValidationError(f"agent {i} has no variable {v}")
 
-    def add_external(self, i: int, v: int, j: int, w: int, ivl: Interval) -> ConstraintUpdate:
+    def add_external(self, i: int, v: int, j: int, w: int, ivl: Interval) -> None:
         """Insert an external constraint from (i, v) to (j, w); duplicates intersect."""
         self._check_endpoint(i, v)
         self._check_endpoint(j, w)
@@ -97,9 +100,7 @@ class Mastn:
         else:
             key, stored = ((j, w), (i, v)), ivl.inverse()
         old = self._ext.get(key)
-        new = stored if old is None else old.intersect(stored)
-        self._ext[key] = new
-        return ConstraintUpdate(changed=new != old, is_empty=new.is_empty)
+        self._ext[key] = stored if old is None else old.intersect(stored)
 
     def external_constraints(self) -> list[ExternalConstraint]:
         out = []
@@ -187,11 +188,12 @@ def agent_view(m: Mastn, i: int) -> AgentView:
     edges: list[ExternalEdge] = []
     neighbors: set[int] = set()
     per_neighbor: dict[int, set[int]] = {}
-    for ext in m.external_constraints():
-        if ext.i == i:
-            local, peer_agent, peer_var, ivl = ext.v, ext.j, ext.w, ext.ivl
-        elif ext.j == i:
-            local, peer_agent, peer_var, ivl = ext.w, ext.i, ext.v, ext.ivl.inverse()
+    # every collection below is sorted on return, so the stored order will do
+    for ((a, v), (b, w)), ext_ivl in m._ext.items():
+        if a == i:
+            local, peer_agent, peer_var, ivl = v, b, w, ext_ivl
+        elif b == i:
+            local, peer_agent, peer_var, ivl = w, a, v, ext_ivl.inverse()
         else:
             continue
         shared.add(local)
@@ -214,9 +216,9 @@ def agent_view(m: Mastn, i: int) -> AgentView:
 def agent_adjacency(m: Mastn) -> dict[int, tuple[int, ...]]:
     """The agent graph: an edge between agents sharing an external constraint."""
     adj: dict[int, set[int]] = {i: set() for i in range(m.p)}
-    for ext in m.external_constraints():
-        adj[ext.i].add(ext.j)
-        adj[ext.j].add(ext.i)
+    for (i, _), (j, _) in m._ext:
+        adj[i].add(j)
+        adj[j].add(i)
     return {i: tuple(sorted(js)) for i, js in adj.items()}
 
 
@@ -241,33 +243,17 @@ def components(adjacency: dict[int, tuple[int, ...]], p: int) -> list[list[int]]
     return comps
 
 
-def parse_mastn(text: str, magnitude_cap: int = DEFAULT_MAGNITUDE_CAP) -> Mastn:
+def parse_mastn(text: str) -> Mastn:
     """Parse the .mastn text format; raises FormatError with a line number."""
-    p: int | None = None
+    body = content_lines(text.splitlines())
+    _, p = read_header(body, "mastn <p>")
     current: int | None = None
     # collected per agent: lists of (lineno, tokens) to build once sizes are known
     blocks: dict[int, list[tuple[int, list[str]]]] = {}
     externals: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in body:
         tokens = line.split()
         kind = tokens[0]
-        if kind == "mastn":
-            if p is not None:
-                raise FormatError("duplicate 'mastn' header", lineno)
-            if len(tokens) != 2:
-                raise FormatError("expected 'mastn <p>'", lineno)
-            try:
-                p = int(tokens[1])
-            except ValueError:
-                raise FormatError(f"expected an integer, got {tokens[1]!r}", lineno) from None
-            if p < 0:
-                raise FormatError("agent count must be non-negative", lineno)
-            continue
-        if p is None:
-            raise FormatError("file must start with 'mastn <p>'", lineno)
         if kind == "agent":
             if len(tokens) != 2:
                 raise FormatError("expected 'agent <i>'", lineno)
@@ -286,14 +272,14 @@ def parse_mastn(text: str, magnitude_cap: int = DEFAULT_MAGNITUDE_CAP) -> Mastn:
             blocks[current].append((lineno, tokens))
         elif kind == "external":
             externals.append((lineno, tokens))
+        elif kind == "mastn":
+            raise FormatError("duplicate 'mastn' header", lineno)
         else:
             raise FormatError(f"unknown directive {kind!r}", lineno)
-    if p is None:
-        raise FormatError("file must start with 'mastn <p>'")
     for i in range(p):
         if i not in blocks:
             raise FormatError(f"agent {i} has no block")
-    agents = [_build_agent(blocks[i], magnitude_cap) for i in range(p)]
+    agents = [_build_agent(blocks[i]) for i in range(p)]
     m = Mastn(agents)
     for lineno, tokens in externals:
         if len(tokens) not in (6, 7):
@@ -304,13 +290,9 @@ def parse_mastn(text: str, magnitude_cap: int = DEFAULT_MAGNITUDE_CAP) -> Mastn:
             raise FormatError("external agent ids must be integers", lineno) from None
         if not 0 <= i < p or not 0 <= j < p:
             raise FormatError(f"unknown agent in external ({i}, {j})", lineno)
-        v = _parse_index(agents[i], tokens[2], lineno)
-        w = _parse_index(agents[j], tokens[4], lineno)
-        try:
-            ivl = interval_from_tokens(tokens[5:])
-        except ValueError as exc:
-            raise FormatError(str(exc), lineno) from None
-        _finite_cap_check(ivl, magnitude_cap, lineno)
+        v = parse_index(agents[i], tokens[2], lineno)
+        w = parse_index(agents[j], tokens[4], lineno)
+        ivl = parse_interval(tokens[5:], lineno)
         try:
             m.add_external(i, v, j, w, ivl)
         except ValidationError as exc:
@@ -318,7 +300,7 @@ def parse_mastn(text: str, magnitude_cap: int = DEFAULT_MAGNITUDE_CAP) -> Mastn:
     return m
 
 
-def _build_agent(lines: list[tuple[int, list[str]]], cap: int) -> Stn:
+def _build_agent(lines: list[tuple[int, list[str]]]) -> Stn:
     """One agent's block as a network of one variable per domain line.
 
     Each domain line must name a distinct variable in range, so once every
@@ -327,23 +309,16 @@ def _build_agent(lines: list[tuple[int, list[str]]], cap: int) -> Stn:
     net = Stn(sum(1 for _, tokens in lines if tokens[0] == "domain"))
     seen_domain: set[int] = set()
     for lineno, tokens in lines:
-        apply_stn_line(net, tokens, lineno, cap, seen_domain)
+        apply_stn_line(net, tokens, lineno, seen_domain)
     return net
 
 
 def serialize_mastn(m: Mastn) -> str:
     """Emit the .mastn form: agents ascending, then externals in canonical order."""
-    m.validate()
     lines = [f"mastn {m.p}"]
     for i, a in enumerate(m.agents):
         lines.append(f"agent {i}")
-        for v in range(a.n):
-            if a.name(v) is not None:
-                lines.append(f"var {v} {a.name(v)}")
-        for v in range(a.n):
-            lines.append(f"domain {v} {a.domain(v).to_tokens()}")
-        for v, w, ivl in a.pairs():
-            lines.append(f"constraint {v} {w} {ivl.to_tokens()}")
+        write_body(a, lines)
     for ext in m.external_constraints():
         lines.append(f"external {ext.i} {ext.v} {ext.j} {ext.w} {ext.ivl.to_tokens()}")
     return "\n".join(lines) + "\n"

@@ -15,26 +15,23 @@ File format (UTF-8, '#' starts a comment, tokens whitespace-separated)::
     constraint <v> <w> <a> <b>    # a <= w - v <= b; -inf/+inf allowed, or 'empty'
 
 Duplicate constraint lines intersect, matching conjunction semantics.
-Finite endpoint magnitudes are capped at parse time (default 2**40) so no
-propagation over the network can overflow 64-bit arithmetic.
+Finite endpoint magnitudes are capped at parse time at the fixed
+DEFAULT_MAGNITUDE_CAP (2**40), so no propagation over the network can
+overflow 64-bit arithmetic.
+
+This module owns the line grammar that the .mastn and bench-config
+formats share: the line reader (content_lines), the header parser
+(read_header), the interval parser (parse_interval), the body-line parser
+(apply_stn_line) and the body writer (write_body).  A .mastn agent block
+is .stn body text.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import FormatError, ValidationError
 from .intervals import Interval, interval_from_tokens
 
 DEFAULT_MAGNITUDE_CAP = 2**40
-
-
-@dataclass(frozen=True)
-class ConstraintUpdate:
-    """Report from inserting a constraint."""
-
-    changed: bool
-    is_empty: bool
 
 
 class Stn:
@@ -95,7 +92,7 @@ class Stn:
 
     # -- constraints -----------------------------------------------
 
-    def add_constraint(self, v: int, w: int, ivl: Interval) -> ConstraintUpdate:
+    def add_constraint(self, v: int, w: int, ivl: Interval) -> None:
         """Insert the constraint ivl from v to w, intersecting any existing one.
 
         The interval is stored in the low-index-to-high-index direction; an
@@ -111,9 +108,7 @@ class Stn:
         else:
             key, stored = (w, v), ivl.inverse()
         old = self._cons.get(key)
-        new = stored if old is None else old.intersect(stored)
-        self._cons[key] = new
-        return ConstraintUpdate(changed=new != old, is_empty=new.is_empty)
+        self._cons[key] = stored if old is None else old.intersect(stored)
 
     def constraint(self, v: int, w: int) -> Interval | None:
         """The directed interval from v to w, or None when unconstrained."""
@@ -161,98 +156,39 @@ class Stn:
         return f"<Stn n={self.n} e={self.e}>"
 
 
-def _finite_cap_check(ivl: Interval, cap: int, line: int) -> None:
-    for end in (ivl.lo, ivl.hi):
-        if end is not None and abs(end) > cap:
-            raise FormatError(f"endpoint {end} exceeds the magnitude cap {cap}", line)
+def content_lines(lines: list[str]):
+    """(lineno, text) for each line that has content once its '#' comment is cut.
 
-
-def apply_stn_line(
-    net: Stn, tokens: list[str], lineno: int, magnitude_cap: int, seen_domain: set[int]
-) -> None:
-    """Apply one var/domain/constraint line; shared by the .stn and .mastn parsers."""
-    kind = tokens[0]
-    if kind == "var":
-        if len(tokens) not in (2, 3):
-            raise FormatError("expected 'var <index> [name]'", lineno)
-        v = _parse_index(net, tokens[1], lineno)
-        if len(tokens) == 3:
-            _wrap(net.set_name, lineno, v, tokens[2])
-    elif kind == "domain":
-        if len(tokens) != 4:
-            raise FormatError("expected 'domain <v> <a> <b>'", lineno)
-        v = _parse_index(net, tokens[1], lineno)
-        if v in seen_domain:
-            raise FormatError(f"domain of variable {v} redeclared", lineno)
-        ivl = _parse_interval(tokens[2:], lineno)
-        _finite_cap_check(ivl, magnitude_cap, lineno)
-        _wrap(net.set_domain, lineno, v, ivl)
-        seen_domain.add(v)
-    elif kind == "constraint":
-        if len(tokens) not in (4, 5):
-            raise FormatError("expected 'constraint <v> <w> <a> <b>'", lineno)
-        v = _parse_index(net, tokens[1], lineno)
-        w = _parse_index(net, tokens[2], lineno)
-        ivl = _parse_interval(tokens[3:], lineno)
-        _finite_cap_check(ivl, magnitude_cap, lineno)
-        _wrap(net.add_constraint, lineno, v, w, ivl)
-    else:
-        raise FormatError(f"unknown directive {kind!r}", lineno)
-
-
-def parse_stn(text: str, magnitude_cap: int = DEFAULT_MAGNITUDE_CAP) -> Stn:
-    """Parse the .stn text format; raises FormatError with a line number."""
-    net: Stn | None = None
-    seen_domain: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    The one line reader of the .stn, .mastn and bench-config grammars.
+    """
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] == "stn":
-            if net is not None:
-                raise FormatError("duplicate 'stn' header", lineno)
-            if len(tokens) != 2:
-                raise FormatError("expected 'stn <n>'", lineno)
-            net = Stn(_parse_count(tokens[1], lineno))
-            continue
-        if net is None:
-            raise FormatError("file must start with 'stn <n>'", lineno)
-        apply_stn_line(net, tokens, lineno, magnitude_cap, seen_domain)
-    if net is None:
-        raise FormatError("file must start with 'stn <n>'")
+        if line:
+            yield lineno, line
+
+
+def read_header(body, form: str) -> tuple[int, int]:
+    """Take the header that must open body, the content_lines of a file.
+
+    form is the header's syntax, 'stn <n>' or 'mastn <p>'; returns the
+    header's line number and its count.
+    """
+    lineno, line = next(body, (None, ""))
+    tokens = line.split()
+    if not tokens or tokens[0] != form.split()[0]:
+        raise FormatError(f"file must start with '{form}'", lineno)
+    if len(tokens) != 2:
+        raise FormatError(f"expected '{form}'", lineno)
     try:
-        net.validate()
-    except ValidationError as exc:
-        raise FormatError(str(exc)) from exc
-    return net
-
-
-def serialize_stn(net: Stn) -> str:
-    """Emit the .stn form: variables and constraints in ascending order."""
-    net.validate()
-    lines = [f"stn {net.n}"]
-    for v in range(net.n):
-        if net.name(v) is not None:
-            lines.append(f"var {v} {net.name(v)}")
-    for v in range(net.n):
-        lines.append(f"domain {v} {net.domain(v).to_tokens()}")
-    for v, w, ivl in net.pairs():
-        lines.append(f"constraint {v} {w} {ivl.to_tokens()}")
-    return "\n".join(lines) + "\n"
-
-
-def _parse_count(token: str, lineno: int) -> int:
-    try:
-        value = int(token)
+        count = int(tokens[1])
     except ValueError:
-        raise FormatError(f"expected an integer, got {token!r}", lineno) from None
-    if value < 0:
-        raise FormatError(f"count must be non-negative, got {value}", lineno)
-    return value
+        raise FormatError(f"expected an integer, got {tokens[1]!r}", lineno) from None
+    if count < 0:
+        raise FormatError(f"count must be non-negative, got {count}", lineno)
+    return lineno, count
 
 
-def _parse_index(net: Stn, token: str, lineno: int) -> int:
+def parse_index(net: Stn, token: str, lineno: int) -> int:
     """A variable reference: an index, or a name declared on an earlier var line."""
     try:
         v = int(token)
@@ -266,15 +202,89 @@ def _parse_index(net: Stn, token: str, lineno: int) -> int:
     return v
 
 
-def _parse_interval(tokens: list[str], lineno: int) -> Interval:
+def parse_interval(tokens: list[str], lineno: int) -> Interval:
+    """An interval's tokens, with each finite endpoint within DEFAULT_MAGNITUDE_CAP."""
     try:
-        return interval_from_tokens(tokens)
+        ivl = interval_from_tokens(tokens)
     except ValueError as exc:
         raise FormatError(str(exc), lineno) from None
+    for end in (ivl.lo, ivl.hi):
+        if end is not None and abs(end) > DEFAULT_MAGNITUDE_CAP:
+            raise FormatError(
+                f"endpoint {end} exceeds the magnitude cap {DEFAULT_MAGNITUDE_CAP}", lineno
+            )
+    return ivl
 
 
-def _wrap(fn, lineno: int, *args):
+def apply_stn_line(net: Stn, tokens: list[str], lineno: int, seen_domain: set[int]) -> None:
+    """Apply one var/domain/constraint line; shared by the .stn and .mastn parsers."""
+    kind = tokens[0]
     try:
-        return fn(*args)
+        if kind == "var":
+            if len(tokens) not in (2, 3):
+                raise FormatError("expected 'var <index> [name]'", lineno)
+            v = parse_index(net, tokens[1], lineno)
+            if len(tokens) == 3:
+                net.set_name(v, tokens[2])
+        elif kind == "domain":
+            if len(tokens) != 4:
+                raise FormatError("expected 'domain <v> <a> <b>'", lineno)
+            v = parse_index(net, tokens[1], lineno)
+            if v in seen_domain:
+                raise FormatError(f"domain of variable {v} redeclared", lineno)
+            net.set_domain(v, parse_interval(tokens[2:], lineno))
+            seen_domain.add(v)
+        elif kind == "constraint":
+            if len(tokens) not in (4, 5):
+                raise FormatError("expected 'constraint <v> <w> <a> <b>'", lineno)
+            v = parse_index(net, tokens[1], lineno)
+            w = parse_index(net, tokens[2], lineno)
+            net.add_constraint(v, w, parse_interval(tokens[3:], lineno))
+        elif kind == "stn":
+            raise FormatError("duplicate 'stn' header", lineno)
+        else:
+            raise FormatError(f"unknown directive {kind!r}", lineno)
     except ValidationError as exc:
         raise FormatError(str(exc), lineno) from None
+
+
+def parse_stn(text: str) -> Stn:
+    """Parse the .stn text format; raises FormatError with a line number."""
+    lines = text.splitlines()
+    body = content_lines(lines)
+    lineno, n = read_header(body, "stn <n>")
+    # each variable needs a domain line of its own, so a count above the
+    # lines left is invalid; rejecting it here keeps Stn(n) from allocating
+    left = len(lines) - lineno
+    if n > left:
+        raise FormatError(
+            f"{n} variables but {left} lines after the header: some variable has no domain",
+            lineno,
+        )
+    net = Stn(n)
+    seen_domain: set[int] = set()
+    for lineno, line in body:
+        apply_stn_line(net, line.split(), lineno, seen_domain)
+    try:
+        net.validate()
+    except ValidationError as exc:
+        raise FormatError(str(exc)) from exc
+    return net
+
+
+def write_body(net: Stn, out: list[str]) -> None:
+    """Append net's var, domain and constraint lines, in ascending order, to out.
+
+    This is the body of a .stn file and of each .mastn agent block.
+    """
+    net.validate()
+    out.extend(f"var {v} {name}" for v, name in enumerate(net._names) if name is not None)
+    out.extend(f"domain {v} {d.to_tokens()}" for v, d in enumerate(net._domains))
+    out.extend(f"constraint {v} {w} {ivl.to_tokens()}" for v, w, ivl in net.pairs())
+
+
+def serialize_stn(net: Stn) -> str:
+    """Emit the .stn form: variables and constraints in ascending order."""
+    lines = [f"stn {net.n}"]
+    write_body(net, lines)
+    return "\n".join(lines) + "\n"

@@ -39,6 +39,11 @@ class TestCsv:
         with pytest.raises(FormatError, match="bad CSV row"):
             read_metrics_csv(io.StringIO(text))
 
+    def test_rejects_a_non_integer_count(self):
+        text = ",".join(CSV_COLUMNS) + "\nx,abc,1,1,consistent,1,1,1,0,0\n"
+        with pytest.raises(FormatError, match="bad CSV row"):
+            read_metrics_csv(io.StringIO(text))
+
     def test_column_set_is_fixed(self):
         assert CSV_COLUMNS == (
             "instance", "n", "e", "agents", "verdict",

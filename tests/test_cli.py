@@ -62,6 +62,13 @@ class TestSolve:
         assert code == 2
         assert "error" in err
 
+    def test_oversized_header(self, capsys, tmp_path):
+        path = tmp_path / "huge.stn"
+        path.write_text("stn 10000000000000000000\ndomain 0 0 5\n")
+        code, _, err = run_cli(capsys, "solve", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_bad_solution_mode(self, capsys):
         code, _, err = run_cli(
             capsys, "solve", str(SAMPLES / "two_var.stn"), "--solution", "median"
