@@ -67,6 +67,12 @@ class SolverAgent:
         self.view = view
         self.tree = tree
         self.max_k = tree.n_total  # sweep budget: component variables + zero point
+        # per iteration at most one sync per neighbor, one inquiry per child
+        # and one feedback; per run at most one broadcast copy per neighbor,
+        # since the first copy finishes the agent.  A second sync or inquiry
+        # for one iteration raises ProtocolError, so this bound holds.
+        deg = len(view.neighbors)
+        self.max_sends = self.max_k * (deg + len(tree.children) + 1) + deg
         self.clock = 0
         self.checks = 0
         self.domain_updates = 0

@@ -4,6 +4,8 @@ Endpoints are 64-bit-range integers; a missing lower endpoint stands for
 -inf and a missing upper endpoint for +inf.  The empty interval is a single
 canonical value, so structural equality coincides with semantic equality.
 All operations are side-effect free and values may be shared freely.
+The text form is written by to_tokens(); reading it back, with the
+magnitude cap on every finite endpoint, is stn.parse_interval's job.
 """
 
 from __future__ import annotations
@@ -138,40 +140,3 @@ def interval(lo: int | None, hi: int | None) -> Interval:
 
 def point(t: int) -> Interval:
     return Interval(t, t)
-
-
-def parse_lower(token: str) -> int | None:
-    """Parse a lower-endpoint token; '-inf' means unbounded below."""
-    if token == "-inf":
-        return None
-    if token == "+inf":
-        raise ValueError("'+inf' cannot be a lower endpoint")
-    return _parse_finite(token)
-
-
-def parse_upper(token: str) -> int | None:
-    """Parse an upper-endpoint token; '+inf' means unbounded above."""
-    if token == "+inf":
-        return None
-    if token == "-inf":
-        raise ValueError("'-inf' cannot be an upper endpoint")
-    return _parse_finite(token)
-
-
-def _parse_finite(token: str) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise ValueError(f"expected an integer endpoint, got {token!r}") from None
-    if value < INT64_MIN or value > INT64_MAX:
-        raise ValueError(f"endpoint {value} leaves the 64-bit range")
-    return value
-
-
-def interval_from_tokens(tokens: list[str]) -> Interval:
-    """Parse the textual interval form: 'a b' with -inf/+inf, or 'empty'."""
-    if len(tokens) == 1 and tokens[0] == "empty":
-        return EMPTY
-    if len(tokens) != 2:
-        raise ValueError(f"expected two endpoints or 'empty', got {tokens!r}")
-    return interval(parse_lower(tokens[0]), parse_upper(tokens[1]))

@@ -12,13 +12,14 @@ An agent is any object with::
     agent_id: int
     clock: int
     done: bool
+    max_sends: int     # most messages the agent sends over a whole run
     on_start() -> list[AgentMessage]
     on_message(msg) -> list[AgentMessage]
 
 The runtime logs every delivery, numbering steps on from any entries
 already in the log it is given, and reports a deadlock (all blocked,
-nothing in flight) or a runaway (step budget exhausted) as errors that
-valid protocols never trigger.
+nothing in flight) or a runaway (more deliveries than the agents' max_sends
+add up to) as errors that valid protocols never trigger.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ class AgentMessage:
 class SimConfig:
     scheduler_seed: int = 0
     latency: int = 0
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         if self.latency < 0:
@@ -95,8 +95,10 @@ def run_simulation(agents: list, cfg: SimConfig, log: list[LogEntry] | None = No
 
     Each delivery is appended to `log` (a new list when None) with its step
     numbered on from the entries already there, and the histogram counts
-    the whole log.  `steps`, and the `max_steps` budget, count only this
-    run's deliveries.
+    the whole log.  `steps` counts only this run's deliveries, and so does
+    the step budget: the sum of the agents' `max_sends`, since every
+    delivery is a message some agent sent.  Exceeding it means an agent
+    broke its own bound.
 
     Contract: no message is delivered to an agent whose `done` is set; the
     step is logged and counted, but on_message is not called and the
@@ -109,6 +111,7 @@ def run_simulation(agents: list, cfg: SimConfig, log: list[LogEntry] | None = No
         if a.agent_id in by_id:
             raise ValidationError(f"duplicate agent id {a.agent_id}")
         by_id[a.agent_id] = a
+    budget = sum(a.max_sends for a in agents)
     rng = SplitMix64(cfg.scheduler_seed)
     pending: list[AgentMessage] = []
 
@@ -134,8 +137,8 @@ def run_simulation(agents: list, cfg: SimConfig, log: list[LogEntry] | None = No
         idx = rng.randbelow(len(pending))
         msg = pending.pop(idx)
         step += 1
-        if step > cfg.max_steps:
-            raise RunawayError(f"exceeded {cfg.max_steps} delivery steps")
+        if step > budget:
+            raise RunawayError(f"exceeded the {budget} delivery steps the agents declared")
         log.append(LogEntry(offset + step, msg))
         agent = by_id[msg.receiver]
         if agent.done:

@@ -15,21 +15,24 @@ File format (UTF-8, '#' starts a comment, tokens whitespace-separated)::
     constraint <v> <w> <a> <b>    # a <= w - v <= b; -inf/+inf allowed, or 'empty'
 
 Duplicate constraint lines intersect, matching conjunction semantics.
-Finite endpoint magnitudes are capped at parse time at the fixed
-DEFAULT_MAGNITUDE_CAP (2**40), so no propagation over the network can
-overflow 64-bit arithmetic.
+Every finite endpoint token is capped at parse time at the fixed
+DEFAULT_MAGNITUDE_CAP (2**40), that of an inverted pair (which reads as
+'empty') included, so no propagation over the network can overflow
+64-bit arithmetic.
 
 This module owns the line grammar that the .mastn and bench-config
 formats share: the line reader (content_lines), the header parser
-(read_header), the interval parser (parse_interval), the body-line parser
-(apply_stn_line) and the body writer (write_body).  A .mastn agent block
-is .stn body text.
+(read_header), the interval parser (parse_interval, the one reader of
+endpoint tokens), the body-line parser (apply_stn_line) and the body
+writer (write_body).  A .mastn agent block is .stn body text.
 """
 
 from __future__ import annotations
 
+import sys
+
 from .errors import FormatError, ValidationError
-from .intervals import Interval, interval_from_tokens
+from .intervals import EMPTY, Interval, interval
 
 DEFAULT_MAGNITUDE_CAP = 2**40
 
@@ -40,6 +43,8 @@ class Stn:
     def __init__(self, n: int):
         if n < 0:
             raise ValidationError(f"variable count must be non-negative, got {n}")
+        if n > sys.maxsize:
+            raise ValidationError(f"variable count {n} exceeds sys.maxsize")
         self.n = n
         self._names: list[str | None] = [None] * n
         self._by_name: dict[str, int] = {}
@@ -203,17 +208,36 @@ def parse_index(net: Stn, token: str, lineno: int) -> int:
 
 
 def parse_interval(tokens: list[str], lineno: int) -> Interval:
-    """An interval's tokens, with each finite endpoint within DEFAULT_MAGNITUDE_CAP."""
+    """An interval's tokens: 'empty', or 'a b' with -inf only as a and +inf only as b.
+
+    Each finite endpoint, the lower first, must be an integer within
+    DEFAULT_MAGNITUDE_CAP; the check runs before interval() normalizes an
+    inverted pair to EMPTY, so no endpoint escapes it.
+    """
+    if len(tokens) == 1 and tokens[0] == "empty":
+        return EMPTY
+    if len(tokens) != 2:
+        raise FormatError(f"expected two endpoints or 'empty', got {tokens!r}", lineno)
+    a, b = tokens
+    if a == "+inf":
+        raise FormatError("'+inf' cannot be a lower endpoint", lineno)
+    lo = None if a == "-inf" else _endpoint(a, lineno)
+    if b == "-inf":
+        raise FormatError("'-inf' cannot be an upper endpoint", lineno)
+    hi = None if b == "+inf" else _endpoint(b, lineno)
+    return interval(lo, hi)
+
+
+def _endpoint(token: str, lineno: int) -> int:
     try:
-        ivl = interval_from_tokens(tokens)
-    except ValueError as exc:
-        raise FormatError(str(exc), lineno) from None
-    for end in (ivl.lo, ivl.hi):
-        if end is not None and abs(end) > DEFAULT_MAGNITUDE_CAP:
-            raise FormatError(
-                f"endpoint {end} exceeds the magnitude cap {DEFAULT_MAGNITUDE_CAP}", lineno
-            )
-    return ivl
+        value = int(token)
+    except ValueError:
+        raise FormatError(f"expected an integer endpoint, got {token!r}", lineno) from None
+    if abs(value) > DEFAULT_MAGNITUDE_CAP:
+        raise FormatError(
+            f"endpoint {value} exceeds the magnitude cap {DEFAULT_MAGNITUDE_CAP}", lineno
+        )
+    return value
 
 
 def apply_stn_line(net: Stn, tokens: list[str], lineno: int, seen_domain: set[int]) -> None:

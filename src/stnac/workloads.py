@@ -6,6 +6,9 @@ Free modelling choices (weight ranges, horizons, how many extra local
 constraints accompany each activity) are recorded in the generated file's
 provenance header.  Instances are not forced to be consistent unless
 explicitly requested; both outcomes are wanted by the test suites.
+Every family checks its weight range and horizon in one place
+(_horizon) and starts each network from one blank timeline (_timeline)
+whose variables all share the domain [0, horizon].
 
 Families:
 
@@ -47,23 +50,32 @@ class GenSpec:
     params: dict = field(default_factory=dict)
 
 
-def _default_horizon(n_vars: int, wmin: int, wmax: int) -> int:
-    h = 10 * max(n_vars, 1) * max(abs(wmin), abs(wmax), 1)
-    return min(h, DEFAULT_MAGNITUDE_CAP)
+def _horizon(n_vars: int, wmin: int, wmax: int, horizon: int | None) -> int:
+    """Check the weight range and the horizon; returns the horizon to use.
 
-
-def _check_weights(wmin: int, wmax: int) -> None:
+    With horizon None the default is 10 * n_vars * max|weight|, capped.
+    """
     if wmin > wmax:
         raise GenerationError(f"weight range [{wmin}, {wmax}] is empty")
     if max(abs(wmin), abs(wmax)) > DEFAULT_MAGNITUDE_CAP:
         raise GenerationError("weight range exceeds the magnitude cap")
-
-
-def _check_horizon(horizon: int) -> None:
+    if horizon is None:
+        h = 10 * max(n_vars, 1) * max(abs(wmin), abs(wmax), 1)
+        return min(h, DEFAULT_MAGNITUDE_CAP)
     if horizon < 0:
         raise GenerationError("horizon must be non-negative")
     if horizon > DEFAULT_MAGNITUDE_CAP:
         raise GenerationError("horizon exceeds the magnitude cap")
+    return horizon
+
+
+def _timeline(n: int, horizon: int) -> Stn:
+    """A network of n variables with the shared domain [0, horizon] and no constraints."""
+    net = Stn(n)
+    domain = interval(0, horizon)
+    for v in range(n):
+        net.set_domain(v, domain)
+    return net
 
 
 def _rand_interval(rng: SplitMix64, wmin: int, wmax: int) -> Interval:
@@ -89,14 +101,9 @@ def gen_random_stn(
         raise GenerationError("n must be non-negative")
     if not 0.0 <= density <= 1.0:
         raise GenerationError("density must lie in [0, 1]")
-    _check_weights(wmin, wmax)
-    if horizon is None:
-        horizon = _default_horizon(n, wmin, wmax)
-    _check_horizon(horizon)
+    horizon = _horizon(n, wmin, wmax, horizon)
     rng = SplitMix64(seed)
-    net = Stn(n)
-    for v in range(n):
-        net.set_domain(v, interval(0, horizon))
+    net = _timeline(n, horizon)
     hidden = [rng.randint(0, horizon) for _ in range(n)] if consistent else None
     for v in range(n):
         for w in range(v + 1, n):
@@ -123,15 +130,10 @@ def gen_grid_stn(
     """Lattice of rows x cols variables with 4-neighbor constraints."""
     if rows < 1 or cols < 1:
         raise GenerationError("grid needs at least one row and one column")
-    _check_weights(wmin, wmax)
     n = rows * cols
-    if horizon is None:
-        horizon = _default_horizon(n, wmin, wmax)
-    _check_horizon(horizon)
+    horizon = _horizon(n, wmin, wmax, horizon)
     rng = SplitMix64(seed)
-    net = Stn(n)
-    for v in range(n):
-        net.set_domain(v, interval(0, horizon))
+    net = _timeline(n, horizon)
     for r in range(rows):
         for c in range(cols):
             v = r * cols + c
@@ -155,14 +157,9 @@ def gen_scale_free_stn(
         raise GenerationError("attachment count m must be at least 1")
     if m >= n:
         raise GenerationError(f"attachment count m={m} must be below n={n}")
-    _check_weights(wmin, wmax)
-    if horizon is None:
-        horizon = _default_horizon(n, wmin, wmax)
-    _check_horizon(horizon)
+    horizon = _horizon(n, wmin, wmax, horizon)
     rng = SplitMix64(seed)
-    net = Stn(n)
-    for v in range(n):
-        net.set_domain(v, interval(0, horizon))
+    net = _timeline(n, horizon)
     endpoints: list[int] = []  # one entry per edge endpoint: degree-weighted urn
     for v in range(m):
         for w in range(v + 1, m):
@@ -206,17 +203,12 @@ def gen_random_mastn(
         externals = 50 * (agents - 1)
     if externals < 0:
         raise GenerationError("external count must be non-negative")
-    _check_weights(wmin, wmax)
     n_local = 2 * activities
-    if horizon is None:
-        horizon = _default_horizon(agents * n_local, wmin, wmax)
-    _check_horizon(horizon)
+    horizon = _horizon(agents * n_local, wmin, wmax, horizon)
     rng = SplitMix64(seed)
     locals_: list[Stn] = []
     for _ in range(agents):
-        net = Stn(n_local)
-        for v in range(n_local):
-            net.set_domain(v, interval(0, horizon))
+        net = _timeline(n_local, horizon)
         for t in range(activities):
             net.add_constraint(2 * t, 2 * t + 1, _rand_interval(rng, wmin, wmax))
         for _ in range(activities // 2):
@@ -278,21 +270,16 @@ def gen_factory_mastn(
         raise GenerationError("need at least N-1 externals to connect the agents")
     if agents == 1 and externals > 0:
         raise GenerationError("a single agent admits no external constraints")
-    _check_weights(wmin, wmax)
-    per_agent = [list(range(t, tasks, agents)) for t in range(agents)]
-    if any(not ts for ts in per_agent):
+    if tasks < agents:
         raise GenerationError("every agent needs at least one task")
-    if horizon is None:
-        horizon = _default_horizon(2 * tasks, wmin, wmax)
-    _check_horizon(horizon)
+    horizon = _horizon(2 * tasks, wmin, wmax, horizon)
+    per_agent = [list(range(t, tasks, agents)) for t in range(agents)]
     rng = SplitMix64(seed)
     precedence = interval(0, None)  # end must not come after the successor starts
     locals_: list[Stn] = []
     for i in range(agents):
         k = len(per_agent[i])
-        net = Stn(2 * k)
-        for v in range(2 * k):
-            net.set_domain(v, interval(0, horizon))
+        net = _timeline(2 * k, horizon)
         for t in range(k):
             net.add_constraint(2 * t, 2 * t + 1, _rand_interval(rng, wmin, wmax))
         for t in range(k - 1):

@@ -69,6 +69,13 @@ class TestSolve:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_over_cap_endpoint_in_an_inverted_pair(self, capsys, tmp_path):
+        path = tmp_path / "big.stn"
+        path.write_text("stn 2\ndomain 0 0 9\ndomain 1 0 9\nconstraint 0 1 99999999999999999 3\n")
+        code, _, err = run_cli(capsys, "solve", str(path))
+        assert code == 2
+        assert "magnitude cap" in err
+
     def test_bad_solution_mode(self, capsys):
         code, _, err = run_cli(
             capsys, "solve", str(SAMPLES / "two_var.stn"), "--solution", "median"
@@ -185,6 +192,18 @@ class TestGen:
     def test_bad_params(self, capsys):
         code, _, err = run_cli(capsys, "gen", "scale-free-stn", "--n", "5", "--m", "9")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("random-stn", "--n", str(10**19), "--density", "0.1"),
+            ("grid-stn", "--rows", str(10**10), "--cols", str(10**10)),
+        ],
+    )
+    def test_oversized_network(self, capsys, args):
+        code, _, err = run_cli(capsys, "gen", *args)
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestBench:

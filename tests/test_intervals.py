@@ -1,7 +1,7 @@
 import pytest
 
 from stnac import EMPTY, BoundOverflowError, Interval, interval, point
-from stnac.intervals import INT64_MAX, interval_from_tokens
+from stnac.intervals import INT64_MAX
 from stnac.rng import SplitMix64
 
 
@@ -81,34 +81,6 @@ class TestConstruction:
         assert str(interval(0, 8)) == "[0,8]"
         assert str(interval(None, 5)) == "[-inf,5]"
         assert str(EMPTY) == "empty"
-
-
-class TestTokens:
-    @pytest.mark.parametrize(
-        "tokens,expected",
-        [
-            (["2", "5"], interval(2, 5)),
-            (["-inf", "5"], interval(None, 5)),
-            (["3", "+inf"], interval(3, None)),
-            (["empty"], EMPTY),
-        ],
-    )
-    def test_round_trip(self, tokens, expected):
-        parsed = interval_from_tokens(tokens)
-        assert parsed == expected
-        assert interval_from_tokens(parsed.to_tokens().split()) == parsed
-
-    def test_rejects_misplaced_infinities(self):
-        with pytest.raises(ValueError):
-            interval_from_tokens(["+inf", "3"])
-        with pytest.raises(ValueError):
-            interval_from_tokens(["3", "-inf"])
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            interval_from_tokens(["a", "b"])
-        with pytest.raises(ValueError):
-            interval_from_tokens(["1"])
 
 
 class TestAlgebraicLaws:

@@ -201,6 +201,11 @@ class TestFormat:
             (TWO_AGENTS + "external 0 0 2 0 1 2\n", "unknown agent in external"),
             (TWO_AGENTS + "external 0 0 1 0 1 x\n", "integer endpoint"),
             (TWO_AGENTS + "external 0 0 1 0 +inf 2\n", "lower endpoint"),
+            # an over-cap endpoint fails even where the pair would normalize to empty
+            (
+                TWO_AGENTS + "external 0 0 1 0 99999999999999999 3\n",
+                r"line \d+: endpoint 99999999999999999 exceeds the magnitude cap",
+            ),
         ],
     )
     def test_malformed_line_rejected(self, text, match):

@@ -8,6 +8,7 @@ from stnac import (
     MsgKind,
     RunawayError,
     SimConfig,
+    ValidationError,
     interval,
     parse_mastn,
     solve_distributed,
@@ -18,12 +19,13 @@ from stnac.sim import audit_privacy, dump_log, echo_setup, run_simulation
 class Courier:
     """Toy agent pair: bounce a countdown token, then exchange a stop."""
 
-    def __init__(self, agent_id, peer, hops=0, starter=False, work=0):
+    def __init__(self, agent_id, peer, hops=0, starter=False, work=0, max_sends=50):
         self.agent_id = agent_id
         self.peer = peer
         self.hops = hops
         self.starter = starter
         self.work = work  # per-token-delivery constraint-check stand-in
+        self.max_sends = max_sends
         self.clock = 0
         self.done = False
 
@@ -51,6 +53,8 @@ class Courier:
 class Sleeper:
     """Never terminates, never speaks: a deadlock on purpose."""
 
+    max_sends = 0
+
     def __init__(self, agent_id):
         self.agent_id = agent_id
         self.clock = 0
@@ -64,6 +68,8 @@ class Sleeper:
 
 
 class PingPong:
+    max_sends = 25  # a promise it breaks: it never stops
+
     def __init__(self, agent_id, peer):
         self.agent_id = agent_id
         self.peer = peer
@@ -80,6 +86,8 @@ class PingPong:
 class OneShot:
     """Sends two messages to its peer at start; finishes on the first it gets
     and fails the test if the runtime delivers anything after that."""
+
+    max_sends = 2
 
     def __init__(self, agent_id, peer):
         self.agent_id = agent_id
@@ -100,10 +108,10 @@ class OneShot:
         return []
 
 
-def couriers(hops=6, work=0):
+def couriers(hops=6, work=0, max_sends=(50, 50)):
     return [
-        Courier(0, 1, hops, starter=True, work=work),
-        Courier(1, 0, work=work),
+        Courier(0, 1, hops, starter=True, work=work, max_sends=max_sends[0]),
+        Courier(1, 0, work=work, max_sends=max_sends[1]),
     ]
 
 
@@ -131,7 +139,7 @@ class TestRunSimulation:
     def test_runaway_reported(self):
         agents = [PingPong(0, 1), PingPong(1, 0)]
         with pytest.raises(RunawayError):
-            run_simulation(agents, SimConfig(max_steps=50))
+            run_simulation(agents, SimConfig())  # a budget of 2 * 25 = 50 steps
 
     def test_clock_rule_with_latency(self):
         # each token delivery does 2 units of work; the carried clock plus
@@ -155,11 +163,12 @@ class TestRunSimulation:
 
     def test_prefilled_log_leaves_the_step_budget_alone(self):
         log = [LogEntry(i + 1, AgentMessage(MsgKind.INQUIRY, 0, 1)) for i in range(60)]
-        report = run_simulation(couriers(hops=4), SimConfig(max_steps=5), log)
+        # with four hops the starter sends three messages and its peer two
+        report = run_simulation(couriers(hops=4, max_sends=(3, 2)), SimConfig(), log)
         assert report.steps == 5
         assert log[-1].step == 65
         with pytest.raises(RunawayError):
-            run_simulation(couriers(hops=4), SimConfig(max_steps=4), [])
+            run_simulation(couriers(hops=4, max_sends=(3, 1)), SimConfig(), [])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_nothing_is_delivered_to_a_done_agent(self, seed):
@@ -172,6 +181,18 @@ class TestRunSimulation:
             assert len(a.received) == 1
             assert a.clock == a.received[0].clock + 1  # the second copy moved no clock
 
+    @pytest.mark.parametrize(
+        "agents, match",
+        [
+            ([], "non-empty"),
+            ([Sleeper(0), Sleeper(0)], "duplicate agent id 0"),
+            ([PingPong(0, 7)], "unknown agent 7"),
+        ],
+    )
+    def test_bad_agent_set_rejected(self, agents, match):
+        with pytest.raises(ValidationError, match=match):
+            run_simulation(agents, SimConfig())
+
     def test_latency_must_be_non_negative(self):
         with pytest.raises(Exception):
             SimConfig(latency=-1)
@@ -181,6 +202,7 @@ class TestRunSimulation:
             agent_id = 0
             clock = 3
             done = False
+            max_sends = 0
 
             def on_start(self):
                 self.done = True
@@ -268,6 +290,21 @@ class TestAuditPrivacy:
         result = audit_privacy([LogEntry(1, msg)], self.m)
         assert not result.ok
         assert "outside domain sync" in result.reason
+
+    @pytest.mark.parametrize(
+        "msg, reason",
+        [
+            (AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1), "domain sync without a payload"),
+            (
+                AgentMessage(MsgKind.ECHO_REPLY, 0, 1, domains={(0, 1): interval(0, 5)}),
+                "echo reply carries intervals",
+            ),
+        ],
+    )
+    def test_payload_rules(self, msg, reason):
+        result = audit_privacy([LogEntry(1, msg)], self.m)
+        assert not result.ok
+        assert result.reason == reason
 
     def test_offender_reported(self):
         good = AgentMessage(MsgKind.INQUIRY, 0, 1, k=1)

@@ -134,6 +134,18 @@ class TestEnforceAc:
         assert isinstance(out, AcClosure)
         assert out.domains == (interval(8, 8), interval(10, 10))
 
+    @pytest.mark.parametrize(
+        "domains, match",
+        [
+            ([interval(0, 10)], "expected 2 domains"),
+            ([interval(0, None), interval(0, 10)], "finite and non-empty"),
+            ([interval(0, 10), EMPTY], "finite and non-empty"),
+        ],
+    )
+    def test_bad_domain_override_rejected(self, domains, match):
+        with pytest.raises(ValidationError, match=match):
+            enforce_ac(two_var_net(), domains=domains)
+
 
 class TestCertificates:
     """Every refutation agrees with the oracle and carries a cycle that

@@ -9,6 +9,7 @@ from stnac import (
     parse_stn,
     serialize_stn,
 )
+from stnac.stn import parse_interval
 
 TWO_VAR_TEXT = """\
 stn 2
@@ -142,9 +143,20 @@ class TestParsing:
             ("stn two\n", "expected an integer"),
             ("stn -1\n", "non-negative"),
             ("stn 1\ndomain 0 0 1.5\n", "integer endpoint"),
-            (f"stn 1\ndomain 0 0 {2**63}\n", "64-bit range"),
+            (f"stn 1\ndomain 0 0 {2**63}\n", "magnitude cap"),
+            # an over-cap endpoint fails even where the pair would normalize to empty
+            (
+                "stn 1\ndomain 0 99999999999999999 3\n",
+                "line 2: endpoint 99999999999999999 exceeds the magnitude cap",
+            ),
+            (
+                "stn 2\ndomain 0 0 9\ndomain 1 0 9\nconstraint 0 1 99999999999999999 3\n",
+                "line 4: endpoint 99999999999999999 exceeds the magnitude cap",
+            ),
             # a count beyond the lines after the header fails before any allocation
             ("stn 10000000000000000000\ndomain 0 0 5\n", "after the header"),
+            # enough lines for the header guard, but variable 1 never gets a domain
+            ("stn 2\ndomain 0 0 5\nconstraint 0 1 0 1\n", "variable 1 has no domain"),
         ],
     )
     def test_malformed_line_rejected(self, text, match):
@@ -177,6 +189,34 @@ class TestParsing:
         assert net.constraint(0, 1) == interval(2, 3)
         with pytest.raises(FormatError):
             parse_stn("stn 1\ndomain z 0 5\n")
+
+
+class TestTokens:
+    @pytest.mark.parametrize(
+        "tokens,expected",
+        [
+            (["2", "5"], interval(2, 5)),
+            (["-inf", "5"], interval(None, 5)),
+            (["3", "+inf"], interval(3, None)),
+            (["empty"], EMPTY),
+        ],
+    )
+    def test_round_trip(self, tokens, expected):
+        parsed = parse_interval(tokens, 1)
+        assert parsed == expected
+        assert parse_interval(parsed.to_tokens().split(), 1) == parsed
+
+    def test_rejects_misplaced_infinities(self):
+        with pytest.raises(FormatError):
+            parse_interval(["+inf", "3"], 1)
+        with pytest.raises(FormatError):
+            parse_interval(["3", "-inf"], 1)
+
+    def test_rejects_garbage(self):
+        with pytest.raises(FormatError):
+            parse_interval(["a", "b"], 1)
+        with pytest.raises(FormatError):
+            parse_interval(["1"], 1)
 
 
 class TestSerialization:

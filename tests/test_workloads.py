@@ -5,6 +5,7 @@ from stnac import (
     GenSpec,
     Mastn,
     Stn,
+    ValidationError,
     enforce_ac,
     generate,
     render_generated,
@@ -182,6 +183,11 @@ class TestGenerateDispatch:
     def test_bad_params_reported(self):
         with pytest.raises(GenerationError):
             generate(GenSpec("grid-stn", 0, {"bogus": 3}))
+
+    def test_oversized_network_rejected(self):
+        # the size check comes before any allocation
+        with pytest.raises(ValidationError, match="sys.maxsize"):
+            generate(GenSpec("random-stn", 0, {"n": 10**19, "density": 0.1}))
 
     def test_rendered_output_parses_back(self):
         from stnac import parse_mastn, parse_stn
