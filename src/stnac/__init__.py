@@ -6,7 +6,7 @@ multi-agent runtime running the distributed protocol, workload generators,
 and a benchmarking CLI.
 """
 
-from .bench import CSV_COLUMNS, RunMetrics, emit_csv, parse_bench_config, read_metrics_csv, run_bench
+from .bench import CSV_COLUMNS, RunMetrics, parse_bench_config, read_metrics_csv, run_bench
 from .distributed import DistributedRun, SolverAgent, solve_distributed
 from .errors import (
     BoundOverflowError,
@@ -24,9 +24,7 @@ from .mastn import (
     ExternalConstraint,
     FlatIndex,
     Mastn,
-    agent_adjacency,
     agent_view,
-    components,
     flatten,
     parse_mastn,
     serialize_mastn,

@@ -69,30 +69,17 @@ class RunMetrics:
         return [getattr(self, col) for col in CSV_COLUMNS]
 
 
-def emit_csv(rows: list[RunMetrics], path) -> None:
-    """Write metrics in run order; RFC-4180 quoting, stable line endings."""
-    if hasattr(path, "write"):
-        _write_csv(rows, path)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        _write_csv(rows, fp)
-
-
-def _write_csv(rows: list[RunMetrics], fp) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(row.row())
-
-
 def csv_text(rows: list[RunMetrics]) -> str:
+    """Metrics in run order as CSV text; RFC-4180 quoting, LF line ends."""
     buf = io.StringIO()
-    _write_csv(rows, buf)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(row.row() for row in rows)
     return buf.getvalue()
 
 
 def read_metrics_csv(path) -> list[RunMetrics]:
-    """Reparse an emitted CSV; inverse of emit_csv."""
+    """Reparse an emitted CSV; inverse of csv_text."""
     if hasattr(path, "read"):
         reader = csv.reader(path)
         return _rows_from(reader)

@@ -3,8 +3,9 @@
 Subcommands: solve (centralized closure), oracle (shortest-path
 cross-check), dsolve (distributed run in the simulated runtime), gen
 (workload files), bench (parameter sweeps to CSV).  Exit codes: 0 the
-instance is consistent, 1 inconsistent, 2 usage or I/O errors.  The
-STNAC_SEED environment variable supplies default seeds.
+instance is consistent, 1 inconsistent, 2 usage or I/O errors; a reader
+that closes stdout early ends the run quietly with 0.  The STNAC_SEED
+environment variable supplies default seeds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import emit_csv, parse_bench_config, run_bench
+from .bench import csv_text, parse_bench_config, run_bench
 from .distributed import solve_distributed
 from .errors import StnacError
 from .mastn import parse_mastn
@@ -112,6 +113,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
+    except BrokenPipeError:
+        # the reader closed early and wants no more output; point stdout at
+        # the null device so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CONSISTENT
     except StnacError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -198,22 +206,22 @@ def _cmd_gen(args) -> int:
             params[key] = value
     seed = args.seed if args.seed is not None else _default_seed()
     spec = GenSpec(args.family, seed, params)
-    text = render_generated(generate(spec), spec)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_output(render_generated(generate(spec), spec), args.output)
     return EXIT_CONSISTENT
 
 
 def _cmd_bench(args) -> int:
     cfg = parse_bench_config(Path(args.config).read_text(encoding="utf-8"))
-    rows = run_bench(cfg)
-    if args.output:
-        emit_csv(rows, args.output)
-    else:
-        emit_csv(rows, sys.stdout)
+    _write_output(csv_text(run_bench(cfg)), args.output)
     return EXIT_CONSISTENT
+
+
+def _write_output(text: str, output: str | None) -> None:
+    """Write text to the file named by -o/--output, or to stdout."""
+    if output:
+        Path(output).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from itertools import chain
 
 from .errors import ProtocolError
 from .intervals import Interval, interval
-from .mastn import AgentView, Mastn, agent_adjacency, agent_view, components
+from .mastn import AgentView, Mastn, agent_view
 from .sim import (
     AgentMessage,
     LogEntry,
@@ -184,13 +184,13 @@ class SolverAgent:
         self._feedback_pending.discard(msg.sender)
         if self._feedback_pending:
             return
-        if not self._inquiry_seen and not self.tree.is_root:
-            self._fail("feedback complete before the inquiry arrived")
-        if self.tree.is_root:
+        if self.tree.parent is None:
             self._originate_broadcast(MsgKind.ARC_CONSISTENT, k=self.k)
             self._finish("consistent")
-        else:
+        elif self._inquiry_seen:
             self._emit(MsgKind.FEEDBACK, self.tree.parent, k=self.k)
+        else:
+            self._fail("feedback complete before the inquiry arrived")
 
     def _on_arc_consistent(self, msg: AgentMessage) -> None:
         self._forward_broadcast(msg)
@@ -264,7 +264,7 @@ class SolverAgent:
             return
         self.phase = Phase.AWAIT_TERMINATION
         self._feedback_pending = set(self.tree.children)
-        if self.tree.is_root:
+        if self.tree.parent is None:
             if not self.tree.children:
                 self._finish("consistent")  # single-agent component
                 return
@@ -274,7 +274,7 @@ class SolverAgent:
             self._handle_inquiry()
 
     def _handle_inquiry(self) -> None:
-        if self.tree.is_leaf:
+        if not self.tree.children:
             self._emit(MsgKind.FEEDBACK, self.tree.parent, k=self.k)
         else:
             for child in self.tree.children:
@@ -333,24 +333,27 @@ class DistributedRun:
 def solve_distributed(m: Mastn, cfg: SimConfig | None = None) -> DistributedRun:
     """Run the full protocol: setup wave per component, then the solve run.
 
-    On consistent input the per-agent domains equal the centralized closure
-    of the flattened network; on inconsistent input every agent of the
-    affected component reports the inconsistent verdict.  Disconnected
-    agent graphs run one protocol instance per component inside the same
-    simulation; the overall verdict is inconsistent when any component is.
+    Setup reads only the agent views: a wave starts at each agent no
+    earlier wave reached, in ascending id, so each component's root is its
+    lowest id.  On consistent input the per-agent domains equal the
+    centralized closure of the flattened network; on inconsistent input
+    every agent of the affected component reports the inconsistent verdict.
+    Disconnected agent graphs run one protocol instance per component inside
+    the same simulation; the overall verdict is inconsistent when any is.
     """
     if cfg is None:
         cfg = SimConfig()
     m.validate()
     views = [agent_view(m, i) for i in range(m.p)]
-    adjacency = agent_adjacency(m)
-    var_counts = {i: m.agents[i].n for i in range(m.p)}
+    neighbors = [view.neighbors for view in views]
+    sizes = [view.stn.n for view in views]
     trees: dict[int, TreeInfo] = {}
     setup_msgs: list[AgentMessage] = []
-    for comp in components(adjacency, m.p):
-        tree, delivered = echo_setup(comp, adjacency, var_counts)
-        trees.update(tree)
-        setup_msgs.extend(delivered)
+    for root in range(m.p):
+        if root not in trees:
+            tree, delivered = echo_setup(root, neighbors, sizes)
+            trees.update(tree)
+            setup_msgs.extend(delivered)
     agents = [SolverAgent(views[i], trees[i]) for i in range(m.p)]
     # the solve run's deliveries are numbered on after the setup wave's
     log = [LogEntry(i + 1, msg) for i, msg in enumerate(setup_msgs)]

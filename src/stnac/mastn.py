@@ -24,7 +24,6 @@ and body writer, so endpoints here have the same fixed magnitude cap.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import FormatError, ValidationError
@@ -211,36 +210,6 @@ def agent_view(m: Mastn, i: int) -> AgentView:
         neighbors=tuple(sorted(neighbors)),
         shared_with={j: tuple(sorted(vs)) for j, vs in sorted(per_neighbor.items())},
     )
-
-
-def agent_adjacency(m: Mastn) -> dict[int, tuple[int, ...]]:
-    """The agent graph: an edge between agents sharing an external constraint."""
-    adj: dict[int, set[int]] = {i: set() for i in range(m.p)}
-    for (i, _), (j, _) in m._ext:
-        adj[i].add(j)
-        adj[j].add(i)
-    return {i: tuple(sorted(js)) for i, js in adj.items()}
-
-
-def components(adjacency: dict[int, tuple[int, ...]], p: int) -> list[list[int]]:
-    """Connected components of the agent graph, each sorted, ordered by minimum id."""
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for start in range(p):
-        if start in seen:
-            continue
-        comp = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            x = queue.popleft()
-            comp.append(x)
-            for y in adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        comps.append(sorted(comp))
-    return comps
 
 
 def parse_mastn(text: str) -> Mastn:

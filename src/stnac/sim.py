@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .errors import DeadlockError, RunawayError, ValidationError
 from .intervals import Interval
@@ -44,7 +45,7 @@ class MsgKind(Enum):
     ECHO_REPLY = "EchoReply"
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentMessage:
     """One protocol message.
 
@@ -76,7 +77,7 @@ class SimConfig:
             raise ValidationError("latency must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     step: int
     message: AgentMessage
@@ -168,87 +169,81 @@ def _describe(agent) -> str:
 
 @dataclass(frozen=True)
 class TreeInfo:
-    """What one agent learns from the setup wave."""
+    """What one agent learns from the setup wave; the root's parent is None."""
 
     parent: int | None
     children: tuple[int, ...]
-    is_root: bool
-    is_leaf: bool
     n_total: int  # component variable count plus one for the zero point
 
 
 def echo_setup(
-    component: list[int],
-    adjacency: dict[int, tuple[int, ...]],
-    var_counts: dict[int, int],
+    root: int, neighbors: Sequence[Sequence[int]], sizes: Sequence[int]
 ) -> tuple[dict[int, TreeInfo], list[AgentMessage]]:
-    """Build a rooted spanning tree of one connected component with a probe wave.
+    """Build a rooted spanning tree of root's component with a probe wave.
 
-    The root is the lowest agent id.  Probes fan out in FIFO order, so each
-    agent adopts as parent its first prober, which is its lowest-id neighbor
-    one hop closer to the root: a breadth-first tree.  Once an agent has a
-    parent and has heard from every neighbor it replies to its parent with
-    its subtree's agent and variable totals; the root's total, plus one for
-    the zero time point, becomes everyone's n_total.  Returns the tree and
-    the delivered messages in delivery order.
+    Each agent i acts on its own view only: its agent-graph neighbors
+    `neighbors[i]` and its variable count `sizes[i]`.  Probes fan out from
+    the root in FIFO order, so each agent adopts as parent its first
+    prober, which is its lowest-id neighbor one hop closer to the root: a
+    breadth-first tree.  Once an agent has a parent and has heard from
+    every neighbor it replies to its parent with its subtree's agent and
+    variable totals; the root's total, plus one for the zero time point,
+    becomes everyone's n_total.  Returns the tree, keyed by the agents the
+    wave reached (root's component; a lone root sends nothing), and the
+    delivered messages in delivery order.
 
     Setup messages never touch the logical clocks: no constraint checks have
     happened yet, and their cost is reported separately from the solve run.
     """
-    comp = sorted(component)
-    root = comp[0]
-    if len(comp) == 1:
-        return {root: TreeInfo(None, (), True, True, var_counts[root] + 1)}, []
-
-    parent: dict[int, int | None] = {root: None}
-    heard: dict[int, set[int]] = {i: set() for i in comp}
-    children: dict[int, list[int]] = {i: [] for i in comp}
-    agg_agents = {i: 1 for i in comp}
-    agg_vars = {i: var_counts[i] for i in comp}
+    parent: dict[int, int | None] = {}
+    # each neighbor sends i exactly one message, a probe or a reply, so i
+    # replies once and last, when it has heard from all of them
+    unheard: dict[int, int] = {}
+    children: dict[int, list[int]] = {}
+    agg_agents: dict[int, int] = {}
+    agg_vars: dict[int, int] = {}
     delivered: list[AgentMessage] = []
     queue: deque[AgentMessage] = deque()
 
-    def send(kind: MsgKind, s: int, r: int, **fields) -> None:
-        queue.append(AgentMessage(kind, s, r, **fields))
+    def join(i: int, p: int | None) -> None:
+        """Agent i adopts parent p and probes its other neighbors."""
+        parent[i] = p
+        unheard[i] = len(neighbors[i])
+        children[i] = []
+        agg_agents[i] = 1
+        agg_vars[i] = sizes[i]
+        for j in neighbors[i]:
+            if j != p:
+                queue.append(AgentMessage(MsgKind.ECHO_PROBE, i, j))
 
-    for j in adjacency[root]:
-        send(MsgKind.ECHO_PROBE, root, j)
+    join(root, None)
     while queue:
         msg = queue.popleft()
         delivered.append(msg)
         i = msg.receiver
         if msg.kind is MsgKind.ECHO_PROBE:
             if i not in parent:
-                parent[i] = msg.sender
-                for j in adjacency[i]:
-                    if j != msg.sender:
-                        send(MsgKind.ECHO_PROBE, i, j)
+                join(i, msg.sender)
         else:
             children[i].append(msg.sender)
             agg_agents[i] += msg.subtree_agents
             agg_vars[i] += msg.subtree_vars
-        heard[i].add(msg.sender)
-        # each neighbor sends i one message, so i replies once and last (the
-        # root has no parent to reply to)
-        if parent[i] is not None and heard[i].issuperset(adjacency[i]):
-            send(
-                MsgKind.ECHO_REPLY,
-                i,
-                parent[i],
-                subtree_agents=agg_agents[i],
-                subtree_vars=agg_vars[i],
+        unheard[i] -= 1
+        if not unheard[i] and parent[i] is not None:  # the root has no parent
+            queue.append(
+                AgentMessage(
+                    MsgKind.ECHO_REPLY,
+                    i,
+                    parent[i],
+                    subtree_agents=agg_agents[i],
+                    subtree_vars=agg_vars[i],
+                )
             )
 
     n_total = agg_vars[root] + 1
     tree = {
-        i: TreeInfo(
-            parent=parent[i],
-            children=tuple(sorted(children[i])),
-            is_root=i == root,
-            is_leaf=not children[i],
-            n_total=n_total,
-        )
-        for i in comp
+        i: TreeInfo(parent=p, children=tuple(sorted(children[i])), n_total=n_total)
+        for i, p in parent.items()
     }
     return tree, delivered
 

@@ -93,7 +93,13 @@ Arc = tuple[int, int | None, int | None, bool]
 def build_arcs(n: int, pairs: Iterable[tuple[int, int, Interval]]) -> list[list[Arc]]:
     """Per-variable incoming update arcs, sources in ascending order.
 
-    `pairs` yields (v, w, interval from v to w) over the vertices 0..n-1.
+    `pairs` yields (v, w, interval from v to w) over the vertices 0..n-1,
+    and must name each vertex's partners in ascending order, since the
+    lists are filled in input order and never sorted.  `Stn.pairs()` does
+    (v < w, ascending), and so does an agent's chain of those pairs and
+    then its ghost arcs: the ghost slots are numbered above its own
+    variables in peer (agent, var) order, the order in which each
+    variable's external constraints come.
     """
     arcs: list[list[Arc]] = [[] for _ in range(n)]
     for v, w, ivl in pairs:
@@ -105,8 +111,6 @@ def build_arcs(n: int, pairs: Iterable[tuple[int, int, Interval]]) -> list[list[
         # from w to v the constraint is [-b, -a]
         arcs[v].append((w, None if b is None else -b, None if a is None else -a, False))
         arcs[w].append((v, a, b, False))
-    for lst in arcs:
-        lst.sort(key=lambda arc: arc[0])
     return arcs
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from stnac import FormatError, RunMetrics, emit_csv, parse_bench_config, read_metrics_csv, run_bench
+from stnac import FormatError, RunMetrics, parse_bench_config, read_metrics_csv, run_bench
 from stnac.bench import CSV_COLUMNS, csv_text
 
 
@@ -26,7 +26,7 @@ class TestCsv:
             metrics('tricky, "quoted"', verdict="inconsistent", nccc=5),
         ]
         path = tmp_path / "out.csv"
-        emit_csv(rows, path)
+        path.write_text(csv_text(rows), encoding="utf-8")
         assert read_metrics_csv(path) == rows
 
     def test_rejects_foreign_header(self):

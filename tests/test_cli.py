@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from conftest import SAMPLES
@@ -248,3 +252,25 @@ class TestBench:
         cfg.write_text("nonsense\n")
         code, _, err = run_cli(capsys, "bench", str(cfg))
         assert code == 2
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_is_not_an_error(self, tmp_path):
+        # 3,000 rows (about 164 KB of CSV) outgrow the pipe buffer, so the
+        # reader goes while bench is still writing
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("family = random-stn\nsweep = n\nvalues = 2\nseeds = 3000\ndensity = 1\n")
+        src = str(SAMPLES.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stnac.cli", "bench", str(cfg)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline().startswith(b"instance,n,e,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (0, b"")

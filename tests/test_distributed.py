@@ -10,7 +10,6 @@ from stnac import (
     ProtocolError,
     SimConfig,
     Stn,
-    agent_adjacency,
     agent_view,
     enforce_ac,
     flatten,
@@ -21,7 +20,7 @@ from stnac import (
 )
 from stnac.distributed import Phase, SolverAgent
 from stnac.sim import TreeInfo, audit_privacy, echo_setup
-from stnac.workloads import gen_random_mastn
+from stnac.workloads import gen_factory_mastn, gen_random_mastn
 
 
 def wrap_single(net: Stn) -> Mastn:
@@ -137,6 +136,47 @@ class TestSharedGhostSlot:
         assert (run.verdict, run.agent_checks, run.nccc) == ("inconsistent", checks, nccc)
 
 
+class TestArcOrder:
+    def test_ring4_agent_reads_ghosts_after_locals(self):
+        # agent 0 of ring4: variable 0 reads its partner 1 and the ghost of
+        # (1, 0) in slot 2; variable 1 reads 0 and the ghost of (3, 0) in slot 3
+        view = agent_view(parse_mastn((SAMPLES / "ring4.mastn").read_text()), 0)
+        agent = SolverAgent(view, TreeInfo(parent=None, children=(1, 3), n_total=9))
+        assert [[arc[0] for arc in lst] for lst in agent._arcs] == [[1, 2], [0, 3]]
+
+    def test_sources_ascend_for_every_factory_agent(self):
+        m = gen_factory_mastn(agents=6, tasks=30, seed=1)
+        for i in range(m.p):
+            agent = SolverAgent(agent_view(m, i), TreeInfo(parent=None, children=(), n_total=1))
+            for lst in agent._arcs:
+                sources = [arc[0] for arc in lst]
+                assert sources == sorted(set(sources))
+
+
+class TestSetupWaves:
+    # components {0, 3} and {1, 2, 4}: one wave from 0, then one from 1
+    TEXT = (
+        "mastn 5\n"
+        + "".join(f"agent {i}\ndomain 0 0 50\n" for i in range(5))
+        + "external 0 0 3 0 0 10\nexternal 1 0 4 0 0 10\nexternal 2 0 4 0 0 10\n"
+    )
+
+    def test_one_wave_per_component_in_root_order(self):
+        run = solve_distributed(parse_mastn(self.TEXT))
+        setup = [(e.step, e.message.sender, e.message.receiver, e.message.kind) for e in run.log]
+        probe, reply = MsgKind.ECHO_PROBE, MsgKind.ECHO_REPLY
+        assert setup[: run.setup_messages] == [
+            (1, 0, 3, probe),
+            (2, 3, 0, reply),
+            (3, 1, 4, probe),
+            (4, 4, 2, probe),
+            (5, 2, 4, reply),
+            (6, 4, 1, reply),
+        ]
+        assert all(kind not in (probe, reply) for *_, kind in setup[run.setup_messages :])
+        assert run.verdict == "consistent"
+
+
 class TestScheduleIndependence:
     def test_result_stable_across_seeds(self):
         m = gen_random_mastn(agents=4, activities=3, externals=6, wmin=-6, wmax=9,
@@ -249,7 +289,7 @@ class TestProtocolProperties:
 class TestBroadcastDedup:
     def test_duplicate_broadcast_ignored(self):
         view = agent_view(split_cycle3(), 1)
-        tree = TreeInfo(parent=0, children=(2,), is_root=False, is_leaf=False, n_total=4)
+        tree = TreeInfo(parent=0, children=(2,), n_total=4)
         agent = SolverAgent(view, tree)
         agent.on_start()
         first = AgentMessage(MsgKind.INCONSISTENT, 0, 1, origin=0)
@@ -272,7 +312,7 @@ class TestAgentStep:
         m.add_external(0, 0, 1, 0, interval(-50, 50))
         m.add_external(1, 0, 2, 0, interval(-50, 50))
         view = agent_view(m, 1)
-        tree = TreeInfo(parent=0, children=(2,), is_root=False, is_leaf=False, n_total=4)
+        tree = TreeInfo(parent=0, children=(2,), n_total=4)
         agent = SolverAgent(view, tree)
         out = agent.on_start()
         assert [(msg.kind, msg.receiver) for msg in out] == [
@@ -302,7 +342,7 @@ class TestAgentStep:
             a.set_domain(0, interval(0, 10))
         m.add_external(0, 0, 1, 0, interval(-5, 5))
         view = agent_view(m, 1)
-        tree = TreeInfo(parent=0, children=(), is_root=False, is_leaf=True, n_total=3)
+        tree = TreeInfo(parent=0, children=(), n_total=3)
         agent = SolverAgent(view, tree)
         agent.on_start()
         agent.on_message(AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1,
@@ -326,7 +366,7 @@ def ring4_feedback(sender: int, k: int) -> AgentMessage:
 class TestProtocolErrors:
     def test_unexpected_echo_probe(self):
         view = agent_view(split_cycle3(), 0)
-        tree = TreeInfo(parent=None, children=(1, 2), is_root=True, is_leaf=False, n_total=4)
+        tree = TreeInfo(parent=None, children=(1, 2), n_total=4)
         agent = SolverAgent(view, tree)
         agent.on_start()
         with pytest.raises(ProtocolError):
@@ -334,7 +374,7 @@ class TestProtocolErrors:
 
     def test_inquiry_from_non_parent(self):
         view = agent_view(split_cycle3(), 1)
-        tree = TreeInfo(parent=0, children=(2,), is_root=False, is_leaf=False, n_total=4)
+        tree = TreeInfo(parent=0, children=(2,), n_total=4)
         agent = SolverAgent(view, tree)
         agent.on_start()
         with pytest.raises(ProtocolError):
@@ -343,7 +383,7 @@ class TestProtocolErrors:
     def ring4_agent0(self) -> SolverAgent:
         # agent 0 reads (1, 0) from agent 1 and (3, 0) from agent 3
         view = agent_view(parse_mastn((SAMPLES / "ring4.mastn").read_text()), 0)
-        tree = TreeInfo(parent=None, children=(1, 3), is_root=True, is_leaf=False, n_total=8)
+        tree = TreeInfo(parent=None, children=(1, 3), n_total=8)
         agent = SolverAgent(view, tree)
         agent.on_start()
         return agent
@@ -384,12 +424,21 @@ class TestProtocolErrors:
                 + [AgentMessage(MsgKind.INQUIRY, 0, 1, k=2)] * 2,
                 "duplicate inquiry for iteration 2",
             ),
+            (
+                # the same quiescent round, but child 2 answers an inquiry
+                # that agent 1 never received from its parent
+                1,
+                False,
+                [ring4_sync(j, k, 1) for k in (1, 2) for j in (0, 2)]
+                + [AgentMessage(MsgKind.FEEDBACK, 2, 1, k=2)],
+                "feedback complete before the inquiry arrived",
+            ),
         ],
     )
     def test_guard(self, agent_id, quiescent, msgs, match):
         m = parse_mastn((SAMPLES / "ring4.mastn").read_text())
-        adjacency = agent_adjacency(m)
-        trees, _ = echo_setup(list(range(m.p)), adjacency, {i: 2 for i in range(m.p)})
+        views = [agent_view(m, i) for i in range(m.p)]
+        trees, _ = echo_setup(0, [v.neighbors for v in views], [v.stn.n for v in views])
         agent = SolverAgent(agent_view(m, agent_id), trees[agent_id])
         agent.on_start()
         if quiescent:

@@ -6,9 +6,7 @@ from stnac import (
     Mastn,
     Stn,
     ValidationError,
-    agent_adjacency,
     agent_view,
-    components,
     flatten,
     interval,
     parse_mastn,
@@ -65,8 +63,8 @@ class TestFlatten:
 
     def test_ring_shape_agent_graph(self):
         m = parse_mastn((SAMPLES / "ring4.mastn").read_text())
-        adj = agent_adjacency(m)
-        assert adj == {0: (1, 3), 1: (0, 2), 2: (1, 3), 3: (0, 2)}
+        neighbors = [agent_view(m, i).neighbors for i in range(m.p)]
+        assert neighbors == [(1, 3), (0, 2), (1, 3), (0, 2)]
 
     def test_external_direction_preserved(self):
         m = two_agent_problem()
@@ -126,14 +124,6 @@ class TestExternals:
         m = two_agent_problem()
         assert m.total_vars == 4
         assert m.total_edges == 3
-
-
-class TestComponents:
-    def test_split_graph(self):
-        m = Mastn([local(1) for _ in range(4)])
-        m.add_external(0, 0, 2, 0, interval(0, 1))
-        comps = components(agent_adjacency(m), m.p)
-        assert comps == [[0, 2], [1], [3]]
 
 
 TWO_AGENTS = "mastn 2\nagent 0\ndomain 0 0 9\nagent 1\ndomain 0 0 9\n"

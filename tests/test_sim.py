@@ -13,7 +13,7 @@ from stnac import (
     parse_mastn,
     solve_distributed,
 )
-from stnac.sim import audit_privacy, dump_log, echo_setup, run_simulation
+from stnac.sim import TreeInfo, audit_privacy, dump_log, echo_setup, run_simulation
 
 
 class Courier:
@@ -219,36 +219,43 @@ class TestRunSimulation:
 
 class TestEchoSetup:
     def test_ring_of_four(self):
-        adjacency = {0: (1, 3), 1: (0, 2), 2: (1, 3), 3: (0, 2)}
-        tree, messages = echo_setup([0, 1, 2, 3], adjacency, {i: 2 for i in range(4)})
+        neighbors = [(1, 3), (0, 2), (1, 3), (0, 2)]
+        tree, messages = echo_setup(0, neighbors, [2] * 4)
         assert tree[0].n_total == 9  # eight variables plus the zero point
         edges = sorted((tree[i].parent, i) for i in range(4) if tree[i].parent is not None)
         assert edges == [(0, 1), (0, 3), (1, 2)]
-        assert tree[0].is_root and not tree[0].is_leaf
-        assert tree[2].is_leaf
+        assert tree[0].parent is None and tree[0].children
+        assert not tree[2].children
         assert all(tree[i].n_total == 9 for i in range(4))
         assert messages  # probes and replies were exchanged
 
     def test_single_agent(self):
-        tree, messages = echo_setup([4], {4: ()}, {4: 3})
-        assert tree[4].n_total == 4
-        assert tree[4].is_root and tree[4].is_leaf
+        tree, messages = echo_setup(4, {4: ()}, {4: 3})
+        assert tree == {4: TreeInfo(parent=None, children=(), n_total=4)}
         assert messages == []
 
     def test_two_agents(self):
-        tree, messages = echo_setup([0, 1], {0: (1,), 1: (0,)}, {0: 1, 1: 2})
-        assert tree[0].is_root and tree[1].parent == 0
+        tree, messages = echo_setup(0, [(1,), (0,)], [1, 2])
+        assert tree[0].parent is None and tree[1].parent == 0
         assert tree[0].children == (1,)
         assert tree[0].n_total == tree[1].n_total == 4
         assert len(messages) == 2  # one probe, one reply
 
     def test_replies_aggregate_counts(self):
-        adjacency = {0: (1,), 1: (0, 2), 2: (1,)}
-        tree, messages = echo_setup([0, 1, 2], adjacency, {0: 5, 1: 7, 2: 11})
+        neighbors = [(1,), (0, 2), (1,)]
+        tree, messages = echo_setup(0, neighbors, [5, 7, 11])
         assert all(tree[i].n_total == 5 + 7 + 11 + 1 for i in range(3))
         reply = [m for m in messages if m.kind is MsgKind.ECHO_REPLY and m.sender == 1]
         assert reply[0].subtree_vars == 18
         assert reply[0].subtree_agents == 2
+
+    def test_wave_covers_only_its_component(self):
+        # agents 0 and 2 share an external constraint; 1 and 3 stand alone
+        neighbors = [(2,), (), (0,), ()]
+        tree, messages = echo_setup(0, neighbors, [1, 1, 1, 1])
+        assert sorted(tree) == [0, 2]
+        assert tree[0].n_total == tree[2].n_total == 3
+        assert {(m.sender, m.receiver) for m in messages} == {(0, 2), (2, 0)}
 
 
 class TestAuditPrivacy:

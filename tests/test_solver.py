@@ -235,6 +235,15 @@ class TestSweepOnce:
         assert list(out.domains) == [interval(a, b) for a, b in zip(lo, hi)]
 
 
+class TestBuildArcs:
+    def test_sources_ascend_without_a_sort(self):
+        # Stn.pairs() is ascending, so every arc list fills in source order
+        net = gen_random_stn(n=30, density=0.4, seed=5)
+        for lst in build_arcs(net.n, net.pairs()):
+            sources = [arc[0] for arc in lst]
+            assert sources == sorted(set(sources))
+
+
 class TestIsArcConsistent:
     def test_closure_is_arc_consistent(self):
         net = two_var_net()

@@ -144,10 +144,12 @@ class TestFactoryMastn:
         assert m.external_constraints() == []
 
     def test_agent_graph_connected(self):
-        from stnac.mastn import agent_adjacency, components
+        from stnac import agent_view, echo_setup
 
         m = gen_factory_mastn(agents=5, tasks=15, seed=3)
-        assert len(components(agent_adjacency(m), m.p)) == 1
+        views = [agent_view(m, i) for i in range(m.p)]
+        tree, _ = echo_setup(0, [v.neighbors for v in views], [v.stn.n for v in views])
+        assert sorted(tree) == list(range(m.p))
 
     def test_mid_range_point(self):
         m = gen_factory_mastn(agents=16, tasks=320, seed=0)
