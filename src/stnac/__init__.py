@@ -6,7 +6,7 @@ multi-agent runtime running the distributed protocol, workload generators,
 and a benchmarking CLI.
 """
 
-from .bench import CSV_COLUMNS, RunMetrics, parse_bench_config, read_metrics_csv, run_bench
+from .bench import CSV_COLUMNS, RunMetrics, parse_bench_config, run_bench
 from .distributed import DistributedRun, SolverAgent, solve_distributed
 from .errors import (
     BoundOverflowError,

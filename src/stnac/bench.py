@@ -2,13 +2,14 @@
 
 A bench configuration is a flat key=value text file ('#' comments).  One
 parameter sweeps over a value list; every (value, seed) pair generates one
-instance, runs it, and contributes one CSV row.  Metrics are counts, not
-wall time: wall_ms stays 0 unless ``timing = on`` is set, which keeps a
-default run byte-identical when repeated with the same seeds.
+instance, runs it, and contributes one CSV row.  The family decides the
+run: a single network (-stn) is solved by enforce_ac, a multi-agent one
+(-mastn) by solve_distributed.  Metrics are counts, not wall time: wall_ms
+stays 0 unless ``timing = on`` is set, which keeps a default run
+byte-identical when repeated with the same seeds.
 
 Recognized keys::
 
-    command    = solve | dsolve          (default by family kind)
     family     = random-stn | grid-stn | scale-free-stn
                  | random-mastn | factory-mastn
     sweep      = <parameter name>
@@ -19,7 +20,8 @@ Recognized keys::
     latency    = message latency for dsolve          (default 0)
     timing     = on | off                            (default off)
 
-Any other key is passed to the generator as an integer parameter.
+Any other key is passed to the generator as a number parameter; a key
+that names the swept parameter is an error, since the sweep sets it.
 """
 
 from __future__ import annotations
@@ -27,33 +29,21 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 from .distributed import solve_distributed
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 from .mastn import Mastn
 from .sim import SimConfig
 from .solver import AcClosure, enforce_ac
 from .stn import Stn, content_lines
-from .workloads import GenSpec, MASTN_FAMILIES, STN_FAMILIES, generate
-
-CSV_COLUMNS = (
-    "instance",
-    "n",
-    "e",
-    "agents",
-    "verdict",
-    "iterations",
-    "checks",
-    "nccc",
-    "messages",
-    "wall_ms",
-)
-_TEXT_COLUMNS = ("instance", "verdict")  # every other column is an integer count
+from .workloads import FAMILIES, GenSpec, generate
 
 
 @dataclass(frozen=True)
 class RunMetrics:
+    """One CSV row: the fields, in order, are the CSV columns."""
+
     instance: str
     n: int
     e: int
@@ -65,8 +55,8 @@ class RunMetrics:
     messages: int
     wall_ms: int
 
-    def row(self) -> list:
-        return [getattr(self, col) for col in CSV_COLUMNS]
+
+CSV_COLUMNS = tuple(f.name for f in fields(RunMetrics))
 
 
 def csv_text(rows: list[RunMetrics]) -> str:
@@ -74,36 +64,8 @@ def csv_text(rows: list[RunMetrics]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(row.row() for row in rows)
+    writer.writerows(astuple(row) for row in rows)
     return buf.getvalue()
-
-
-def read_metrics_csv(path) -> list[RunMetrics]:
-    """Reparse an emitted CSV; inverse of csv_text."""
-    if hasattr(path, "read"):
-        reader = csv.reader(path)
-        return _rows_from(reader)
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        return _rows_from(csv.reader(fp))
-
-
-def _rows_from(reader) -> list[RunMetrics]:
-    header = next(reader, None)
-    if header != list(CSV_COLUMNS):
-        raise FormatError(f"unexpected CSV header {header!r}")
-    out = []
-    for row in reader:
-        if len(row) != len(CSV_COLUMNS):
-            raise FormatError(f"bad CSV row {row!r}")
-        try:
-            cells = {
-                col: cell if col in _TEXT_COLUMNS else int(cell)
-                for col, cell in zip(CSV_COLUMNS, row)
-            }
-        except ValueError:
-            raise FormatError(f"bad CSV row {row!r}") from None
-        out.append(RunMetrics(**cells))
-    return out
 
 
 def parse_bench_config(text: str) -> dict:
@@ -129,35 +91,36 @@ def parse_bench_config(text: str) -> dict:
     family = take("family")
     if family is None:
         raise FormatError("bench config needs a 'family' key")
-    if family not in STN_FAMILIES + MASTN_FAMILIES:
+    if family not in FAMILIES:
         raise FormatError(f"unknown family {family!r}")
-    command = take("command", "dsolve" if family in MASTN_FAMILIES else "solve")
-    if command not in ("solve", "dsolve"):
-        raise FormatError(f"command must be solve or dsolve, got {command!r}")
-    if command == "dsolve" and family not in MASTN_FAMILIES:
-        raise FormatError(f"dsolve needs a multi-agent family, got {family!r}")
-    if command == "solve" and family not in STN_FAMILIES:
-        raise FormatError(f"solve needs a single-network family, got {family!r}")
     sweep = take("sweep")
     if sweep is None:
         raise FormatError("bench config needs a 'sweep' key")
     values_raw = take("values")
     if values_raw is None:
         raise FormatError("bench config needs a 'values' key")
+    try:
+        sim = SimConfig(
+            scheduler_seed=_as_int(take("sched-seed", "0"), "sched-seed"),
+            latency=_as_int(take("latency", "0"), "latency"),
+        )
+    except ValidationError as exc:
+        raise FormatError(str(exc)) from None
     out = {
-        "command": command,
         "family": family,
         "sweep": sweep,
         "values": [_as_int(v, "values") for v in values_raw.split(",")],
         "seeds": _as_int(take("seeds", "1"), "seeds"),
         "seed": _as_int(take("seed", "0"), "seed"),
-        "sched_seed": _as_int(take("sched-seed", "0"), "sched-seed"),
-        "latency": _as_int(take("latency", "0"), "latency"),
+        "sim": sim,
         "timing": _as_flag(take("timing", "off")),
         "params": {},
     }
     for key, (lineno, value) in cfg.items():
-        out["params"][key.replace("-", "_")] = _as_number(value, key)
+        name = key.replace("-", "_")
+        if name == sweep.replace("-", "_"):
+            raise FormatError(f"{key!r} is the swept parameter; 'values' sets it", lineno)
+        out["params"][name] = _as_number(value, key)
     if out["seeds"] < 1:
         raise FormatError("seeds must be at least 1")
     return out
@@ -211,8 +174,7 @@ def run_bench(cfg: dict) -> list[RunMetrics]:
 
 
 def _run_one(cfg: dict, instance: str, obj: Stn | Mastn) -> RunMetrics:
-    if cfg["command"] == "solve":
-        assert isinstance(obj, Stn)
+    if isinstance(obj, Stn):
         outcome = enforce_ac(obj)
         verdict = "consistent" if isinstance(outcome, AcClosure) else "inconsistent"
         return RunMetrics(
@@ -227,10 +189,7 @@ def _run_one(cfg: dict, instance: str, obj: Stn | Mastn) -> RunMetrics:
             messages=0,
             wall_ms=0,
         )
-    assert isinstance(obj, Mastn)
-    run = solve_distributed(
-        obj, SimConfig(scheduler_seed=cfg["sched_seed"], latency=cfg["latency"])
-    )
+    run = solve_distributed(obj, cfg["sim"])
     return RunMetrics(
         instance=instance,
         n=obj.total_vars,

@@ -364,7 +364,7 @@ def solve_distributed(m: Mastn, cfg: SimConfig | None = None) -> DistributedRun:
     return DistributedRun(
         verdict=verdict,
         agent_domains=agent_domains,
-        iterations=max(a.k for a in agents),
+        iterations=max((a.k for a in agents), default=0),
         checks=sum(a.checks for a in agents),
         domain_updates=sum(a.domain_updates for a in agents),
         nccc=report.nccc,

@@ -130,7 +130,7 @@ class Mastn:
 
 @dataclass(frozen=True)
 class FlatIndex:
-    """Bijection between (agent, local var) and indices of the flattened network."""
+    """Maps (agent, local var) to its index in the flattened network."""
 
     offsets: tuple[int, ...]
     sizes: tuple[int, ...]
@@ -139,14 +139,6 @@ class FlatIndex:
         if not 0 <= agent < len(self.sizes) or not 0 <= var < self.sizes[agent]:
             raise ValidationError(f"variable {var} of agent {agent} out of range")
         return self.offsets[agent] + var
-
-    def to_local(self, g: int) -> tuple[int, int]:
-        if not 0 <= g < sum(self.sizes):
-            raise ValidationError(f"global index {g} out of range")
-        # the last agent starting at or before g: agents without variables
-        # share their offset with the next agent, which owns g
-        agent = max(a for a, off in enumerate(self.offsets) if off <= g)
-        return agent, g - self.offsets[agent]
 
 
 def flatten(m: Mastn) -> tuple[Stn, FlatIndex]:

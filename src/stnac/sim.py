@@ -105,8 +105,6 @@ def run_simulation(agents: list, cfg: SimConfig, log: list[LogEntry] | None = No
     step is logged and counted, but on_message is not called and the
     agent's clock does not move.
     """
-    if not agents:
-        raise ValidationError("agent set must be non-empty")
     by_id = {}
     for a in agents:
         if a.agent_id in by_id:

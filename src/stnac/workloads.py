@@ -37,10 +37,6 @@ from .mastn import Mastn, serialize_mastn
 from .rng import SplitMix64
 from .stn import DEFAULT_MAGNITUDE_CAP, Stn, serialize_stn
 
-STN_FAMILIES = ("random-stn", "grid-stn", "scale-free-stn")
-MASTN_FAMILIES = ("random-mastn", "factory-mastn")
-
-
 @dataclass(frozen=True)
 class GenSpec:
     """A generator request: family name, seed, and family parameters."""

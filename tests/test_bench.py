@@ -1,9 +1,22 @@
+import csv
 import io
 from dataclasses import replace
 
 import pytest
 
-from stnac import FormatError, RunMetrics, parse_bench_config, read_metrics_csv, run_bench
+from stnac import (
+    AcClosure,
+    FormatError,
+    GenSpec,
+    RunMetrics,
+    SimConfig,
+    Stn,
+    enforce_ac,
+    generate,
+    parse_bench_config,
+    run_bench,
+    solve_distributed,
+)
 from stnac.bench import CSV_COLUMNS, csv_text
 
 
@@ -20,29 +33,15 @@ class TestCsv:
     def test_header_only_for_empty(self):
         assert csv_text([]) == "instance,n,e,agents,verdict,iterations,checks,nccc,messages,wall_ms\n"
 
-    def test_loss_free_round_trip(self, tmp_path):
+    def test_loss_free_round_trip(self):
         rows = [
             metrics("plain"),
             metrics('tricky, "quoted"', verdict="inconsistent", nccc=5),
         ]
-        path = tmp_path / "out.csv"
-        path.write_text(csv_text(rows), encoding="utf-8")
-        assert read_metrics_csv(path) == rows
-
-    def test_rejects_foreign_header(self):
-        with pytest.raises(FormatError):
-            read_metrics_csv(io.StringIO("a,b,c\n1,2,3\n"))
-
-    @pytest.mark.parametrize("cells", [9, 11])
-    def test_rejects_a_row_of_the_wrong_width(self, cells):
-        text = ",".join(CSV_COLUMNS) + "\n" + ",".join(["0"] * cells) + "\n"
-        with pytest.raises(FormatError, match="bad CSV row"):
-            read_metrics_csv(io.StringIO(text))
-
-    def test_rejects_a_non_integer_count(self):
-        text = ",".join(CSV_COLUMNS) + "\nx,abc,1,1,consistent,1,1,1,0,0\n"
-        with pytest.raises(FormatError, match="bad CSV row"):
-            read_metrics_csv(io.StringIO(text))
+        cells = list(csv.reader(io.StringIO(csv_text(rows))))
+        assert cells[0] == list(CSV_COLUMNS)
+        assert cells[2][:2] == ['tricky, "quoted"', "4"]
+        assert cells[1:] == [[str(getattr(r, col)) for col in CSV_COLUMNS] for r in rows]
 
     def test_column_set_is_fixed(self):
         assert CSV_COLUMNS == (
@@ -61,23 +60,30 @@ activities = 2
 externals = 3
 """
 
+# one small sweep point per generator family
+FAMILY_CASES = [
+    ("random-stn", "n", 5, {"density": 0.3}),
+    ("grid-stn", "rows", 2, {"cols": 3}),
+    ("scale-free-stn", "n", 6, {"m": 2}),
+    ("random-mastn", "agents", 2, {"activities": 2, "externals": 2}),
+    ("factory-mastn", "agents", 2, {"tasks": 2}),
+]
+
 
 class TestConfig:
     def test_parse(self):
         cfg = parse_bench_config(CONFIG)
-        assert cfg["command"] == "dsolve"
         assert cfg["values"] == [2, 3]
         assert cfg["seeds"] == 2
         assert cfg["params"] == {"activities": 2, "externals": 3}
         assert cfg["timing"] is False
+        assert cfg["sim"] == SimConfig()
+        cfg = parse_bench_config(CONFIG + "sched-seed = 4\nlatency = 3\n")
+        assert cfg["sim"] == SimConfig(scheduler_seed=4, latency=3)
 
     def test_missing_family(self):
         with pytest.raises(FormatError):
             parse_bench_config("sweep = n\nvalues = 1\n")
-
-    def test_solve_needs_stn_family(self):
-        with pytest.raises(FormatError):
-            parse_bench_config("family = random-mastn\ncommand = solve\nsweep = agents\nvalues = 2\n")
 
     def test_duplicate_key(self):
         with pytest.raises(FormatError):
@@ -86,8 +92,12 @@ class TestConfig:
     @pytest.mark.parametrize(
         "text, match",
         [
-            ("family = random-stn\ncommand = run\nsweep = n\nvalues = 2\n", "solve or dsolve"),
-            ("family = random-stn\ncommand = dsolve\nsweep = n\nvalues = 2\n", "multi-agent family"),
+            ("family = random-mastn\ncommand = dsolve\nsweep = agents\nvalues = 2\n",
+             "command must be a number"),
+            ("family = random-stn\nsweep = n\nvalues = 2\nlatency = -1\n",
+             "latency must be non-negative"),
+            ("family = random-stn\nsweep = n\nvalues = 2\nn = 50\n",
+             "line 4: 'n' is the swept parameter"),
             ("family = random-stn\nvalues = 2\n", "'sweep' key"),
             ("family = random-stn\nsweep = n\n", "'values' key"),
             ("family = random-stn\nsweep = n\nvalues = 2,x\n", "values must be an integer"),
@@ -144,3 +154,31 @@ class TestRunBench:
     def test_determinism(self):
         cfg = parse_bench_config(CONFIG)
         assert csv_text(run_bench(cfg)) == csv_text(run_bench(cfg))
+
+    @pytest.mark.parametrize(
+        "family, sweep, value, params", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES]
+    )
+    def test_family_decides_the_run(self, family, sweep, value, params):
+        text = f"family = {family}\nsweep = {sweep}\nvalues = {value}\n"
+        text += "".join(f"{k} = {v}\n" for k, v in params.items())
+        [row] = run_bench(parse_bench_config(text))
+        obj = generate(GenSpec(family, 0, {**params, sweep: value}))
+        if isinstance(obj, Stn):
+            outcome = enforce_ac(obj)
+            verdict = "consistent" if isinstance(outcome, AcClosure) else "inconsistent"
+            expected = (1, verdict, outcome.iterations, outcome.checks, outcome.checks, 0)
+        else:
+            run = solve_distributed(obj, SimConfig())
+            expected = (obj.p, run.verdict, run.iterations, run.checks, run.nccc, run.messages)
+        assert (row.agents, row.verdict, row.iterations, row.checks, row.nccc, row.messages) == expected
+
+    def test_sim_keys_reach_the_distributed_run(self):
+        text = (
+            "family = random-mastn\nsweep = agents\nvalues = 3\n"
+            "activities = 2\nexternals = 3\nsched-seed = 3\nlatency = 2\n"
+        )
+        [row] = run_bench(parse_bench_config(text))
+        obj = generate(GenSpec("random-mastn", 0, {"agents": 3, "activities": 2, "externals": 3}))
+        run = solve_distributed(obj, SimConfig(scheduler_seed=3, latency=2))
+        assert (row.nccc, row.messages) == (run.nccc, run.messages)
+        assert row.nccc != solve_distributed(obj, SimConfig()).nccc

@@ -148,6 +148,13 @@ class TestDsolve:
             logs.append(path.read_bytes())
         assert logs[0] == logs[1]
 
+    def test_empty_problem_is_consistent(self, capsys, tmp_path):
+        # the flattened network, stn 0, is consistent too
+        mastn = tmp_path / "empty.mastn"
+        mastn.write_text("mastn 0\n")
+        code, out, err = run_cli(capsys, "dsolve", str(mastn), "--audit-privacy")
+        assert (code, out, err) == (0, "privacy: pass\n", "")
+
     def test_latency_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "dsolve", str(SAMPLES / "ring4.mastn"), "--latency", "4"

@@ -222,6 +222,11 @@ class TestProtocolProperties:
                 run = solve_distributed(m, SimConfig(scheduler_seed=sched))
                 assert_matches_central(m, run)
 
+    def test_empty_mastn_is_consistent(self):
+        run = solve_distributed(parse_mastn("mastn 0\n"))
+        assert (run.verdict, run.agent_domains, run.iterations) == ("consistent", [], 0)
+        assert (run.checks, run.nccc, run.messages, run.setup_messages) == (0, 0, 0, 0)
+
     def test_disconnected_agent_graph(self):
         m = gen_random_mastn(agents=4, activities=2, externals=0, seed=2)
         run = solve_distributed(m)

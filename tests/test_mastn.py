@@ -37,16 +37,6 @@ class TestFlatten:
         assert flat.n == 4
         assert flat.e == 3  # one local edge per agent plus the external
         assert fi.to_global(1, 0) == 2
-        assert fi.to_local(3) == (1, 1)
-
-    def test_to_local_rejects_indices_past_the_last_variable(self):
-        text = "mastn 3\nagent 0\ndomain 0 0 10\nagent 1\nagent 2\ndomain 0 0 10\n"
-        flat, fi = flatten(parse_mastn(text))
-        assert flat.n == 2
-        assert [fi.to_local(g) for g in range(2)] == [(0, 0), (2, 0)]
-        for g in (2, 3, -1):
-            with pytest.raises(ValidationError):
-                fi.to_local(g)
 
     def test_to_global_rejects_unknown_agents_and_variables(self):
         _, fi = flatten(parse_mastn((SAMPLES / "ring4.mastn").read_text()))

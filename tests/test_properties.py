@@ -118,7 +118,7 @@ BENCH_CONFIGS = st.sampled_from(
     [
         "family = random-stn\nsweep = n\nvalues = 5,8\ndensity = 0.3\ntiming = on\n",
         "# agents\nfamily = random-mastn\nsweep = agents\nvalues = 2,3\nseeds = 2\n"
-        "command = dsolve\nsched-seed = 4\nlatency = 1\n",
+        "sched-seed = 4\nlatency = 1\n",
     ]
 )
 

@@ -184,7 +184,6 @@ class TestRunSimulation:
     @pytest.mark.parametrize(
         "agents, match",
         [
-            ([], "non-empty"),
             ([Sleeper(0), Sleeper(0)], "duplicate agent id 0"),
             ([PingPong(0, 7)], "unknown agent 7"),
         ],
@@ -192,6 +191,10 @@ class TestRunSimulation:
     def test_bad_agent_set_rejected(self, agents, match):
         with pytest.raises(ValidationError, match=match):
             run_simulation(agents, SimConfig())
+
+    def test_empty_agent_set_runs_to_an_empty_report(self):
+        report = run_simulation([], SimConfig())
+        assert (report.log, report.histogram, report.nccc, report.steps) == ([], {}, 0, 0)
 
     def test_latency_must_be_non_negative(self):
         with pytest.raises(Exception):
