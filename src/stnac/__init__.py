@@ -18,7 +18,7 @@ from .errors import (
     StnacError,
     ValidationError,
 )
-from .intervals import EMPTY, Interval, interval, point
+from .intervals import EMPTY, Interval, interval
 from .mastn import (
     AgentView,
     ExternalConstraint,
@@ -32,8 +32,6 @@ from .mastn import (
 from .oracle import (
     NegativeCycle,
     certify_cycle,
-    minimal_constraint_matrix,
-    oracle_minimal_constraint,
     oracle_minimal_domains,
 )
 from .rng import SplitMix64
@@ -56,7 +54,6 @@ from .solver import (
     AcOutcome,
     enforce_ac,
     extract_bound_solution,
-    is_arc_consistent,
     sample_solution,
     verify_assignment,
 )

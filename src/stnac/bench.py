@@ -20,8 +20,11 @@ Recognized keys::
     latency    = message latency for dsolve          (default 0)
     timing     = on | off                            (default off)
 
-Any other key is passed to the generator as a number parameter; a key
-that names the swept parameter is an error, since the sweep sets it.
+Every other key is a number parameter of the family's generator, and
+'sweep' must name one too: both are checked against
+workloads.parameters at parse time, so a misspelt key fails with its
+line number.  A key that names the swept parameter is an error, since
+the sweep sets it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .mastn import Mastn
 from .sim import SimConfig
 from .solver import AcClosure, enforce_ac
 from .stn import Stn, content_lines
-from .workloads import FAMILIES, GenSpec, generate
+from .workloads import FAMILIES, GenSpec, generate, parameters
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,13 @@ def parse_bench_config(text: str) -> dict:
         raise FormatError("bench config needs a 'family' key")
     if family not in FAMILIES:
         raise FormatError(f"unknown family {family!r}")
-    sweep = take("sweep")
+    known = parameters(family)
+    sweep_line, sweep = cfg.pop("sweep", (None, None))
     if sweep is None:
         raise FormatError("bench config needs a 'sweep' key")
+    swept = sweep.replace("-", "_")
+    if swept not in known:
+        raise FormatError(_unknown(family, sweep, known), sweep_line)
     values_raw = take("values")
     if values_raw is None:
         raise FormatError("bench config needs a 'values' key")
@@ -118,12 +125,18 @@ def parse_bench_config(text: str) -> dict:
     }
     for key, (lineno, value) in cfg.items():
         name = key.replace("-", "_")
-        if name == sweep.replace("-", "_"):
+        if name == swept:
             raise FormatError(f"{key!r} is the swept parameter; 'values' sets it", lineno)
+        if name not in known:
+            raise FormatError(_unknown(family, key, known), lineno)
         out["params"][name] = _as_number(value, key)
     if out["seeds"] < 1:
         raise FormatError("seeds must be at least 1")
     return out
+
+
+def _unknown(family: str, key: str, known: tuple[str, ...]) -> str:
+    return f"{family} has no parameter {key!r}; it takes {', '.join(known)}"
 
 
 def _as_int(value: str, key: str) -> int:

@@ -29,28 +29,15 @@ from .solver import (
     verify_assignment,
 )
 from .stn import parse_stn
-from .workloads import FAMILIES, GenSpec, generate, render_generated
+from .workloads import FAMILIES, GenSpec, generate, parameters, render_generated
 
 EXIT_CONSISTENT = 0
 EXIT_INCONSISTENT = 1
 EXIT_ERROR = 2
 
-# Generator parameters that `gen` takes as --flags, named as in GenSpec.params.
-GEN_FLAGS = (
-    "n",
-    "density",
-    "rows",
-    "cols",
-    "m",
-    "agents",
-    "activities",
-    "externals",
-    "tasks",
-    "wmin",
-    "wmax",
-    "horizon",
-    "consistent",
-)
+# Generator parameters that `gen` takes as --flags: every family's, named as
+# in GenSpec.params.
+GEN_FLAGS = tuple(dict.fromkeys(p for family in FAMILIES for p in parameters(family)))
 
 
 def _default_seed() -> int:

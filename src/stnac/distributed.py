@@ -75,7 +75,6 @@ class SolverAgent:
         self.max_sends = self.max_k * (deg + len(tree.children) + 1) + deg
         self.clock = 0
         self.checks = 0
-        self.domain_updates = 0
         self.done = False
         self.result: str | None = None
         self.k = 0
@@ -243,10 +242,9 @@ class SolverAgent:
             for slot, a, b in payload:
                 lo[slot] = a
                 hi[slot] = b
-        self._changed, emptied, checks, dom_updates = sweep_once(self._arcs, lo, hi, *self._parents)
+        self._changed, emptied, checks, _ = sweep_once(self._arcs, lo, hi, *self._parents)
         self.clock += checks
         self.checks += checks
-        self.domain_updates += dom_updates
         if emptied is not None:
             self._originate_broadcast(MsgKind.INCONSISTENT)
             self._finish("inconsistent")
@@ -321,7 +319,6 @@ class DistributedRun:
     agent_domains: list[tuple[Interval, ...]] | None
     iterations: int
     checks: int
-    domain_updates: int
     nccc: int
     messages: int
     setup_messages: int
@@ -366,7 +363,6 @@ def solve_distributed(m: Mastn, cfg: SimConfig | None = None) -> DistributedRun:
         agent_domains=agent_domains,
         iterations=max((a.k for a in agents), default=0),
         checks=sum(a.checks for a in agents),
-        domain_updates=sum(a.domain_updates for a in agents),
         nccc=report.nccc,
         messages=len(log),
         setup_messages=len(setup_msgs),

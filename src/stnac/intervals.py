@@ -61,15 +61,6 @@ class Interval:
             return False
         return self.hi is None or t <= self.hi
 
-    def issubset(self, other: Interval) -> bool:
-        if self.is_empty:
-            return True
-        if other.is_empty:
-            return False
-        lo_ok = other.lo is None or (self.lo is not None and self.lo >= other.lo)
-        hi_ok = other.hi is None or (self.hi is not None and self.hi <= other.hi)
-        return lo_ok and hi_ok
-
     def intersect(self, other: Interval) -> Interval:
         """Conjunction of the two constraints; EMPTY absorbs."""
         if self.is_empty or other.is_empty:
@@ -136,7 +127,3 @@ def interval(lo: int | None, hi: int | None) -> Interval:
     if lo is not None and hi is not None and lo > hi:
         return EMPTY
     return Interval(lo, hi)
-
-
-def point(t: int) -> Interval:
-    return Interval(t, t)

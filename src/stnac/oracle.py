@@ -20,11 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ValidationError
 from .intervals import Interval, interval
 from .stn import Stn
-
-_FW_LIMIT = 200  # all-pairs is a test fixture; cubic cost is capped on purpose
 
 
 @dataclass(frozen=True)
@@ -148,44 +145,3 @@ def oracle_minimal_domains(net: Stn) -> list[Interval] | NegativeCycle:
     dist_to, _, _ = _bellman_ford(nv, [(v, u, w) for u, v, w in edges], net.n)
     return [interval(-dist_to[v], dist_from[v]) for v in range(net.n)]
 
-
-def minimal_constraint_matrix(net: Stn) -> list[list[int | float]]:
-    """All-pairs shortest distances over variables plus the zero point.
-
-    Precondition: the network is consistent (check with
-    oracle_minimal_domains first); a negative diagonal raises.
-    """
-    net.validate()
-    if net.n > _FW_LIMIT:
-        raise ValidationError(f"all-pairs oracle is limited to n <= {_FW_LIMIT}")
-    nv = net.n + 1
-    inf = float("inf")
-    dist = [[inf] * nv for _ in range(nv)]
-    for i in range(nv):
-        dist[i][i] = 0
-    for u, v, w in _edges(net):
-        if w < dist[u][v]:
-            dist[u][v] = w
-    for k in range(nv):
-        dk = dist[k]
-        for i in range(nv):
-            dik = dist[i][k]
-            if dik == inf:
-                continue
-            di = dist[i]
-            for j in range(nv):
-                nd = dik + dk[j]
-                if nd < di[j]:
-                    di[j] = nd
-    for i in range(nv):
-        if dist[i][i] < 0:
-            raise ValidationError("network is inconsistent; minimal constraints undefined")
-    return dist
-
-
-def oracle_minimal_constraint(net: Stn, v: int, w: int) -> Interval:
-    """Tightest relation from v to w implied by the whole network."""
-    if not 0 <= v < net.n or not 0 <= w < net.n:
-        raise ValidationError(f"unknown variable pair ({v}, {w})")
-    dist = minimal_constraint_matrix(net)
-    return interval(-dist[w][v], dist[v][w])

@@ -54,6 +54,3 @@ class SplitMix64:
         if p >= 1.0:
             return True
         return self.next_u64() < int(p * 18446744073709551616.0)
-
-    def choice(self, seq):
-        return seq[self.randbelow(len(seq))]

@@ -306,39 +306,6 @@ def enforce_ac(net: Stn, domains: Sequence[Interval] | None = None) -> AcOutcome
     return AcInconsistent(walk[0], sweeps, checks, dom_updates, certify_cycle(net, walk, start))
 
 
-def is_arc_consistent(
-    net: Stn, domains: Sequence[Interval] | None = None
-) -> tuple[bool, tuple[int, int] | None]:
-    """Test the subset criterion I_v issubset (I_w compose I_wv) everywhere.
-
-    Checks the domains as zero-point edges first (reported as the pair
-    (v, v)), then every stored pair in both directions.  Returns the first
-    violated arc, or (True, None).  Unlike the solver, the predicate takes
-    any domain vector, including empty domains, which simply fail their
-    zero-point test.
-    """
-    net.validate()
-    if domains is None:
-        cur = [net.domain(v) for v in range(net.n)]
-    else:
-        if len(domains) != net.n:
-            raise ValidationError(f"expected {net.n} domains, got {len(domains)}")
-        cur = list(domains)
-    zero = Interval(0, 0)
-    for v in range(net.n):
-        stored = net.domain(v)
-        if not cur[v].issubset(stored):
-            return False, (v, v)
-        if not zero.issubset(cur[v].compose(stored.inverse())):
-            return False, (v, v)
-    for v, w, ivl in net.pairs():
-        if not cur[v].issubset(cur[w].compose(ivl.inverse())):
-            return False, (v, w)
-        if not cur[w].issubset(cur[v].compose(ivl)):
-            return False, (w, v)
-    return True, None
-
-
 def extract_bound_solution(closure: AcClosure, side: str) -> Assignment:
     """All lower endpoints (side='lower') or all upper endpoints (side='upper').
 

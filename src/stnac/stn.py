@@ -58,7 +58,10 @@ class Stn:
             raise ValidationError(f"unknown variable {v} (network has {self.n})")
 
     def set_name(self, v: int, name: str) -> None:
+        """Name v; the name must be one .stn token: non-empty, no whitespace, no '#'."""
         self._check_var(v)
+        if "#" in name or name.split() != [name]:
+            raise ValidationError(f"variable name {name!r} is not a single token without '#'")
         if name in self._by_name and self._by_name[name] != v:
             raise ValidationError(f"duplicate variable name {name!r}")
         old = self._names[v]
@@ -130,11 +133,6 @@ class Stn:
         """Stored constraints as (v, w, interval) with v < w, ascending."""
         for key in sorted(self._cons):
             yield key[0], key[1], self._cons[key]
-
-    def neighbors(self, v: int) -> list[int]:
-        """Variables sharing a constraint with v, ascending; scans every pair."""
-        self._check_var(v)
-        return sorted(b if a == v else a for a, b in self._cons if v in (a, b))
 
     @property
     def e(self) -> int:

@@ -29,6 +29,7 @@ Families:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 from .errors import GenerationError
@@ -322,6 +323,11 @@ _GENERATORS = {
 }
 
 FAMILIES = tuple(_GENERATORS)
+
+
+def parameters(family: str) -> tuple[str, ...]:
+    """The parameter names a family's generator takes, besides its seed."""
+    return tuple(p for p in inspect.signature(_GENERATORS[family]).parameters if p != "seed")
 
 
 def generate(spec: GenSpec) -> Stn | Mastn:

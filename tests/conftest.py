@@ -6,6 +6,7 @@ import tempfile
 from pathlib import Path
 
 from stnac import Interval, Stn, interval
+from stnac.oracle import _bellman_ford, _edges
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -86,3 +87,30 @@ def assert_certificate(net, domains, out):
     weights = [edge_weight(net, domains, u, v) for u, v in zip(walk, walk[1:])]
     assert None not in weights
     assert sum(weights) == out.cycle.weight < 0
+
+
+def all_pairs_distances(net):
+    """dist[u][v], the shortest u->v distance in the oracle's distance graph
+    (vertex net.n is the zero point): Bellman-Ford from every vertex."""
+    nv = net.n + 1
+    edges = _edges(net)
+    rows = []
+    for src in range(nv):
+        dist, _, negative = _bellman_ford(nv, edges, src)
+        assert negative is None, "negative cycle: the network is inconsistent"
+        rows.append(dist)
+    return rows
+
+
+def neighbors(net):
+    """Ascending lists of the variables sharing a constraint with each variable."""
+    adj = [[] for _ in range(net.n)]
+    for v, w, _ in net.pairs():
+        adj[v].append(w)
+        adj[w].append(v)
+    return adj
+
+
+def within(a, b):
+    """Interval a is a subset of interval b."""
+    return a.intersect(b) == a

@@ -93,7 +93,13 @@ class TestConfig:
         "text, match",
         [
             ("family = random-mastn\ncommand = dsolve\nsweep = agents\nvalues = 2\n",
-             "command must be a number"),
+             "line 2: random-mastn has no parameter 'command'"),
+            ("family = random-stn\nsweep = n\nvalues = 2\ndensty = 0.3\n",
+             "line 4: random-stn has no parameter 'densty'"),
+            ("family = random-stn\nsweep = seed\nvalues = 2\ndensity = 0.3\n",
+             "line 2: random-stn has no parameter 'seed'"),
+            ("family = random-stn\nsweep = densty\nvalues = 2\n",
+             "line 2: random-stn has no parameter 'densty'"),
             ("family = random-stn\nsweep = n\nvalues = 2\nlatency = -1\n",
              "latency must be non-negative"),
             ("family = random-stn\nsweep = n\nvalues = 2\nn = 50\n",

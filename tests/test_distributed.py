@@ -66,7 +66,6 @@ class TestDegenerateSingleAgent:
         assert run.verdict == "consistent"
         assert run.agent_domains[0] == central.domains
         assert run.checks == central.checks
-        assert run.domain_updates == central.domain_updates
         assert run.iterations == central.iterations
         assert run.nccc == run.checks  # one agent: no concurrency
         assert run.messages == 0

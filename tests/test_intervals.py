@@ -1,6 +1,6 @@
 import pytest
 
-from stnac import EMPTY, BoundOverflowError, Interval, interval, point
+from stnac import EMPTY, BoundOverflowError, Interval, interval
 from stnac.intervals import INT64_MAX
 from stnac.rng import SplitMix64
 
@@ -54,7 +54,7 @@ class TestInverse:
         assert interval(2, 3).inverse() == interval(-3, -2)
 
     def test_point(self):
-        assert interval(-5, -5).inverse() == point(5)
+        assert interval(-5, -5).inverse() == interval(5, 5)
 
     def test_empty(self):
         assert EMPTY.inverse() is EMPTY

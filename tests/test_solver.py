@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import SAMPLES, assert_certificate, cycle3_net, scale_stn, two_var_net
+from conftest import SAMPLES, assert_certificate, cycle3_net, scale_stn, two_var_net, within
 from stnac import (
     AcClosure,
     AcInconsistent,
@@ -11,7 +11,6 @@ from stnac import (
     enforce_ac,
     extract_bound_solution,
     interval,
-    is_arc_consistent,
     oracle_minimal_domains,
     parse_stn,
     sample_solution,
@@ -116,7 +115,7 @@ class TestEnforceAc:
             if not isinstance(out, AcClosure):
                 continue
             for v in range(net.n):
-                assert out.domains[v].issubset(net.domain(v))
+                assert within(out.domains[v], net.domain(v))
             again = enforce_ac(net, domains=list(out.domains))
             assert isinstance(again, AcClosure)
             assert again.domains == out.domains
@@ -242,40 +241,6 @@ class TestBuildArcs:
         for lst in build_arcs(net.n, net.pairs()):
             sources = [arc[0] for arc in lst]
             assert sources == sorted(set(sources))
-
-
-class TestIsArcConsistent:
-    def test_closure_is_arc_consistent(self):
-        net = two_var_net()
-        out = enforce_ac(net)
-        ok, violation = is_arc_consistent(net, domains=list(out.domains))
-        assert ok and violation is None
-
-    def test_raw_instance_is_not(self):
-        ok, violation = is_arc_consistent(two_var_net())
-        assert not ok
-        assert violation == (0, 1)
-
-    def test_vacuous_without_constraints(self):
-        net = Stn(2)
-        net.set_domain(0, interval(0, 1))
-        net.set_domain(1, interval(5, 9))
-        assert is_arc_consistent(net) == (True, None)
-
-    def test_empty_domain_fails_its_zero_edge(self):
-        net = Stn(2)
-        net.set_domain(0, interval(0, 1))
-        net.set_domain(1, interval(5, 9))
-        ok, violation = is_arc_consistent(net, domains=[EMPTY, interval(5, 9)])
-        assert not ok
-        assert violation == (0, 0)
-
-    def test_random_closures_pass(self):
-        for seed in range(25):
-            net = gen_random_stn(n=14, density=0.3, wmin=-6, wmax=10, horizon=60, seed=seed)
-            out = enforce_ac(net)
-            if isinstance(out, AcClosure):
-                assert is_arc_consistent(net, domains=list(out.domains))[0]
 
 
 class TestSolutions:

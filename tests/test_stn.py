@@ -74,8 +74,8 @@ class TestQueries:
         net.add_constraint(2, 0, interval(1, 2))
         net.add_constraint(0, 1, interval(0, 5))
         assert net.e == 2
-        assert net.neighbors(0) == [1, 2]
-        assert net.neighbors(2) == [0]
+        assert [(v, w) for v, w, _ in net.pairs()] == [(0, 1), (0, 2)]
+        assert net.constraint(0, 2) == interval(-2, -1)
 
     def test_directions_always_inverse(self):
         from stnac.workloads import gen_random_stn
@@ -236,3 +236,10 @@ class TestSerialization:
         net = parse_stn(TWO_VAR_TEXT)
         again = parse_stn(serialize_stn(net))
         assert again.name(0) == "x" and again.name(1) == "y"
+
+    @pytest.mark.parametrize("name", ["x#y", "c d", "", "t\tab"])
+    def test_names_that_cannot_round_trip_are_rejected(self, name):
+        # a var line carries its name as one token before any '#' comment
+        net = Stn(1)
+        with pytest.raises(ValidationError, match="single token"):
+            net.set_name(0, name)
