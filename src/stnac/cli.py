@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .bench import csv_text, parse_bench_config, run_bench
 from .distributed import solve_distributed
-from .errors import StnacError
+from .errors import FormatError, StnacError
 from .mastn import parse_mastn
 from .oracle import NegativeCycle, oracle_minimal_domains
 from .sim import SimConfig, audit_privacy, dump_log
@@ -115,8 +115,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file; bytes that are not UTF-8 are a FormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def _cmd_solve(args) -> int:
-    net = parse_stn(Path(args.file).read_text(encoding="utf-8"))
+    if args.verify and args.solution is None:
+        raise StnacError("--verify needs --solution: it re-checks the printed assignment")
+    net = parse_stn(_read_input(args.file))
     outcome = enforce_ac(net)
     if not isinstance(outcome, AcClosure):
         print("inconsistent")
@@ -150,7 +160,7 @@ def _extract(net, closure, mode: str) -> list[int]:
 
 
 def _cmd_oracle(args) -> int:
-    net = parse_stn(Path(args.file).read_text(encoding="utf-8"))
+    net = parse_stn(_read_input(args.file))
     result = oracle_minimal_domains(net)
     if isinstance(result, NegativeCycle):
         print("inconsistent")
@@ -163,7 +173,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_dsolve(args) -> int:
-    m = parse_mastn(Path(args.file).read_text(encoding="utf-8"))
+    m = parse_mastn(_read_input(args.file))
     sched_seed = args.sched_seed if args.sched_seed is not None else _default_seed()
     cfg = SimConfig(scheduler_seed=sched_seed, latency=args.latency)
     run = solve_distributed(m, cfg)
@@ -198,7 +208,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = parse_bench_config(Path(args.config).read_text(encoding="utf-8"))
+    cfg = parse_bench_config(_read_input(args.config))
     _write_output(csv_text(run_bench(cfg)), args.output)
     return EXIT_CONSISTENT
 

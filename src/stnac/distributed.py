@@ -88,6 +88,9 @@ class SolverAgent:
         self._lo = [stn.domain(v).lo for v in range(n)] + [0] * len(ghosts)
         self._hi = [stn.domain(v).hi for v in range(n)] + [0] * len(ghosts)
         self._parents = ([n] * n, [n] * n)  # kept by sweep_once, never read here
+        # sweep_once's flags, one per slot; every sync sets them all, so only
+        # an agent without neighbors carries marks from sweep to sweep
+        self._dirty = [True] * (n + len(ghosts))
         ext = ((e.local_var, ghosts[(e.peer_agent, e.peer_var)], e.ivl) for e in view.externals)
         self._arcs = build_arcs(n + len(ghosts), chain(stn.pairs(), ext))[:n]
         # neighbor -> {(neighbor, var): ghost slot}, exactly the keys its syncs carry
@@ -235,14 +238,18 @@ class SolverAgent:
     def _sweep(self) -> None:
         lo = self._lo
         hi = self._hi
-        # an agent without neighbors has no inbox entry for k
-        for stamp, payload in self._inbox.pop(self.k, {}).values():
+        syncs = self._inbox.pop(self.k, {})  # an agent without neighbors has none
+        for stamp, payload in syncs.values():
             if stamp > self.clock:  # receiving the awaited domains
                 self.clock = stamp
             for slot, a, b in payload:
                 lo[slot] = a
                 hi[slot] = b
-        self._changed, emptied, checks, _ = sweep_once(self._arcs, lo, hi, *self._parents)
+        if syncs:  # fresh ghost values: sweep every variable
+            self._dirty = [True] * len(self._dirty)
+        self._changed, emptied, checks, _ = sweep_once(
+            self._arcs, lo, hi, *self._parents, self._dirty
+        )
         self.clock += checks
         self.checks += checks
         if emptied is not None:

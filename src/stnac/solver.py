@@ -26,20 +26,30 @@ constraint between v and w gives the 2-cycle v -> w -> v.  Every
 refutation therefore carries a NegativeCycle, which enforce_ac() has
 oracle.certify_cycle() re-sum over the network's own edges.
 
-Each evaluation of the update rule against a pairwise constraint counts as
-one constraint check.  The domain itself acts as a virtual edge from the
-zero time point.  Bounds only ever tighten from the start domains, so every
-domain stays inside its zero-point edge and the kernel never re-applies
-it; a sweep tallies the variables it visits as domain updates instead.
-Sweep order is fixed (variables ascending, neighbors ascending within a
-variable), so identical inputs give identical counts.  The parent searches
-do no constraint checks.
+A sweep visits only dirty variables, as AC-3 revises only the arcs whose
+source has changed (Mackworth, "Consistency in networks of relations",
+AIJ 1977): a variable whose domain changes flags its neighbors, and a
+variable none of whose neighbors has moved since its last visit is
+skipped, since re-evaluating it could change nothing.  So the bounds after
+every sweep are those of a sweep over all variables, and only the work
+counts fall.  sample_solution() flags just the neighbors of the variable
+it has fixed.
+
+Each arc evaluated, that is each evaluation of the update rule against a
+pairwise constraint, counts as one constraint check.  The domain itself
+acts as a virtual edge from the zero time point.  Bounds only ever tighten
+from the start domains, so every domain stays inside its zero-point edge
+and the kernel never re-applies it; a sweep tallies the variables it
+visits as domain updates instead.  Sweep order is fixed (variables
+ascending, neighbors ascending within a variable), so identical inputs
+give identical counts.  The parent searches do no constraint checks.
 
 One sweep is sweep_once(), the single update step of the package: propagate()
 runs it under the budget and the parent searches, and each agent of
 distributed.py runs it once per iteration.  An agent's lo/hi arrays end in
 ghost slots that hold its peers' synced domains; sweep_once() reads them as
-arc sources and never writes them.
+arc sources and never writes them.  An agent flags all its variables
+whenever fresh syncs land in those slots.
 """
 
 from __future__ import annotations
@@ -58,7 +68,11 @@ Assignment = list[int]
 
 @dataclass(frozen=True)
 class AcClosure:
-    """Arc-consistent fixpoint: minimal domains plus effort counters."""
+    """Arc-consistent fixpoint: minimal domains plus effort counters.
+
+    checks counts the arcs evaluated and domain_updates the variables
+    visited over all sweeps; a sweep skips the clean variables.
+    """
 
     domains: tuple[Interval, ...]
     iterations: int
@@ -120,25 +134,36 @@ def sweep_once(
     hi: list[int],
     lo_par: list[int],
     hi_par: list[int],
+    dirty: list[bool],
 ) -> tuple[int, int | None, int, int]:
-    """Sweep the variables 0..len(arcs)-1 once, in ascending order, in place.
+    """Sweep the dirty variables among 0..len(arcs)-1 once, in ascending
+    order, in place.
 
-    Slots of lo/hi beyond len(arcs) (an agent's ghost slots, holding its
-    peers' variables) are read as arc sources and never written.  The
-    kernel only tightens lo/hi, so bounds that start as the start domains
-    stay within them and the zero-point edges never need re-applying.
-    lo_par and hi_par get the source whose arc last tightened each bound;
-    a bound no arc has tightened keeps its parent, len(arcs) (the zero
-    point) at the start.  Returns (changed, emptied, checks,
-    domain_updates): the number of changed domains, the variable whose
-    domain emptied or None, the arcs evaluated and the variables visited.
-    An emptied domain ends the sweep at once, so the counts stop with that
-    variable.
+    A variable whose dirty flag is clear is skipped; a visited one has its
+    flag cleared, and when its domain changes it sets the flag of every
+    source on its arcs.  Arcs are symmetric, so those sources are exactly
+    the variables that read it: a lower-index one is visited in the next
+    sweep, a higher-index one later in this sweep.  dirty covers every slot
+    of lo/hi, ghosts included, so marking needs no bounds test.  Slots of
+    lo/hi beyond len(arcs) (an agent's ghost slots, holding its peers'
+    variables) are read as arc sources and never written.  The kernel only
+    tightens lo/hi, so bounds that start as the start domains stay within
+    them and the zero-point edges never need re-applying.  lo_par and
+    hi_par get the source whose arc last tightened each bound; a bound no
+    arc has tightened keeps its parent, len(arcs) (the zero point) at the
+    start.  Returns (changed, emptied, checks, domain_updates): the number
+    of changed domains, the variable whose domain emptied or None, the arcs
+    evaluated and the variables visited.  An emptied domain ends the sweep
+    at once, so the counts stop with that variable.
     """
-    n = len(arcs)
     checks = 0
     changed = 0
-    for v in range(n):
+    visited = 0
+    for v in range(len(arcs)):
+        if not dirty[v]:
+            continue
+        dirty[v] = False
+        visited += 1
         lv = lo[v]
         hv = hi[v]
         old_lo = lv
@@ -168,24 +193,41 @@ def sweep_once(
             if phi >= 0:
                 hi_par[v] = phi
             if lv > hv:
-                return changed, v, checks, v + 1
+                return changed, v, checks, visited
             changed += 1
-    return changed, None, checks, n
+            for arc in arcs_v:
+                dirty[arc[0]] = True
+    return changed, None, checks, visited
 
 
 def propagate(
     arcs: list[list[Arc]],
     lo: list[int],
     hi: list[int],
+    dirty: list[bool] | None = None,
 ) -> tuple[bool, tuple[int, ...] | None, int, int, int]:
     """Sweep lo/hi in place until stable or refuted.
 
     The bounds lo/hi start with are the start domains, the zero-point
-    edges.  Returns (stable, walk, sweeps, checks, domain_updates); walk is
-    the closed vertex walk of a negative cycle when refuted, None when
-    stable.  domain_updates counts the variables the sweeps visited.  The
-    bound magnitudes stay within a few times the parse-time cap, so the
-    plain integer sums here cannot reach the 64-bit overflow range.
+    edges.  dirty flags the variables the first sweep visits, and None
+    flags them all.  A caller may leave a variable clear when its bounds
+    already hold against each of its arcs, as after a stable run, which
+    leaves every flag clear; pinning a variable inside its domain keeps
+    that true for it and flags its neighbors.  Returns (stable,
+    walk, sweeps, checks, domain_updates); walk is the closed vertex walk
+    of a negative cycle when refuted, None when stable.  domain_updates
+    counts the variables the sweeps visited.  The bound magnitudes stay
+    within a few times the parse-time cap, so the plain integer sums here
+    cannot reach the 64-bit overflow range.
+
+    Re-evaluating a variable whose sources have not moved since its last
+    visit leaves its bounds and parents unchanged: that visit left each
+    bound at least as tight as every arc candidate from those sources, and
+    an arc sets a parent only on a strict tightening.  A source that moves
+    sets the flag, so a clear variable is one this holds for, and skipping
+    it changes nothing.  After every sweep the bounds, parents, changed and
+    emptied are therefore those of a sweep over all variables, and so are
+    the sweep counts and verdicts below.
 
     A refutation takes at most n + 1 sweeps.  Labels only tighten, so while
     hi_par[v] = u stands, hi_v >= hi_u + c(u, v), taking hi of the zero
@@ -201,13 +243,17 @@ def propagate(
     n = len(lo)
     lo_par = [n] * n  # lo_v was last set along the edge v -> lo_par[v]
     hi_par = [n] * n  # hi_v was last set along the edge hi_par[v] -> v
+    if dirty is None:
+        dirty = [True] * n
     checks = 0
     dom_updates = 0
     sweeps = 0
     since_search = 0  # domain changes since the last parent search
     while sweeps <= n:  # a budget of n + 1 sweeps
         sweeps += 1
-        changed, emptied, sweep_checks, sweep_updates = sweep_once(arcs, lo, hi, lo_par, hi_par)
+        changed, emptied, sweep_checks, sweep_updates = sweep_once(
+            arcs, lo, hi, lo_par, hi_par, dirty
+        )
         checks += sweep_checks
         dom_updates += sweep_updates
         if emptied is not None:
@@ -322,7 +368,11 @@ def extract_bound_solution(closure: AcClosure, side: str) -> Assignment:
 
 def sample_solution(net: Stn, closure: AcClosure, seed: int) -> Assignment:
     """Draw one solution: instantiate variables in index order, each to a
-    seeded-uniform value of its current domain, re-closing after each pick."""
+    seeded-uniform value of its current domain, re-closing after each pick.
+
+    `closure` is enforce_ac()'s closure of `net`, so every arc holds at the
+    start and each re-closing starts from the picked variable's neighbors.
+    """
     if not isinstance(closure, AcClosure):
         raise ValidationError("sampling requires a consistent closure")
     if len(closure.domains) != net.n:
@@ -331,11 +381,14 @@ def sample_solution(net: Stn, closure: AcClosure, seed: int) -> Assignment:
     arcs = build_arcs(net.n, net.pairs())
     lo = [d.lo for d in closure.domains]
     hi = [d.hi for d in closure.domains]
+    dirty = [False] * net.n  # each stable propagate() clears it again
     for v in range(net.n):
         t = rng.randint(lo[v], hi[v])
         lo[v] = t
         hi[v] = t
-        stable, _, _, _, _ = propagate(arcs, lo, hi)
+        for arc in arcs[v]:
+            dirty[arc[0]] = True
+        stable, _, _, _, _ = propagate(arcs, lo, hi, dirty)
         if not stable:
             raise RuntimeError(
                 "re-propagation from a closure emptied a domain; minimality is broken"

@@ -86,6 +86,12 @@ class TestSolve:
         )
         assert code == 2
 
+    def test_verify_needs_a_solution(self, capsys):
+        code, out, err = run_cli(capsys, "solve", str(SAMPLES / "two_var.stn"), "--verify")
+        assert code == 2
+        assert out == ""
+        assert "--verify needs --solution" in err
+
     def test_bad_sample_seed(self, capsys):
         code, _, err = run_cli(
             capsys, "solve", str(SAMPLES / "two_var.stn"), "--solution", "sample:x"
@@ -259,6 +265,25 @@ class TestBench:
         cfg.write_text("nonsense\n")
         code, _, err = run_cli(capsys, "bench", str(cfg))
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "cmd, text",
+    [
+        ("solve", b"stn 1\ndomain 0 0 5\n"),
+        ("oracle", b"stn 1\ndomain 0 0 5\n"),
+        ("dsolve", b"mastn 1\nagent 0\nstn 1\ndomain 0 0 5\n"),
+        ("bench", b"family = grid-stn\nsweep = rows\nvalues = 2\n"),
+    ],
+)
+def test_non_utf8_input_is_a_format_error(capsys, tmp_path, cmd, text):
+    # a stray byte that no UTF-8 text holds, in an otherwise valid file
+    path = tmp_path / "input"
+    path.write_bytes(text + b"# caf\xff\n")
+    code, out, err = run_cli(capsys, cmd, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: not UTF-8 text")
 
 
 class TestClosedStdout:

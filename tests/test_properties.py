@@ -25,7 +25,9 @@ from stnac import (
     serialize_mastn,
     serialize_stn,
 )
+from stnac.solver import build_arcs, sweep_once
 from stnac.stn import DEFAULT_MAGNITUDE_CAP
+from stnac.workloads import gen_grid_stn, gen_random_stn
 
 
 def bounded(max_examples: int):
@@ -91,6 +93,50 @@ def test_solver_matches_oracle(net):
         assert_certificate(net, [net.domain(v) for v in range(net.n)], out)
     else:
         assert isinstance(out, AcClosure) and list(out.domains) == oracle
+
+
+NETS = st.one_of(
+    st.builds(
+        gen_random_stn,
+        n=st.integers(6, 40),
+        density=st.sampled_from([0.1, 0.3, 0.6]),
+        wmin=st.integers(-20, 0),
+        wmax=st.integers(1, 20),
+        seed=st.integers(0, 2**16),
+        consistent=st.booleans(),
+    ),
+    st.builds(
+        gen_grid_stn,
+        rows=st.integers(2, 6),
+        cols=st.integers(2, 6),
+        wmin=st.integers(-20, 1),
+        wmax=st.integers(1, 20),
+        seed=st.integers(0, 2**16),
+    ),
+    stns(max_n=6, ends=st.integers(-30, 30)),
+)
+
+
+@bounded(60)
+@given(NETS)
+def test_dirty_sweeps_match_full_sweeps(net):
+    # one dirty list carried across sweeps against a fresh all-dirty one in
+    # each: the same bounds, parents and sweep results after every sweep
+    n = net.n
+    arcs = build_arcs(n, net.pairs())
+    lo = [net.domain(v).lo for v in range(n)]
+    hi = [net.domain(v).hi for v in range(n)]
+    marked = (lo[:], hi[:], [n] * n, [n] * n)
+    full = (lo, hi, [n] * n, [n] * n)
+    dirty = [True] * n
+    for _ in range(n + 1):
+        got = sweep_once(arcs, *marked, dirty)
+        want = sweep_once(arcs, *full, [True] * n)
+        assert got[:2] == want[:2]  # changed, emptied
+        assert got[2] <= want[2] and got[3] <= want[3]  # checks, variables visited
+        assert marked == full
+        if want[1] is not None or not want[0]:
+            break
 
 
 # -- malformed text ----------------------------------------------------------

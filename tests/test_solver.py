@@ -17,7 +17,8 @@ from stnac import (
     verify_assignment,
 )
 from stnac import solver
-from stnac.solver import build_arcs, sweep_once
+from stnac.rng import SplitMix64
+from stnac.solver import build_arcs, propagate, sweep_once
 from stnac.workloads import gen_grid_stn, gen_random_stn, gen_scale_free_stn
 
 
@@ -203,18 +204,51 @@ class TestSweepOnce:
         arcs = build_arcs(3, [(0, 1, interval(2, 3)), (1, 2, interval(0, 4))])[:2]
         lo, hi = [0, 0, 10], [100, 100, 12]
         lo_par, hi_par = [-1, -1], [-1, -1]
-        out = sweep_once(arcs, lo, hi, lo_par, hi_par)
+        dirty = [True] * 3
+        out = sweep_once(arcs, lo, hi, lo_par, hi_par, dirty)
         assert out == (2, None, 3, 2)  # changed, emptied, checks, domain updates
         assert (lo, hi) == ([0, 6, 10], [98, 12, 12])
         assert (lo_par, hi_par) == ([-1, 2], [1, 2])  # y's bounds both came from g
+        assert dirty == [True, False, True]  # y moved: its sources x and g are marked
 
     def test_emptied_stops_the_sweep(self):
         # x has two arcs (y and g); g = x forces x to 200, past its bound 100
         arcs = build_arcs(3, [(0, 1, interval(0, 10)), (0, 2, interval(0, 0))])[:2]
         lo, hi = [0, 0, 200], [100, 100, 200]
-        out = sweep_once(arcs, lo, hi, [2, 2], [2, 2])
+        out = sweep_once(arcs, lo, hi, [2, 2], [2, 2], [True] * 3)
         assert out == (0, 0, 2, 1)  # checks stop with x's two arcs
         assert (lo[1:], hi[1:]) == ([0, 200], [100, 200])  # y not swept, g untouched
+
+    def test_clean_variable_is_not_visited(self):
+        # the first test's network with x clean: x is neither checked nor
+        # counted, and y still reads the ghost
+        arcs = build_arcs(3, [(0, 1, interval(2, 3)), (1, 2, interval(0, 4))])[:2]
+        lo, hi = [0, 0, 10], [100, 100, 12]
+        dirty = [False, True, False]
+        out = sweep_once(arcs, lo, hi, [2, 2], [2, 2], dirty)
+        assert out == (1, None, 2, 1)
+        assert (lo, hi) == ([0, 6, 10], [100, 12, 12])  # x untouched though y moved
+        assert dirty == [True, False, True]
+        # with every flag clear the sweep does nothing at all
+        assert sweep_once(arcs, lo, hi, [2, 2], [2, 2], [False] * 3) == (0, None, 0, 0)
+
+    def test_change_marks_sources_on_both_sides(self):
+        # x0 = x1 = x2 and x1 = g, the ghost g fixed at 5; only x1 is dirty
+        pairs = [(0, 1, interval(0, 0)), (1, 2, interval(0, 0)), (1, 3, interval(0, 0))]
+        arcs = build_arcs(4, pairs)[:3]
+        lo, hi = [0, 0, 0, 5], [100, 100, 100, 5]
+        par = ([3] * 3, [3] * 3)
+        dirty = [False, True, False, False]
+        # x1 moves and marks x0, x2 and g; x2, above it, is swept in the same
+        # sweep (and marks x1 again), x0, below it, waits
+        assert sweep_once(arcs, lo, hi, *par, dirty) == (2, None, 4, 2)
+        assert (lo[:3], hi[:3]) == ([0, 5, 5], [100, 5, 5])
+        assert dirty == [True, True, False, True]
+        # the next sweep visits x0, which marks x1 once more, and then x1
+        assert sweep_once(arcs, lo, hi, *par, dirty) == (1, None, 4, 2)
+        assert (lo[:3], hi[:3]) == ([5, 5, 5], [5, 5, 5])
+        assert dirty[:3] == [False, False, False]
+        assert sweep_once(arcs, lo, hi, *par, dirty) == (0, None, 0, 0)
 
     def test_propagate_counts_are_sweep_sums(self):
         net = gen_random_stn(n=12, density=0.3, seed=2, consistent=True)
@@ -222,13 +256,15 @@ class TestSweepOnce:
         lo = [net.domain(v).lo for v in range(net.n)]
         hi = [net.domain(v).hi for v in range(net.n)]
         par = ([net.n] * net.n, [net.n] * net.n)
+        dirty = [True] * net.n
         checks = updates = 0
         while True:
-            changed, emptied, c, d = sweep_once(arcs, lo, hi, *par)
+            changed, emptied, c, d = sweep_once(arcs, lo, hi, *par, dirty)
             checks, updates = checks + c, updates + d
             assert emptied is None
             if not changed:
                 break
+        assert not any(dirty)  # a stable sweep leaves every flag clear
         out = enforce_ac(net)
         assert (out.checks, out.domain_updates) == (checks, updates)
         assert list(out.domains) == [interval(a, b) for a, b in zip(lo, hi)]
@@ -317,6 +353,34 @@ class TestSampleSolution:
         net = gen_random_stn(n=10, density=0.35, wmin=-5, wmax=9, horizon=60, seed=4, consistent=True)
         out = enforce_ac(net)
         assert sample_solution(net, out, 9) == sample_solution(net, out, 9)
+
+    def test_marked_neighbors_match_full_sweeps(self, monkeypatch):
+        # sampling re-propagates from the fixed variable's neighbors only;
+        # the reference re-sweeps every variable after each pick
+        net = gen_random_stn(n=60, density=0.1, seed=7, consistent=True)
+        out = enforce_ac(net)
+        assert isinstance(out, AcClosure)
+        arcs = build_arcs(net.n, net.pairs())
+        calls = []
+
+        def traced(*args):
+            result = propagate(*args)
+            calls.append(result)
+            return result
+
+        monkeypatch.setattr(solver, "propagate", traced)
+        for seed in range(5):
+            rng = SplitMix64(seed)
+            lo = [d.lo for d in out.domains]
+            hi = [d.hi for d in out.domains]
+            full = []
+            for v in range(net.n):
+                lo[v] = hi[v] = rng.randint(lo[v], hi[v])
+                full.append(propagate(arcs, lo, hi))
+            calls.clear()
+            assert sample_solution(net, out, seed) == lo
+            assert [c[:3] for c in calls] == [f[:3] for f in full]  # stable, walk, sweeps
+            assert sum(c[3] for c in calls) < sum(f[3] for f in full)  # fewer checks
 
     def test_closure_of_another_network_is_rejected(self):
         net = parse_stn((SAMPLES / "cycle3.stn").read_text())
