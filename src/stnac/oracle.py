@@ -8,6 +8,37 @@ endpoints contribute no edge.  Bellman-Ford from the zero point in both
 directions then yields the minimal domains, or an explicit negative cycle
 when the network is inconsistent.
 
+Bellman-Ford stops at the first negative cycle instead of running n full
+passes before it looks (Cherkassky & Goldberg, "Negative-cycle detection
+algorithms", Math. Programming 1999).  Each relaxation of v from u sets
+pred[v] = u; after any pass that brings the relaxations since the last
+look to at least the vertex count, one O(n) walk looks for a cycle of the
+parent graph.  Two lemmas make this sound and let the loop run without a
+pass cap.
+
+(1) Every parent-graph cycle is negative.  Labels never rise, so once
+pred[v] = u is set, dist[v] >= dist[u] + w(u, v) holds for as long as it
+stays: dist[v] is unchanged and dist[u] can only fall.  Take the parent
+edge u->v that closed the cycle.  Just before it was set, dist[v] was
+higher, so the cycle edge v->s leaving v had dist[s] > dist[v] + w(v, s)
+strictly.  Summing dist[x] - dist[pred x] >= w(pred x, x) around the
+cycle gives 0 > its weight.
+
+(2) While the parent graph is acyclic, following parents from any labelled
+vertex v ends at the source, the one labelled vertex without a parent (a
+relaxed source would have a parent, and then the walk from it could never
+end).  The inequality of (1) holds along that simple tree path, so dist[v]
+is at least the weight of a simple path, a bound that does not move.
+
+So without a negative cycle the parent graph never closes a cycle, and the
+loop ends on a pass that relaxes nothing, as plain Bellman-Ford does.  With
+one, which the zero point reaches as it reaches every vertex, every pass
+relaxes something, so a look comes at least once every n + 1 passes.  If every look found the parent graph acyclic, every label
+would stay above its bound from (2) for good (labels only fall, so one
+that dropped below would still be below at the next look); integer labels
+that each relaxation lowers would then allow only finitely many
+relaxations.  So some look finds a cycle, and the loop needs no pass cap.
+
 This module deliberately shares no propagation code with the solver so the
 two routes can check each other.  What they do share is certify_cycle(),
 the one re-summation of a negative-cycle certificate: it reads every edge
@@ -59,44 +90,50 @@ def _edges(net: Stn) -> list[tuple[int, int, int]]:
 
 
 def _bellman_ford(nv: int, edges: list[tuple[int, int, int]], src: int):
-    """Single-source distances; returns (dist, pred, still_relaxing_edge)."""
+    """Single-source distances; returns (dist, None), or (dist, cycle) with a
+    parent-graph cycle as a closed walk along the edges once one appears."""
     inf = float("inf")
     dist: list = [inf] * nv
-    pred: list[int | None] = [None] * nv
+    pred = [nv] * nv  # nv: no parent yet
     dist[src] = 0
-    for _ in range(nv - 1):
-        changed = False
+    relaxed = 0  # relaxations since the parent graph was last walked
+    while True:
+        before = relaxed
         for u, v, w in edges:
             nd = dist[u] + w
             if nd < dist[v]:
                 dist[v] = nd
                 pred[v] = u
-                changed = True
-        if not changed:
-            return dist, pred, None
-    for u, v, w in edges:
-        if dist[u] + w < dist[v]:
-            pred[v] = u
-            return dist, pred, (u, v, w)
-    return dist, pred, None
+                relaxed += 1
+        if relaxed == before:
+            return dist, None
+        if relaxed >= nv:
+            relaxed = 0
+            cycle = _pred_cycle(pred)
+            if cycle is not None:
+                return dist, cycle
 
 
-def _extract_cycle(pred: list[int | None], start: int, nv: int) -> tuple[int, ...]:
-    """Walk the predecessor graph back far enough to land on the cycle."""
-    x = start
-    for _ in range(nv):
-        nxt = pred[x]
-        if nxt is None:
-            raise RuntimeError("predecessor walk left the relaxation graph")
-        x = nxt
-    cycle = [x]
-    y = pred[x]
-    while y != x:
-        cycle.append(y)
-        y = pred[y]
-    cycle.append(x)
-    cycle.reverse()  # pred points against edge direction
-    return tuple(cycle)
+def _pred_cycle(pred: list[int]) -> tuple[int, ...] | None:
+    """A cycle of the parent graph as a closed walk along its edges, or None;
+    every vertex is visited once, in O(len(pred))."""
+    nv = len(pred)
+    mark = [-1] * nv + [nv]  # slot nv, "no parent", ends every walk
+    for start in range(nv):
+        v = start
+        while mark[v] < 0:
+            mark[v] = start
+            v = pred[v]
+        if mark[v] == start:
+            cycle = [v]
+            u = pred[v]
+            while u != v:
+                cycle.append(u)
+                u = pred[u]
+            cycle.append(v)
+            cycle.reverse()  # pred points against edge direction
+            return tuple(cycle)
+    return None
 
 
 def certify_cycle(
@@ -137,11 +174,11 @@ def oracle_minimal_domains(net: Stn) -> list[Interval] | NegativeCycle:
     net.validate()
     nv = net.n + 1
     edges = _edges(net)
-    dist_from, pred, neg = _bellman_ford(nv, edges, net.n)
-    if neg is not None:
-        return certify_cycle(net, _extract_cycle(pred, neg[1], nv))
+    dist_from, cycle = _bellman_ford(nv, edges, net.n)
+    if cycle is not None:
+        return certify_cycle(net, cycle)
     # every variable has a finite domain, so every vertex is reachable from
-    # the zero point and the first pass has already seen every cycle
-    dist_to, _, _ = _bellman_ford(nv, [(v, u, w) for u, v, w in edges], net.n)
+    # the zero point and the first run has already seen every cycle
+    dist_to, _ = _bellman_ford(nv, [(v, u, w) for u, v, w in edges], net.n)
     return [interval(-dist_to[v], dist_from[v]) for v in range(net.n)]
 

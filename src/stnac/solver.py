@@ -377,6 +377,11 @@ def sample_solution(net: Stn, closure: AcClosure, seed: int) -> Assignment:
         raise ValidationError("sampling requires a consistent closure")
     if len(closure.domains) != net.n:
         raise ValidationError(f"expected a closure of {net.n} domains, got {len(closure.domains)}")
+    for v, d in enumerate(closure.domains):
+        if d.is_empty or d.intersect(net.domain(v)) != d:
+            raise ValidationError(
+                f"closure domain {d} of variable {v} is not within its domain {net.domain(v)}"
+            )
     rng = SplitMix64(seed)
     arcs = build_arcs(net.n, net.pairs())
     lo = [d.lo for d in closure.domains]

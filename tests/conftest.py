@@ -5,8 +5,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from stnac import Interval, Stn, interval
-from stnac.oracle import _bellman_ford, _edges
+from stnac import Interval, NegativeCycle, Stn, interval
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -89,17 +88,42 @@ def assert_certificate(net, domains, out):
     assert sum(weights) == out.cycle.weight < 0
 
 
+def assert_simple_cycle(net, cycle):
+    """An oracle NegativeCycle is a simple closed walk over the network's own
+    edges that re-sums to its negative weight."""
+    assert isinstance(cycle, NegativeCycle)
+    walk = cycle.vertices
+    assert len(walk) >= 3 and walk[0] == walk[-1]
+    assert len(set(walk[:-1])) == len(walk) - 1
+    domains = [net.domain(v) for v in range(net.n)]
+    weights = [edge_weight(net, domains, u, v) for u, v in zip(walk, walk[1:])]
+    assert None not in weights
+    assert sum(weights) == cycle.weight < 0
+
+
 def all_pairs_distances(net):
     """dist[u][v], the shortest u->v distance in the oracle's distance graph
-    (vertex net.n is the zero point): Bellman-Ford from every vertex."""
+    (vertex net.n is the zero point): Floyd-Warshall over edge_weight."""
     nv = net.n + 1
-    edges = _edges(net)
-    rows = []
-    for src in range(nv):
-        dist, _, negative = _bellman_ford(nv, edges, src)
-        assert negative is None, "negative cycle: the network is inconsistent"
-        rows.append(dist)
-    return rows
+    domains = [net.domain(v) for v in range(net.n)]
+    inf = float("inf")
+    dist = [[0 if u == v else inf for v in range(nv)] for u in range(nv)]
+    for u in range(nv):
+        for v in range(nv):
+            w = None if u == v else edge_weight(net, domains, u, v)
+            if w is not None:
+                dist[u][v] = w
+    for k in range(nv):
+        row_k = dist[k]
+        for row in dist:
+            via = row[k]
+            if via == inf:
+                continue
+            for v in range(nv):
+                if via + row_k[v] < row[v]:
+                    row[v] = via + row_k[v]
+    assert all(dist[v][v] == 0 for v in range(nv)), "negative cycle: the network is inconsistent"
+    return dist
 
 
 def neighbors(net):

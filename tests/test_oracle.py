@@ -1,6 +1,13 @@
 import pytest
 
-from conftest import all_pairs_distances, cycle3_net, neighbors, two_var_net, within
+from conftest import (
+    all_pairs_distances,
+    assert_simple_cycle,
+    cycle3_net,
+    neighbors,
+    two_var_net,
+    within,
+)
 from stnac import (
     AcClosure,
     NegativeCycle,
@@ -11,7 +18,7 @@ from stnac import (
     oracle_minimal_domains,
 )
 from stnac.rng import SplitMix64
-from stnac.workloads import gen_random_stn
+from stnac.workloads import gen_grid_stn, gen_random_stn, gen_scale_free_stn
 
 
 class TestMinimalDomains:
@@ -22,11 +29,8 @@ class TestMinimalDomains:
 
     def test_negative_cycle_witness(self):
         result = oracle_minimal_domains(cycle3_net())
-        assert isinstance(result, NegativeCycle)
+        assert_simple_cycle(cycle3_net(), result)
         assert result.weight == -3
-        seq = result.vertices
-        assert seq[0] == seq[-1]
-        assert len(set(seq[:-1])) == len(seq) - 1
 
     def test_unconstrained_domain_passthrough(self):
         net = Stn(1)
@@ -89,13 +93,60 @@ class TestCertifyCycle:
         assert certify_cycle(net, walk, domains) == NegativeCycle(walk, -2)
 
 
+def chain_net(n, step, horizon):
+    """n variables in [0, horizon], each `step` after the one before."""
+    net = Stn(n)
+    for v in range(n):
+        net.set_domain(v, interval(0, horizon))
+    for v in range(n - 1):
+        net.add_constraint(v, v + 1, step)
+    return net
+
+
+class TestEarlyStop:
+    """Bellman-Ford stops at the first parent-graph cycle; the cycle it
+    returns must still be a certified simple negative cycle."""
+
+    BUDGET_NETS = [
+        lambda: gen_grid_stn(rows=24, cols=24, wmin=-20, wmax=20, seed=0),
+        lambda: gen_scale_free_stn(n=600, m=3, wmin=-20, wmax=20, seed=1),
+    ]
+
+    @pytest.mark.parametrize("make", BUDGET_NETS, ids=["grid-24x24", "scale-free-600"])
+    def test_budget_nets_refuted_with_a_simple_cycle(self, make):
+        net = make()
+        result = oracle_minimal_domains(net)
+        assert_simple_cycle(net, result)
+        assert oracle_minimal_domains(net) == result  # the same cycle again
+
+    def test_cycle_at_the_far_end_of_a_long_chain(self):
+        # the only negative cycle is three positive steps around the last
+        # three variables of a 300-variable chain
+        net = chain_net(300, interval(1, 2), 1000)
+        net.add_constraint(299, 297, interval(1, 2))
+        result = oracle_minimal_domains(net)
+        assert_simple_cycle(net, result)
+        assert set(result.vertices) == {297, 298, 299}
+
+    def test_cycle_through_the_zero_point(self):
+        # the chain forces the last variable to 299 but its domain ends at
+        # 100: the only negative cycles pass through the zero point
+        net = chain_net(300, interval(1, 1), 1000)
+        net.set_domain(0, interval(0, 0))
+        net.set_domain(299, interval(0, 100))
+        result = oracle_minimal_domains(net)
+        assert_simple_cycle(net, result)
+        assert net.n in result.vertices
+
+
 def minimal_constraint(dist, v, w):
     """Tightest relation w - v implied by the whole network."""
     return interval(-dist[w][v], dist[v][w])
 
 
 class TestMinimalConstraints:
-    """The test suite's all-pairs reference, Bellman-Ford from every vertex."""
+    """The test suite's all-pairs reference, Floyd-Warshall over conftest's
+    edge_weight, so it shares no code with the oracle."""
 
     def test_direct_edge(self):
         dist = all_pairs_distances(two_var_net())

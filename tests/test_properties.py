@@ -6,7 +6,8 @@ an example database, so a run is reproducible and cheap; conftest.py keeps
 hypothesis's other caches out of the tree.
 """
 
-from conftest import assert_certificate
+import pytest
+from conftest import all_pairs_distances, assert_certificate, assert_simple_cycle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,6 +138,22 @@ def test_dirty_sweeps_match_full_sweeps(net):
         assert marked == full
         if want[1] is not None or not want[0]:
             break
+
+
+@bounded(60)
+@given(NETS)
+def test_oracle_matches_floyd_warshall(net):
+    # a refutation is a simple closed walk over the network's own edges that
+    # re-sums to its negative weight; a closure is the all-pairs reference's
+    oracle = oracle_minimal_domains(net)
+    if isinstance(oracle, NegativeCycle):
+        assert_simple_cycle(net, oracle)
+        with pytest.raises(AssertionError, match="negative cycle"):
+            all_pairs_distances(net)
+    else:
+        dist = all_pairs_distances(net)
+        n = net.n
+        assert oracle == [interval(-dist[v][n], dist[n][v]) for v in range(n)]
 
 
 # -- malformed text ----------------------------------------------------------

@@ -388,6 +388,14 @@ class TestSampleSolution:
         with pytest.raises(ValidationError):
             sample_solution(net, other, 0)
 
+    def test_closure_outside_the_domains_is_rejected(self):
+        # a closure that lies outside the network's own domains would yield
+        # values that break them
+        net = parse_stn((SAMPLES / "two_var.stn").read_text())
+        foreign = AcClosure((interval(50, 60), interval(50, 60)), 0, 0, 0)
+        with pytest.raises(ValidationError, match="variable 0"):
+            sample_solution(net, foreign, 0)
+
 
 class TestVerifyAssignment:
     def test_accepts_valid(self):
