@@ -187,31 +187,15 @@ def run_bench(cfg: dict) -> list[RunMetrics]:
 
 
 def _run_one(cfg: dict, instance: str, obj: Stn | Mastn) -> RunMetrics:
+    # size is (n, e, agents), counts (verdict, iterations, checks, nccc,
+    # messages); a central run sends no message and each check is non-concurrent
     if isinstance(obj, Stn):
         outcome = enforce_ac(obj)
         verdict = "consistent" if isinstance(outcome, AcClosure) else "inconsistent"
-        return RunMetrics(
-            instance=instance,
-            n=obj.n,
-            e=obj.e,
-            agents=1,
-            verdict=verdict,
-            iterations=outcome.iterations,
-            checks=outcome.checks,
-            nccc=outcome.checks,
-            messages=0,
-            wall_ms=0,
-        )
-    run = solve_distributed(obj, cfg["sim"])
-    return RunMetrics(
-        instance=instance,
-        n=obj.total_vars,
-        e=obj.total_edges,
-        agents=obj.p,
-        verdict=run.verdict,
-        iterations=run.iterations,
-        checks=run.checks,
-        nccc=run.nccc,
-        messages=run.messages,
-        wall_ms=0,
-    )
+        size = (obj.n, obj.e, 1)
+        counts = (verdict, outcome.iterations, outcome.checks, outcome.checks, 0)
+    else:
+        run = solve_distributed(obj, cfg["sim"])
+        size = (obj.total_vars, obj.total_edges, obj.p)
+        counts = (run.verdict, run.iterations, run.checks, run.nccc, run.messages)
+    return RunMetrics(instance, *size, *counts, wall_ms=0)

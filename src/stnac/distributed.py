@@ -170,7 +170,7 @@ class SolverAgent:
             self._fail(f"duplicate inquiry for iteration {msg.k}")
         self._inquiry_seen = True
         if self.phase is Phase.AWAIT_TERMINATION:
-            self._handle_inquiry()
+            self._poll()
         elif self.phase is not Phase.AWAIT_SYNC:  # in AwaitSync, k's sweep answers it
             self._fail(f"inquiry in phase {self.phase.value}")
 
@@ -186,16 +186,12 @@ class SolverAgent:
         self._feedback_pending.discard(msg.sender)
         if self._feedback_pending:
             return
-        if self.tree.parent is None:
-            self._originate_broadcast(MsgKind.ARC_CONSISTENT, k=self.k)
-            self._finish("consistent")
-        elif self._inquiry_seen:
-            self._emit(MsgKind.FEEDBACK, self.tree.parent, k=self.k)
-        else:
+        if self.tree.parent is not None and not self._inquiry_seen:
             self._fail("feedback complete before the inquiry arrived")
+        self._answer()
 
     def _on_arc_consistent(self, msg: AgentMessage) -> None:
-        self._forward_broadcast(msg)
+        self._broadcast(msg.kind, msg.k, msg.origin, msg.sender)
         # the verdict can only fire when the whole component is quiescent at
         # the same iteration; anything else is a protocol bug
         if msg.k != self.k or self.phase is not Phase.AWAIT_TERMINATION:
@@ -203,7 +199,7 @@ class SolverAgent:
         self._finish("consistent")
 
     def _on_inconsistent(self, msg: AgentMessage) -> None:
-        self._forward_broadcast(msg)
+        self._broadcast(msg.kind, msg.k, msg.origin, msg.sender)
         self._finish("inconsistent")
 
     # -- iteration machinery -----------------------------------------
@@ -216,8 +212,7 @@ class SolverAgent:
         waiting on this agent's next domain sync.
         """
         if self.k + 1 > self.max_k:
-            self._originate_broadcast(MsgKind.INCONSISTENT)
-            self._finish("inconsistent")
+            self._conclude("inconsistent")
             return
         self.k += 1
         self._inquiry_seen = False
@@ -253,8 +248,7 @@ class SolverAgent:
         self.clock += checks
         self.checks += checks
         if emptied is not None:
-            self._originate_broadcast(MsgKind.INCONSISTENT)
-            self._finish("inconsistent")
+            self._conclude("inconsistent")
             return
         if self._changed:
             # the not-quiescent signal is indirect: moving on and sending the
@@ -269,21 +263,32 @@ class SolverAgent:
             return
         self.phase = Phase.AWAIT_TERMINATION
         self._feedback_pending = set(self.tree.children)
-        if self.tree.parent is None:
-            if not self.tree.children:
-                self._finish("consistent")  # single-agent component
-                return
-            for child in self.tree.children:
-                self._emit(MsgKind.INQUIRY, child, k=self.k)
-        elif self._inquiry_seen:
-            self._handle_inquiry()
+        if self.tree.parent is None or self._inquiry_seen:
+            self._poll()
 
-    def _handle_inquiry(self) -> None:
-        if not self.tree.children:
-            self._emit(MsgKind.FEEDBACK, self.tree.parent, k=self.k)
-        else:
+    def _poll(self) -> None:
+        """Quiescent at k and asked (the root asks itself): ask the children, or answer."""
+        if self.tree.children:
             for child in self.tree.children:
                 self._emit(MsgKind.INQUIRY, child, k=self.k)
+        else:
+            self._answer()
+
+    def _answer(self) -> None:
+        """The subtree is quiescent at k: feed back, or conclude at the root
+        (a childless root has no neighbors: the root's probes leave first)."""
+        if self.tree.parent is None:
+            self._conclude("consistent")
+        else:
+            self._emit(MsgKind.FEEDBACK, self.tree.parent, k=self.k)
+
+    def _conclude(self, verdict: str) -> None:
+        """Broadcast this agent's own verdict, then finish."""
+        if verdict == "consistent":
+            self._broadcast(MsgKind.ARC_CONSISTENT, self.k, self.agent_id)
+        else:
+            self._broadcast(MsgKind.INCONSISTENT, None, self.agent_id)
+        self._finish(verdict)
 
     # -- plumbing ------------------------------------------------------
 
@@ -292,14 +297,13 @@ class SolverAgent:
             AgentMessage(kind, self.agent_id, receiver, clock=self.clock, **fields)
         )
 
-    def _originate_broadcast(self, kind: MsgKind, k: int | None = None) -> None:
+    def _broadcast(
+        self, kind: MsgKind, k: int | None, origin: int, sender: int | None = None
+    ) -> None:
+        """Send a broadcast copy to every neighbor but the one it came from."""
         for j in self.view.neighbors:
-            self._emit(kind, j, k=k, origin=self.agent_id)
-
-    def _forward_broadcast(self, msg: AgentMessage) -> None:
-        for j in self.view.neighbors:
-            if j != msg.sender:
-                self._emit(msg.kind, j, k=msg.k, origin=msg.origin)
+            if j != sender:
+                self._emit(kind, j, k=k, origin=origin)
 
     def _finish(self, verdict: str) -> None:
         self.done = True

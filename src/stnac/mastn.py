@@ -31,6 +31,7 @@ from .intervals import Interval
 from .stn import (
     Stn,
     apply_stn_line,
+    conjoin,
     content_lines,
     parse_index,
     parse_interval,
@@ -94,12 +95,7 @@ class Mastn:
         self._check_endpoint(j, w)
         if i == j:
             raise ValidationError(f"external constraint must span two agents, got agent {i} twice")
-        if (i, v) < (j, w):
-            key, stored = ((i, v), (j, w)), ivl
-        else:
-            key, stored = ((j, w), (i, v)), ivl.inverse()
-        old = self._ext.get(key)
-        self._ext[key] = stored if old is None else old.intersect(stored)
+        conjoin(self._ext, (i, v), (j, w), ivl)
 
     def external_constraints(self) -> list[ExternalConstraint]:
         out = []

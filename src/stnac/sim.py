@@ -4,8 +4,11 @@ Delivery order is drawn from a seeded stream over the set of in-flight
 messages, so runs are reproducible while still exercising interleavings.
 Logical clocks follow the non-concurrent-check convention: an agent ticks
 its own clock once per constraint check, every outbound message carries the
-sender's clock, and on delivery the receiver's clock rises to
-max(own, carried + latency).  The run's NCCC is the largest final clock.
+sender's clock, and delivery sets msg.arrival to that clock plus latency.
+The receiver's clock rises to max(own, msg.arrival) at delivery, or, for a
+kind in the agent's optional deferred_clock_kinds (SolverAgent's
+DomainSync), when the agent consumes the message.  The run's NCCC is the
+largest final clock.
 
 An agent is any object with::
 
@@ -13,6 +16,7 @@ An agent is any object with::
     clock: int
     done: bool
     max_sends: int     # most messages the agent sends over a whole run
+    deferred_clock_kinds: frozenset[MsgKind]  # optional, see above
     on_start() -> list[AgentMessage]
     on_message(msg) -> list[AgentMessage]
 

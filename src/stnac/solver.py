@@ -249,7 +249,7 @@ def propagate(
     dom_updates = 0
     sweeps = 0
     since_search = 0  # domain changes since the last parent search
-    while sweeps <= n:  # a budget of n + 1 sweeps
+    while True:
         sweeps += 1
         changed, emptied, sweep_checks, sweep_updates = sweep_once(
             arcs, lo, hi, lo_par, hi_par, dirty
@@ -262,15 +262,13 @@ def propagate(
         if not changed:
             return True, None, sweeps, checks, dom_updates
         since_search += changed
-        if since_search >= n:
+        if since_search >= n or sweeps > n:  # a budget of n + 1 sweeps
             since_search = 0
             walk = _parent_cycle(lo_par, hi_par)
             if walk is not None:
                 break
-    else:
-        walk = _parent_cycle(lo_par, hi_par)
-        if walk is None:
-            raise RuntimeError("sweep budget spent without a parent cycle")
+            if sweeps > n:
+                raise RuntimeError("sweep budget spent without a parent cycle")
     return False, walk, sweeps, checks, dom_updates
 
 
@@ -372,6 +370,8 @@ def sample_solution(net: Stn, closure: AcClosure, seed: int) -> Assignment:
 
     `closure` is enforce_ac()'s closure of `net`, so every arc holds at the
     start and each re-closing starts from the picked variable's neighbors.
+    Domains that one sweep would still tighten are not a closure, and are
+    rejected with ValidationError.
     """
     if not isinstance(closure, AcClosure):
         raise ValidationError("sampling requires a consistent closure")
@@ -386,7 +386,10 @@ def sample_solution(net: Stn, closure: AcClosure, seed: int) -> Assignment:
     arcs = build_arcs(net.n, net.pairs())
     lo = [d.lo for d in closure.domains]
     hi = [d.hi for d in closure.domains]
-    dirty = [False] * net.n  # each stable propagate() clears it again
+    dirty = [True] * net.n  # a stable sweep, and each stable propagate(), clears it
+    changed, emptied, _, _ = sweep_once(arcs, lo, hi, [net.n] * net.n, [net.n] * net.n, dirty)
+    if changed or emptied is not None:
+        raise ValidationError("the domains are not a closure of the network: a sweep tightens them")
     for v in range(net.n):
         t = rng.randint(lo[v], hi[v])
         lo[v] = t

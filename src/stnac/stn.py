@@ -37,6 +37,17 @@ from .intervals import EMPTY, Interval, interval
 DEFAULT_MAGNITUDE_CAP = 2**40
 
 
+def conjoin(table: dict, a, b, ivl: Interval) -> None:
+    """Store the constraint ivl from a to b under the key (low, high), inverted
+    when a > b and intersected with any duplicate; Stn's and Mastn's one rule."""
+    if a < b:
+        key, stored = (a, b), ivl
+    else:
+        key, stored = (b, a), ivl.inverse()
+    old = table.get(key)
+    table[key] = stored if old is None else old.intersect(stored)
+
+
 class Stn:
     """Mutable while being built; treat as read-only once handed to a solver."""
 
@@ -101,22 +112,12 @@ class Stn:
     # -- constraints -----------------------------------------------
 
     def add_constraint(self, v: int, w: int, ivl: Interval) -> None:
-        """Insert the constraint ivl from v to w, intersecting any existing one.
-
-        The interval is stored in the low-index-to-high-index direction; an
-        insertion in the other direction is inverted first, so inserting a
-        constraint and its inverse is a no-op.
-        """
+        """Insert the constraint ivl from v to w, intersecting any existing one."""
         self._check_var(v)
         self._check_var(w)
         if v == w:
             raise ValidationError(f"self-loop constraint on variable {v}")
-        if v < w:
-            key, stored = (v, w), ivl
-        else:
-            key, stored = (w, v), ivl.inverse()
-        old = self._cons.get(key)
-        self._cons[key] = stored if old is None else old.intersect(stored)
+        conjoin(self._cons, v, w, ivl)
 
     def constraint(self, v: int, w: int) -> Interval | None:
         """The directed interval from v to w, or None when unconstrained."""

@@ -8,7 +8,8 @@ provenance header.  Instances are not forced to be consistent unless
 explicitly requested; both outcomes are wanted by the test suites.
 Every family checks its weight range and horizon in one place
 (_horizon) and starts each network from one blank timeline (_timeline)
-whose variables all share the domain [0, horizon].
+whose variables all share the domain [0, horizon]; both multi-agent
+families place their cross-agent constraints with _place_externals.
 
 Families:
 
@@ -78,6 +79,30 @@ def _timeline(n: int, horizon: int) -> Stn:
 def _rand_interval(rng: SplitMix64, wmin: int, wmax: int) -> Interval:
     a = rng.randint(wmin, wmax)
     return interval(a, rng.randint(a, wmax))
+
+
+def _place_externals(m: Mastn, rng: SplitMix64, count: int, chosen: set, pick, ivl) -> None:
+    """Add cross-agent constraints over fresh endpoint pairs until chosen holds count.
+
+    Each try draws two agents and skips equal ones, draws the endpoints
+    (v, w) = pick(i, j), and skips a pair already in chosen; a placed
+    constraint gets the interval ivl().  Gives up after 1000 * count tries.
+    """
+    attempts = 0
+    while len(chosen) < count:
+        attempts += 1
+        if attempts > 1000 * count:
+            raise GenerationError("could not place the requested external constraints")
+        i = rng.randbelow(m.p)
+        j = rng.randbelow(m.p)
+        if i == j:
+            continue
+        v, w = pick(i, j)
+        key = tuple(sorted(((i, v), (j, w))))
+        if key in chosen:
+            continue
+        chosen.add(key)
+        m.add_external(i, v, j, w, ivl())
 
 
 def gen_random_stn(
@@ -221,23 +246,11 @@ def gen_random_mastn(
         raise GenerationError(
             f"{externals} externals exceed the {capacity // 2} cross-agent pairs"
         )
-    chosen: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-    attempts = 0
-    while len(chosen) < externals:
-        attempts += 1
-        if attempts > 1000 * externals:
-            raise GenerationError("could not place the requested external constraints")
-        i = rng.randbelow(agents)
-        j = rng.randbelow(agents)
-        if i == j:
-            continue
-        v = rng.randbelow(n_local)
-        w = rng.randbelow(n_local)
-        key = tuple(sorted(((i, v), (j, w))))
-        if key in chosen:
-            continue
-        chosen.add(key)
-        m.add_external(i, v, j, w, _rand_interval(rng, wmin, wmax))
+
+    def pick(i: int, j: int) -> tuple[int, int]:
+        return rng.randbelow(n_local), rng.randbelow(n_local)
+
+    _place_externals(m, rng, externals, set(), pick, lambda: _rand_interval(rng, wmin, wmax))
     return m
 
 
@@ -285,32 +298,16 @@ def gen_factory_mastn(
     m = Mastn(locals_)
     if agents == 1:
         return m
-    chosen: set[tuple[tuple[int, int], tuple[int, int]]] = set()
 
-    def add(i: int, v: int, j: int, w: int) -> bool:
-        key = tuple(sorted(((i, v), (j, w))))
-        if key in chosen:
-            return False
-        chosen.add(key)
-        m.add_external(i, v, j, w, precedence)
-        return True
+    def pick(i: int, j: int) -> tuple[int, int]:  # an end point of i, a start point of j
+        return 2 * rng.randbelow(len(per_agent[i])) + 1, 2 * rng.randbelow(len(per_agent[j]))
 
-    for i in range(1, agents):  # the connecting line
-        v = 2 * rng.randbelow(len(per_agent[i - 1])) + 1  # an end point of agent i-1
-        w = 2 * rng.randbelow(len(per_agent[i]))  # a start point of agent i
-        add(i - 1, v, i, w)
-    attempts = 0
-    while len(chosen) < externals:
-        attempts += 1
-        if attempts > 1000 * externals:
-            raise GenerationError("could not place the requested external constraints")
-        i = rng.randbelow(agents)
-        j = rng.randbelow(agents)
-        if i == j:
-            continue
-        v = 2 * rng.randbelow(len(per_agent[i])) + 1
-        w = 2 * rng.randbelow(len(per_agent[j]))
-        add(i, v, j, w)
+    chosen = set()
+    for i in range(1, agents):  # the connecting line joins consecutive agents, never repeating
+        v, w = pick(i - 1, i)
+        chosen.add(((i - 1, v), (i, w)))
+        m.add_external(i - 1, v, i, w, precedence)
+    _place_externals(m, rng, externals, chosen, pick, lambda: precedence)
     return m
 
 

@@ -396,6 +396,18 @@ class TestSampleSolution:
         with pytest.raises(ValidationError, match="variable 0"):
             sample_solution(net, foreign, 0)
 
+    @pytest.mark.parametrize(
+        "domains",
+        [
+            (interval(0, 0), interval(0, 0)),  # one sweep empties y
+            (interval(0, 8), interval(0, 10)),  # y's closure domain is [2, 10]
+        ],
+    )
+    def test_domains_a_sweep_tightens_are_rejected(self, domains):
+        net = parse_stn((SAMPLES / "two_var.stn").read_text())
+        with pytest.raises(ValidationError, match="not a closure"):
+            sample_solution(net, AcClosure(domains, 0, 0, 0), 0)
+
 
 class TestVerifyAssignment:
     def test_accepts_valid(self):

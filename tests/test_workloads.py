@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conftest import neighbors
@@ -201,3 +203,71 @@ class TestGenerateDispatch:
         spec2 = GenSpec("random-mastn", 8, {"agents": 2, "activities": 2, "externals": 3})
         text2 = render_generated(generate(spec2), spec2)
         assert parse_mastn(text2).p == 2
+
+# The generators' output is part of the benchmark: perfbench builds its fixed
+# instances from these specs, so a drift would silently change what it times.
+# Each entry is (family, seed, params, sha256 of the rendered file).
+POOL_RANDOM = dict(n=200, density=0.05, consistent=True)
+POOL_SWEEP = dict(agents=16, tasks=400)
+POOL_SYNC = dict(agents=32, tasks=160, externals=62)
+GRID = dict(rows=24, cols=24, wmin=-20, wmax=20)
+SCALE_FREE = dict(n=600, m=3, wmin=-20, wmax=20)
+PINNED = [
+    ("random-stn", 0, POOL_RANDOM,
+     "f8b2b2038e1146755d2ad768310836d6e9c7b664c127fd6d7a64ea6b1f13f39e"),
+    ("random-stn", 1, POOL_RANDOM,
+     "d1246f7c18e9d8f9c001be57f93f4a76f29270e4068dc567f6111ba31b465567"),
+    ("random-stn", 2, POOL_RANDOM,
+     "245a676482ac1f76b21e4646178d8aa649e31527b16918af45d1e9e726b7e6d8"),
+    ("random-stn", 3, POOL_RANDOM,
+     "89633ac57249eb8448e8fbecf0beca90d7939b037b89027f6d634f577277bf32"),
+    ("random-stn", 4, POOL_RANDOM,
+     "747e294c9de1ac53a5fc3d322829b4ce60b92da3d95b7eddd58eaabc39984a13"),
+    ("random-stn", 5, POOL_RANDOM,
+     "faacde2daf91a7c524ccf092e28686f4175c8c8d631ac91da9ac2245560acd08"),
+    ("random-stn", 6, POOL_RANDOM,
+     "f0d55bc9b0f38b7db078196a884671f4c8063d8c3a13ff3fc851e5bab7f3aa87"),
+    ("random-stn", 7, POOL_RANDOM,
+     "1dc0a04f329b4bc2bee05f80a366147845626074eb5034b2cf3ebddac2b21e85"),
+    ("factory-mastn", 0, POOL_SWEEP,
+     "7ebe2e32a8759a3e9d8bc9793966843e547f69aa24200ad2ec8c626a6170c507"),
+    ("factory-mastn", 1, POOL_SWEEP,
+     "73f8a389f8677dae18bfecb2c4b965eafb906be25ca9abde0b5628e1728a535e"),
+    ("factory-mastn", 5, POOL_SWEEP,
+     "dcb736b3243c9beb0b4026e8dd3a48a0d42be9fbb7f438bb181a99b4967c1f95"),
+    ("factory-mastn", 7, POOL_SWEEP,
+     "f9622b6f2df35f7c60048026bf8c41a8ed40c066827038022b2a4484a4869371"),
+    ("factory-mastn", 0, POOL_SYNC,
+     "2736967f317ea0ea9f5230526f5144aba26c3fa2dbd45e03e0a43aa3878e2405"),
+    ("factory-mastn", 1, POOL_SYNC,
+     "6e38f2f996dc46f3edeee4518357533d7be53cb50fba1928a7ce377390b428df"),
+    ("grid-stn", 0, GRID,
+     "80491f800e6e6d9e150c130a48bb3394d35be50c4b25f1937e1067d20e1821ad"),
+    ("grid-stn", 1, GRID,
+     "e5a304f82b3d8bffddd788bb8036b0201276e2af7d5b07f7232513fa84f61658"),
+    ("scale-free-stn", 0, SCALE_FREE,
+     "f035e2c29cec371437a40b228827fa7787f57574fafd9c207e053ff926166fb9"),
+    ("scale-free-stn", 1, SCALE_FREE,
+     "7c2d42c018d9946465d3963c6931790fa4af27ddc74ed4cc737b7a8d5e8a53fd"),
+    ("random-mastn", 0, dict(agents=1, activities=3),
+     "08a48de4998ab1dca1647ce81f75e5f3c0f33867557a0b8604493ab65f1d8d88"),
+    ("random-mastn", 1, dict(agents=3, activities=4, externals=0),
+     "b580123ec11ee868caa1657f70fc1299e7472e534474263ad78a2526af8fb327"),
+    ("random-mastn", 2, dict(agents=3, activities=4),
+     "3953bb30fcd26d2383a6b807506fc2d5a87da582d4506b2545840ca4535c525e"),
+    ("random-mastn", 3, dict(agents=4, activities=4),
+     "5fd8fed62c6e1140fcb20396fcae0a09f023ee002912e07bda76191fb60c8c3a"),
+    ("factory-mastn", 0, dict(agents=1, tasks=5),
+     "92d7ebabba7648130642a9c8704f48a102ce16d4c6ff9a3aff3c8510ce937966"),
+    ("factory-mastn", 1, dict(agents=3, tasks=9, externals=2),
+     "14de50a5e7251cc6cf53c7fb6d1ac5683f7985be29f52dc7778e08d2d776fdec"),
+    ("factory-mastn", 2, dict(agents=3, tasks=9),
+     "a706c6371532d1ccb4e2075727335cae1392e36b7d3ec3cde6af33a97f5ba983"),
+]
+
+
+@pytest.mark.parametrize("family,seed,params,digest", PINNED)
+def test_generated_file_is_pinned(family, seed, params, digest):
+    spec = GenSpec(family, seed, dict(params))
+    text = render_generated(generate(spec), spec)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
