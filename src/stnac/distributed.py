@@ -55,12 +55,18 @@ class Phase(Enum):
     DONE = "Done"
 
 
+# members bound once: reading one through its Enum class runs the
+# metaclass's attribute hook, which code run per delivery would pay each time
+AWAIT_SYNC, AWAIT_TERMINATION, DONE = Phase
+DOMAIN_SYNC = MsgKind.DOMAIN_SYNC
+
+
 class SolverAgent:
     """One agent's protocol engine; driven by run_simulation."""
 
     # domain syncs are consumed at the sweep that uses them, so their clock
     # stamps are absorbed then, not at delivery
-    deferred_clock_kinds = frozenset({MsgKind.DOMAIN_SYNC})
+    deferred_clock_kinds = frozenset({DOMAIN_SYNC})
 
     def __init__(self, view: AgentView, tree: TreeInfo):
         self.agent_id = view.agent_id
@@ -78,7 +84,7 @@ class SolverAgent:
         self.done = False
         self.result: str | None = None
         self.k = 0
-        self.phase = Phase.AWAIT_SYNC
+        self.phase = AWAIT_SYNC
 
         stn = view.stn
         n = self._n = stn.n
@@ -97,9 +103,16 @@ class SolverAgent:
         self._reads = {
             j: {key: slot for key, slot in ghosts.items() if key[0] == j} for j in view.neighbors
         }
+        # shared variable -> its payload key and the interval last sent, and
+        # neighbor -> the payload last sent; _advance rebuilds an interval
+        # only when its bounds moved, and a payload only when one of its
+        # intervals was rebuilt, so unchanged domains go out as shared objects
+        self._keys = {v: (self.agent_id, v) for v in view.shared_vars}
+        self._sent = {v: interval(self._lo[v], self._hi[v]) for v in view.shared_vars}
+        self._payloads = {j: self._payload(j) for j in view.neighbors}
 
-        # k -> {neighbor: (arrival stamp, [(ghost slot, lo, hi)])}
-        self._inbox: dict[int, dict[int, tuple[int, list[tuple[int, int, int]]]]] = {}
+        # k -> {neighbor: (arrival stamp, {(neighbor, var): ghost slot}, payload)}
+        self._inbox: dict[int, dict[int, tuple[int, dict, dict]]] = {}
         self._changed = n  # domains changed by the last sweep
         self._inquiry_seen = False  # the parent's inquiry about k has arrived
         self._feedback_pending: set[int] = set()
@@ -114,7 +127,7 @@ class SolverAgent:
 
     def on_message(self, msg: AgentMessage) -> list[AgentMessage]:
         kind = msg.kind
-        if kind is MsgKind.DOMAIN_SYNC:
+        if kind is DOMAIN_SYNC:
             self._on_sync(msg)
         elif kind is MsgKind.INQUIRY:
             self._on_inquiry(msg)
@@ -137,20 +150,17 @@ class SolverAgent:
         reads = self._reads.get(msg.sender)
         if reads is None or msg.domains is None or msg.domains.keys() != reads.keys():
             self._fail(f"malformed domain sync from {msg.sender}")
-        if self.phase is Phase.AWAIT_TERMINATION and msg.k != self.k + 1:
+        if self.phase is AWAIT_TERMINATION and msg.k != self.k + 1:
             self._fail(f"domain sync for iteration {msg.k} while waiting at {self.k}")
-        if self.phase is Phase.AWAIT_SYNC and msg.k not in (self.k, self.k + 1):
+        if self.phase is AWAIT_SYNC and msg.k not in (self.k, self.k + 1):
             self._fail(f"domain sync for iteration {msg.k} while at {self.k}")
-        if self.phase is Phase.DONE:
+        if self.phase is DONE:
             self._fail(f"domain sync in phase {self.phase.value}")
         syncs = self._inbox.setdefault(msg.k, {})
         if msg.sender in syncs:
             self._fail(f"second domain sync from {msg.sender} for iteration {msg.k}")
-        syncs[msg.sender] = (
-            msg.arrival,
-            [(reads[key], ivl.lo, ivl.hi) for key, ivl in msg.domains.items()],
-        )
-        if self.phase is Phase.AWAIT_TERMINATION:
+        syncs[msg.sender] = (msg.arrival, reads, msg.domains)
+        if self.phase is AWAIT_TERMINATION:
             # a neighbor moved on, so iteration k is not globally quiescent;
             # abandon the round and join the next iteration.  This consumes
             # the message, so its stamp lands on the clock now.
@@ -169,9 +179,9 @@ class SolverAgent:
         if self._inquiry_seen:
             self._fail(f"duplicate inquiry for iteration {msg.k}")
         self._inquiry_seen = True
-        if self.phase is Phase.AWAIT_TERMINATION:
+        if self.phase is AWAIT_TERMINATION:
             self._poll()
-        elif self.phase is not Phase.AWAIT_SYNC:  # in AwaitSync, k's sweep answers it
+        elif self.phase is not AWAIT_SYNC:  # in AwaitSync, k's sweep answers it
             self._fail(f"inquiry in phase {self.phase.value}")
 
     def _on_feedback(self, msg: AgentMessage) -> None:
@@ -179,7 +189,7 @@ class SolverAgent:
             self._fail(f"feedback from non-child {msg.sender}")
         if msg.k < self.k:
             return  # feedback of an abandoned round
-        if msg.k > self.k or self.phase is not Phase.AWAIT_TERMINATION:
+        if msg.k > self.k or self.phase is not AWAIT_TERMINATION:
             self._fail(f"feedback for iteration {msg.k} in phase {self.phase.value}")
         if msg.sender not in self._feedback_pending:
             self._fail(f"duplicate feedback from {msg.sender}")
@@ -194,7 +204,7 @@ class SolverAgent:
         self._broadcast(msg.kind, msg.k, msg.origin, msg.sender)
         # the verdict can only fire when the whole component is quiescent at
         # the same iteration; anything else is a protocol bug
-        if msg.k != self.k or self.phase is not Phase.AWAIT_TERMINATION:
+        if msg.k != self.k or self.phase is not AWAIT_TERMINATION:
             self._fail(f"consistent verdict for iteration {msg.k}")
         self._finish("consistent")
 
@@ -216,30 +226,43 @@ class SolverAgent:
             return
         self.k += 1
         self._inquiry_seen = False
+        lo = self._lo
+        hi = self._hi
+        sent = self._sent
+        moved = {v for v, ivl in sent.items() if ivl.lo != lo[v] or ivl.hi != hi[v]}
+        for v in moved:
+            sent[v] = interval(lo[v], hi[v])
+        payloads = self._payloads
         for j in self.view.neighbors:
-            payload = {
-                (self.agent_id, v): interval(self._lo[v], self._hi[v])
-                for v in self.view.shared_with[j]
-            }
-            self._emit(MsgKind.DOMAIN_SYNC, j, k=self.k, domains=payload)
-        self.phase = Phase.AWAIT_SYNC
+            if not moved.isdisjoint(self.view.shared_with[j]):
+                payloads[j] = self._payload(j)
+            # built positionally: keyword arguments cost more, once per sync
+            self._out.append(
+                AgentMessage(DOMAIN_SYNC, self.agent_id, j, self.clock, self.k, payloads[j])
+            )
+        self.phase = AWAIT_SYNC
+
+    def _payload(self, j: int) -> dict[tuple[int, int], Interval]:
+        """The domains neighbor j reads, as last sent: a new dict each call."""
+        return {self._keys[v]: self._sent[v] for v in self.view.shared_with[j]}
 
     def _pump(self) -> None:
         """Sweep as long as every neighbor's sync for the iteration is here."""
         n_neighbors = len(self.view.neighbors)
-        while self.phase is Phase.AWAIT_SYNC and len(self._inbox.get(self.k, ())) == n_neighbors:
+        while self.phase is AWAIT_SYNC and len(self._inbox.get(self.k, ())) == n_neighbors:
             self._sweep()
 
     def _sweep(self) -> None:
         lo = self._lo
         hi = self._hi
         syncs = self._inbox.pop(self.k, {})  # an agent without neighbors has none
-        for stamp, payload in syncs.values():
+        for stamp, reads, payload in syncs.values():
             if stamp > self.clock:  # receiving the awaited domains
                 self.clock = stamp
-            for slot, a, b in payload:
-                lo[slot] = a
-                hi[slot] = b
+            for key, ivl in payload.items():
+                slot = reads[key]
+                lo[slot] = ivl.lo
+                hi[slot] = ivl.hi
         if syncs:  # fresh ghost values: sweep every variable
             self._dirty = [True] * len(self._dirty)
         self._changed, emptied, checks, _ = sweep_once(
@@ -261,7 +284,7 @@ class SolverAgent:
             # would have played and sends this agent straight to k+1
             self._advance()
             return
-        self.phase = Phase.AWAIT_TERMINATION
+        self.phase = AWAIT_TERMINATION
         self._feedback_pending = set(self.tree.children)
         if self.tree.parent is None or self._inquiry_seen:
             self._poll()
@@ -308,7 +331,7 @@ class SolverAgent:
     def _finish(self, verdict: str) -> None:
         self.done = True
         self.result = verdict
-        self.phase = Phase.DONE
+        self.phase = DONE
 
     def _drain(self) -> list[AgentMessage]:
         out = self._out

@@ -28,7 +28,7 @@ add up to) as errors that valid protocols never trigger.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -53,6 +53,9 @@ class MsgKind(Enum):
 class AgentMessage:
     """One protocol message.
 
+    `domains` is read-only once sent: a sender may hand one dict, and the
+    intervals in it, to several messages, so neither the runtime nor a
+    receiver may update them in place.
     `origin` names the agent that started a broadcast; forwarded copies
     keep it.
     `arrival` is runtime metadata: the carried clock plus latency, filled in
@@ -99,9 +102,10 @@ def run_simulation(agents: list, cfg: SimConfig, log: list[LogEntry] | None = No
     """Drive the agents until all terminate; returns the delivery log and metrics.
 
     Each delivery is appended to `log` (a new list when None) with its step
-    numbered on from the entries already there, and the histogram counts
-    the whole log.  `steps` counts only this run's deliveries, and so does
-    the step budget: the sum of the agents' `max_sends`, since every
+    numbered on from the entries already there.  The histogram covers the
+    whole log: it starts from the entries already there and counts each
+    delivery as it is made.  `steps` counts only this run's deliveries, and
+    so does the step budget: the sum of the agents' `max_sends`, since every
     delivery is a message some agent sent.  Exceeding it means an agent
     broke its own bound.
 
@@ -109,13 +113,16 @@ def run_simulation(agents: list, cfg: SimConfig, log: list[LogEntry] | None = No
     step is logged and counted, but on_message is not called and the
     agent's clock does not move.
     """
+    # agent id -> (agent, the kinds whose clock stamp it absorbs later); a
+    # tuple, since testing a set for a member would hash it per delivery
     by_id = {}
     for a in agents:
         if a.agent_id in by_id:
             raise ValidationError(f"duplicate agent id {a.agent_id}")
-        by_id[a.agent_id] = a
+        by_id[a.agent_id] = (a, tuple(getattr(a, "deferred_clock_kinds", ())))
     budget = sum(a.max_sends for a in agents)
     rng = SplitMix64(cfg.scheduler_seed)
+    latency = cfg.latency
     pending: list[AgentMessage] = []
 
     def enqueue(msgs: list[AgentMessage]) -> None:
@@ -129,6 +136,12 @@ def run_simulation(agents: list, cfg: SimConfig, log: list[LogEntry] | None = No
 
     if log is None:
         log = []
+    # keyed by the kind's plain value attribute: hashing a member or reading
+    # its value property costs a Python-level call per delivery
+    histogram: dict[str, int] = {}
+    for entry in log:
+        kind = entry.message.kind._value_
+        histogram[kind] = histogram.get(kind, 0) + 1
     offset = len(log)
     step = 0
     while True:
@@ -143,21 +156,22 @@ def run_simulation(agents: list, cfg: SimConfig, log: list[LogEntry] | None = No
         if step > budget:
             raise RunawayError(f"exceeded the {budget} delivery steps the agents declared")
         log.append(LogEntry(offset + step, msg))
-        agent = by_id[msg.receiver]
+        kind = msg.kind._value_
+        histogram[kind] = histogram.get(kind, 0) + 1
+        agent, deferred = by_id[msg.receiver]
         if agent.done:
             continue
-        msg.arrival = msg.clock + cfg.latency
+        msg.arrival = msg.clock + latency
         # kinds the agent consumes later (e.g. cached domain syncs) carry
         # their arrival stamp with them instead of bumping the clock now:
         # a message influences the clock when the protocol receives it
-        if msg.kind not in getattr(agent, "deferred_clock_kinds", ()):
+        if msg.kind not in deferred:
             if msg.arrival > agent.clock:
                 agent.clock = msg.arrival
         enqueue(agent.on_message(msg))
 
-    histogram = Counter(entry.message.kind.value for entry in log)
     nccc = max((a.clock for a in agents), default=0)
-    return SimReport(log=log, histogram=dict(histogram), nccc=nccc, steps=step)
+    return SimReport(log=log, histogram=histogram, nccc=nccc, steps=step)
 
 
 def _describe(agent) -> str:
@@ -321,15 +335,7 @@ def dump_log(log: list[LogEntry]) -> str:
     for entry in log:
         msg = entry.message
         lines.append(
-            "\t".join(
-                (
-                    str(entry.step),
-                    str(msg.clock),
-                    str(msg.sender),
-                    str(msg.receiver),
-                    msg.kind.value,
-                    _payload_text(msg),
-                )
-            )
+            f"{entry.step}\t{msg.clock}\t{msg.sender}\t{msg.receiver}\t"
+            f"{msg.kind._value_}\t{_payload_text(msg)}\n"
         )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(lines)

@@ -282,8 +282,14 @@ def gen_factory_mastn(
         raise GenerationError("a single agent admits no external constraints")
     if tasks < agents:
         raise GenerationError("every agent needs at least one task")
-    horizon = _horizon(2 * tasks, wmin, wmax, horizon)
     per_agent = [list(range(t, tasks, agents)) for t in range(agents)]
+    # an external joins one agent's task end to another agent's task start
+    capacity = tasks**2 - sum(len(ts) ** 2 for ts in per_agent)
+    if externals > capacity:
+        raise GenerationError(
+            f"{externals} externals exceed the {capacity} cross-agent end-to-start pairs"
+        )
+    horizon = _horizon(2 * tasks, wmin, wmax, horizon)
     rng = SplitMix64(seed)
     precedence = interval(0, None)  # end must not come after the successor starts
     locals_: list[Stn] = []

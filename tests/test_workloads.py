@@ -159,6 +159,21 @@ class TestFactoryMastn:
         assert m.total_vars == 640
         assert all(a.n == 40 for a in m.agents)
 
+    def test_externals_fill_every_end_to_start_pair(self):
+        # tasks 0, 2 go to agent 0 and task 1 to agent 1: 3**2 - 2**2 - 1**2 = 4
+        # pairs join one agent's task end to the other agent's task start
+        m = gen_factory_mastn(agents=2, tasks=3, externals=4, seed=0)
+        assert len(m.external_constraints()) == 4
+
+    @pytest.mark.parametrize("agents, tasks, externals", [(2, 3, 5), (2, 3, 500), (3, 9, 55)])
+    def test_externals_over_capacity_fail_before_any_draw(self, monkeypatch, agents, tasks, externals):
+        def no_draws(seed):
+            raise AssertionError("the generator drew before its capacity check")
+
+        monkeypatch.setattr("stnac.workloads.SplitMix64", no_draws)
+        with pytest.raises(GenerationError, match="cross-agent end-to-start pairs"):
+            gen_factory_mastn(agents=agents, tasks=tasks, externals=externals)
+
     def test_chains_are_schedulable_alone(self):
         # without cross-agent precedences each local chain has a solution
         m = gen_factory_mastn(agents=3, tasks=9, seed=4)
