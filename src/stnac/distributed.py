@@ -38,6 +38,11 @@ from .errors import ProtocolError
 from .intervals import Interval, interval
 from .mastn import AgentView, Mastn, agent_view
 from .sim import (
+    ARC_CONSISTENT,
+    DOMAIN_SYNC,
+    FEEDBACK,
+    INCONSISTENT,
+    INQUIRY,
     AgentMessage,
     LogEntry,
     MsgKind,
@@ -55,10 +60,8 @@ class Phase(Enum):
     DONE = "Done"
 
 
-# members bound once: reading one through its Enum class runs the
-# metaclass's attribute hook, which code run per delivery would pay each time
+# Phase's members bound once, for the reason sim.py gives for MsgKind's
 AWAIT_SYNC, AWAIT_TERMINATION, DONE = Phase
-DOMAIN_SYNC = MsgKind.DOMAIN_SYNC
 
 
 class SolverAgent:
@@ -129,13 +132,13 @@ class SolverAgent:
         kind = msg.kind
         if kind is DOMAIN_SYNC:
             self._on_sync(msg)
-        elif kind is MsgKind.INQUIRY:
+        elif kind is INQUIRY:
             self._on_inquiry(msg)
-        elif kind is MsgKind.FEEDBACK:
+        elif kind is FEEDBACK:
             self._on_feedback(msg)
-        elif kind is MsgKind.ARC_CONSISTENT:
+        elif kind is ARC_CONSISTENT:
             self._on_arc_consistent(msg)
-        elif kind is MsgKind.INCONSISTENT:
+        elif kind is INCONSISTENT:
             self._on_inconsistent(msg)
         else:
             self._fail(f"unexpected {kind.value} during the solve run")
@@ -293,7 +296,7 @@ class SolverAgent:
         """Quiescent at k and asked (the root asks itself): ask the children, or answer."""
         if self.tree.children:
             for child in self.tree.children:
-                self._emit(MsgKind.INQUIRY, child, k=self.k)
+                self._emit(INQUIRY, child, k=self.k)
         else:
             self._answer()
 
@@ -303,14 +306,14 @@ class SolverAgent:
         if self.tree.parent is None:
             self._conclude("consistent")
         else:
-            self._emit(MsgKind.FEEDBACK, self.tree.parent, k=self.k)
+            self._emit(FEEDBACK, self.tree.parent, k=self.k)
 
     def _conclude(self, verdict: str) -> None:
         """Broadcast this agent's own verdict, then finish."""
         if verdict == "consistent":
-            self._broadcast(MsgKind.ARC_CONSISTENT, self.k, self.agent_id)
+            self._broadcast(ARC_CONSISTENT, self.k, self.agent_id)
         else:
-            self._broadcast(MsgKind.INCONSISTENT, None, self.agent_id)
+            self._broadcast(INCONSISTENT, None, self.agent_id)
         self._finish(verdict)
 
     # -- plumbing ------------------------------------------------------

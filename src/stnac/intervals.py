@@ -4,6 +4,8 @@ Endpoints are 64-bit-range integers; a missing lower endpoint stands for
 -inf and a missing upper endpoint for +inf.  The empty interval is a single
 canonical value, so structural equality coincides with semantic equality.
 All operations are side-effect free and values may be shared freely.
+Interval is a frozen, slotted dataclass: it has no per-instance __dict__,
+which keeps each value small and cheap to build.
 The text form is written by to_tokens(); reading it back, with the
 magnitude cap on every finite endpoint, is stn.parse_interval's job.
 """
@@ -28,7 +30,7 @@ def _add(a: int | None, b: int | None) -> int | None:
     return s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Closed interval [lo, hi] over extended integers.
 

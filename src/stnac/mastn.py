@@ -28,16 +28,7 @@ from dataclasses import dataclass
 
 from .errors import FormatError, ValidationError
 from .intervals import Interval
-from .stn import (
-    Stn,
-    apply_stn_line,
-    conjoin,
-    content_lines,
-    parse_index,
-    parse_interval,
-    read_header,
-    write_body,
-)
+from .stn import BodyReader, Stn, conjoin, content_lines, read_header, write_body
 
 
 @dataclass(frozen=True)
@@ -236,8 +227,9 @@ def parse_mastn(text: str) -> Mastn:
     for i in range(p):
         if i not in blocks:
             raise FormatError(f"agent {i} has no block")
-    agents = [_build_agent(blocks[i]) for i in range(p)]
-    m = Mastn(agents)
+    intervals: dict = {}
+    readers = [_build_agent(blocks[i], intervals) for i in range(p)]
+    m = Mastn([r.net for r in readers])
     for lineno, tokens in externals:
         if len(tokens) not in (6, 7):
             raise FormatError("expected 'external <i> <v> <j> <w> <a> <b>'", lineno)
@@ -247,9 +239,9 @@ def parse_mastn(text: str) -> Mastn:
             raise FormatError("external agent ids must be integers", lineno) from None
         if not 0 <= i < p or not 0 <= j < p:
             raise FormatError(f"unknown agent in external ({i}, {j})", lineno)
-        v = parse_index(agents[i], tokens[2], lineno)
-        w = parse_index(agents[j], tokens[4], lineno)
-        ivl = parse_interval(tokens[5:], lineno)
+        v = readers[i].index(tokens[2], lineno)
+        w = readers[j].index(tokens[4], lineno)
+        ivl = readers[i].interval(tokens[5:], lineno)
         try:
             m.add_external(i, v, j, w, ivl)
         except ValidationError as exc:
@@ -257,17 +249,16 @@ def parse_mastn(text: str) -> Mastn:
     return m
 
 
-def _build_agent(lines: list[tuple[int, list[str]]]) -> Stn:
-    """One agent's block as a network of one variable per domain line.
+def _build_agent(lines: list[tuple[int, list[str]]], intervals: dict) -> BodyReader:
+    """One agent's block read into a network of one variable per domain line.
 
     Each domain line must name a distinct variable in range, so once every
     line applies, every variable has its domain.
     """
-    net = Stn(sum(1 for _, tokens in lines if tokens[0] == "domain"))
-    seen_domain: set[int] = set()
+    reader = BodyReader(Stn(sum(1 for _, tokens in lines if tokens[0] == "domain")), intervals)
     for lineno, tokens in lines:
-        apply_stn_line(net, tokens, lineno, seen_domain)
-    return net
+        reader.apply(tokens, lineno)
+    return reader
 
 
 def serialize_mastn(m: Mastn) -> str:

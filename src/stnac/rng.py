@@ -10,7 +10,8 @@ platforms and implementations of the same algorithm.
 
 from __future__ import annotations
 
-_MASK64 = (1 << 64) - 1
+_TWO64 = 1 << 64
+_MASK64 = _TWO64 - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -35,11 +36,17 @@ class SplitMix64:
         """Uniform integer in [0, n) via rejection from the 64-bit stream."""
         if n <= 0:
             raise ValueError("randbelow needs a positive bound")
-        limit = (1 << 64) - ((1 << 64) % n)
+        limit = _TWO64 - _TWO64 % n
+        state = self._state
         while True:
-            r = self.next_u64()
-            if r < limit:
-                return r % n
+            # next_u64, inlined: this is the draw behind every scheduler step
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            z ^= z >> 31
+            if z < limit:
+                self._state = state
+                return z % n
 
     def randint(self, a: int, b: int) -> int:
         """Uniform integer in [a, b], both ends inclusive."""

@@ -49,6 +49,11 @@ class MsgKind(Enum):
     ECHO_REPLY = "EchoReply"
 
 
+# members bound once: reading one through its Enum class runs the
+# metaclass's attribute hook, which code run per message would pay each time
+DOMAIN_SYNC, INCONSISTENT, INQUIRY, FEEDBACK, ARC_CONSISTENT, ECHO_PROBE, ECHO_REPLY = MsgKind
+
+
 @dataclass(slots=True)
 class AgentMessage:
     """One protocol message.
@@ -230,14 +235,14 @@ def echo_setup(
         agg_vars[i] = sizes[i]
         for j in neighbors[i]:
             if j != p:
-                queue.append(AgentMessage(MsgKind.ECHO_PROBE, i, j))
+                queue.append(AgentMessage(ECHO_PROBE, i, j))
 
     join(root, None)
     while queue:
         msg = queue.popleft()
         delivered.append(msg)
         i = msg.receiver
-        if msg.kind is MsgKind.ECHO_PROBE:
+        if msg.kind is ECHO_PROBE:
             if i not in parent:
                 join(i, msg.sender)
         else:
@@ -248,7 +253,7 @@ def echo_setup(
         if not unheard[i] and parent[i] is not None:  # the root has no parent
             queue.append(
                 AgentMessage(
-                    MsgKind.ECHO_REPLY,
+                    ECHO_REPLY,
                     i,
                     parent[i],
                     subtree_agents=agg_agents[i],
@@ -293,7 +298,8 @@ def audit_privacy(log: list[LogEntry], m: Mastn) -> AuditResult:
         msg = entry.message
         if (msg.sender, msg.receiver) not in edges:
             return AuditResult(False, entry, "message between non-neighbor agents")
-        if msg.kind is MsgKind.DOMAIN_SYNC:
+        kind = msg.kind
+        if kind is DOMAIN_SYNC:
             if msg.domains is None:
                 return AuditResult(False, entry, "domain sync without a payload")
             for key in msg.domains:
@@ -301,7 +307,7 @@ def audit_privacy(log: list[LogEntry], m: Mastn) -> AuditResult:
                     return AuditResult(False, entry, "payload names a foreign variable")
                 if key not in shared:
                     return AuditResult(False, entry, "payload names a private variable")
-        elif msg.kind is MsgKind.ECHO_REPLY:
+        elif kind is ECHO_REPLY:
             if msg.domains is not None:
                 return AuditResult(False, entry, "echo reply carries intervals")
         else:

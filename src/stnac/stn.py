@@ -23,8 +23,15 @@ DEFAULT_MAGNITUDE_CAP (2**40), that of an inverted pair (which reads as
 This module owns the line grammar that the .mastn and bench-config
 formats share: the line reader (content_lines), the header parser
 (read_header), the interval parser (parse_interval, the one reader of
-endpoint tokens), the body-line parser (apply_stn_line) and the body
-writer (write_body).  A .mastn agent block is .stn body text.
+endpoint tokens), the body-line parser (BodyReader) and the body writer
+(write_body).  A .mastn agent block is .stn body text.
+
+A parse reads each distinct token once.  Its BodyReaders memoize index
+tokens (str(v) -> v, per network) and endpoint tokens (-> the Interval,
+per file, as intervals are immutable values); a token the memo lacks goes
+through parse_index or parse_interval, which own every check and error.
+Names are never memoized, because a later var line can move a name to
+another variable.
 """
 
 from __future__ import annotations
@@ -166,7 +173,9 @@ def content_lines(lines: list[str]):
     The one line reader of the .stn, .mastn and bench-config grammars.
     """
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        line = raw.strip()
         if line:
             yield lineno, line
 
@@ -218,19 +227,19 @@ def parse_interval(tokens: list[str], lineno: int) -> Interval:
     if len(tokens) != 2:
         raise FormatError(f"expected two endpoints or 'empty', got {tokens!r}", lineno)
     a, b = tokens
-    if a == "+inf":
-        raise FormatError("'+inf' cannot be a lower endpoint", lineno)
-    lo = None if a == "-inf" else _endpoint(a, lineno)
-    if b == "-inf":
-        raise FormatError("'-inf' cannot be an upper endpoint", lineno)
-    hi = None if b == "+inf" else _endpoint(b, lineno)
-    return interval(lo, hi)
+    lo = _endpoint(a, lineno, "-inf", "a lower")
+    return interval(lo, _endpoint(b, lineno, "+inf", "an upper"))
 
 
-def _endpoint(token: str, lineno: int) -> int:
+def _endpoint(token: str, lineno: int, infinity: str, side: str) -> int | None:
+    """One endpoint: an integer within the cap, or the infinity of its side (None)."""
     try:
         value = int(token)
     except ValueError:
+        if token == infinity:
+            return None
+        if token in ("-inf", "+inf"):
+            raise FormatError(f"'{token}' cannot be {side} endpoint", lineno) from None
         raise FormatError(f"expected an integer endpoint, got {token!r}", lineno) from None
     if abs(value) > DEFAULT_MAGNITUDE_CAP:
         raise FormatError(
@@ -239,36 +248,69 @@ def _endpoint(token: str, lineno: int) -> int:
     return value
 
 
-def apply_stn_line(net: Stn, tokens: list[str], lineno: int, seen_domain: set[int]) -> None:
-    """Apply one var/domain/constraint line; shared by the .stn and .mastn parsers."""
-    kind = tokens[0]
-    try:
-        if kind == "var":
-            if len(tokens) not in (2, 3):
-                raise FormatError("expected 'var <index> [name]'", lineno)
-            v = parse_index(net, tokens[1], lineno)
-            if len(tokens) == 3:
-                net.set_name(v, tokens[2])
-        elif kind == "domain":
-            if len(tokens) != 4:
-                raise FormatError("expected 'domain <v> <a> <b>'", lineno)
-            v = parse_index(net, tokens[1], lineno)
-            if v in seen_domain:
-                raise FormatError(f"domain of variable {v} redeclared", lineno)
-            net.set_domain(v, parse_interval(tokens[2:], lineno))
-            seen_domain.add(v)
-        elif kind == "constraint":
-            if len(tokens) not in (4, 5):
-                raise FormatError("expected 'constraint <v> <w> <a> <b>'", lineno)
-            v = parse_index(net, tokens[1], lineno)
-            w = parse_index(net, tokens[2], lineno)
-            net.add_constraint(v, w, parse_interval(tokens[3:], lineno))
-        elif kind == "stn":
-            raise FormatError("duplicate 'stn' header", lineno)
-        else:
-            raise FormatError(f"unknown directive {kind!r}", lineno)
-    except ValidationError as exc:
-        raise FormatError(str(exc), lineno) from None
+class BodyReader:
+    """Applies one network's var/domain/constraint lines, in file order: a
+    .stn body or one .mastn agent block.
+
+    It holds the parse's memo (see above): its own network's index tokens,
+    and the endpoint tokens it shares with every other reader of the file.
+    """
+
+    __slots__ = ("net", "_indices", "_intervals", "_seen_domain")
+
+    def __init__(self, net: Stn, intervals: dict):
+        self.net = net
+        self._indices = {str(v): v for v in range(net.n)}
+        self._intervals = intervals
+        self._seen_domain: set[int] = set()
+
+    def index(self, token: str, lineno: int) -> int:
+        """parse_index's result for token, from the memo when it holds one."""
+        v = self._indices.get(token)
+        return parse_index(self.net, token, lineno) if v is None else v
+
+    def interval(self, tokens: list[str], lineno: int) -> Interval:
+        """parse_interval's result for tokens, from the memo when it holds one."""
+        key = tuple(tokens)
+        ivl = self._intervals.get(key)
+        if ivl is None:
+            ivl = self._intervals[key] = parse_interval(tokens, lineno)
+        return ivl
+
+    def apply(self, tokens: list[str], lineno: int) -> None:
+        """Apply one line; shared by the .stn and .mastn parsers."""
+        kind = tokens[0]
+        net = self.net
+        try:
+            if kind == "constraint":
+                if len(tokens) not in (4, 5):
+                    raise FormatError("expected 'constraint <v> <w> <a> <b>'", lineno)
+                v = self.index(tokens[1], lineno)
+                w = self.index(tokens[2], lineno)
+                ivl = self.interval(tokens[3:], lineno)
+                if v == w:
+                    net.add_constraint(v, w, ivl)  # raises its self-loop error
+                conjoin(net._cons, v, w, ivl)
+            elif kind == "domain":
+                if len(tokens) != 4:
+                    raise FormatError("expected 'domain <v> <a> <b>'", lineno)
+                v = self.index(tokens[1], lineno)
+                if v in self._seen_domain:
+                    raise FormatError(f"domain of variable {v} redeclared", lineno)
+                net.set_domain(v, self.interval(tokens[2:], lineno))
+                self._seen_domain.add(v)
+            elif kind == "var":
+                if len(tokens) not in (2, 3):
+                    raise FormatError("expected 'var <index> [name]'", lineno)
+                v = self.index(tokens[1], lineno)
+                if len(tokens) == 3:
+                    net.set_name(v, tokens[2])
+            elif kind == "stn":
+                raise FormatError("duplicate 'stn' header", lineno)
+            else:
+                raise FormatError(f"unknown directive {kind!r}", lineno)
+        except ValidationError as exc:
+            raise FormatError(str(exc), lineno) from None
 
 
 def parse_stn(text: str) -> Stn:
@@ -285,9 +327,9 @@ def parse_stn(text: str) -> Stn:
             lineno,
         )
     net = Stn(n)
-    seen_domain: set[int] = set()
+    reader = BodyReader(net, {})
     for lineno, line in body:
-        apply_stn_line(net, line.split(), lineno, seen_domain)
+        reader.apply(line.split(), lineno)
     try:
         net.validate()
     except ValidationError as exc:

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from stnac import EMPTY, BoundOverflowError, Interval, interval
@@ -81,6 +85,40 @@ class TestConstruction:
         assert str(interval(0, 8)) == "[0,8]"
         assert str(interval(None, 5)) == "[-inf,5]"
         assert str(EMPTY) == "empty"
+
+
+class TestImmutableValue:
+    """Interval is a frozen, slotted value: copies and pickles are equal to it."""
+
+    VALUES = (interval(2, 5), interval(None, 0), interval(-3, None), interval(None, None), EMPTY)
+
+    @pytest.mark.parametrize("ivl", VALUES, ids=str)
+    def test_copies_and_pickles_are_equal(self, ivl):
+        for other in (copy.copy(ivl), copy.deepcopy(ivl), pickle.loads(pickle.dumps(ivl))):
+            assert other == ivl and hash(other) == hash(ivl) and repr(other) == repr(ivl)
+            assert other.is_empty == ivl.is_empty
+
+    def test_empty_stays_empty_through_copies(self):
+        assert copy.deepcopy({(0, 1): EMPTY})[(0, 1)].is_empty
+        assert pickle.loads(pickle.dumps(EMPTY)).is_empty
+        assert copy.copy(EMPTY).intersect(interval(0, 1)) is EMPTY
+
+    def test_attributes_cannot_be_assigned(self):
+        ivl = interval(1, 2)
+        for name in ("lo", "hi", "is_empty"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ivl, name, 0)
+        # a new attribute fails too; its error type differs across Python versions
+        with pytest.raises((AttributeError, TypeError)):
+            ivl.extra = 0
+        assert ivl == interval(1, 2)
+        assert not hasattr(ivl, "__dict__")
+
+    def test_bad_pair_still_rejected(self):
+        with pytest.raises(ValueError):
+            Interval(3, 1)
+        with pytest.raises(ValueError):
+            Interval(0, None, is_empty=True)
 
 
 class TestAlgebraicLaws:

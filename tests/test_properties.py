@@ -84,6 +84,92 @@ def test_mastn_round_trip(m):
     assert parse_mastn(serialize_mastn(m)) == m
 
 
+# -- texts written line by line ----------------------------------------------
+# Each draw writes one insertion per line, the way a hand-made file might:
+# references by name, one-sided and 'empty' constraints, both orientations
+# and repeated lines.  The expected model replays the same insertions, so
+# the parser must intersect duplicates and resolve every reference as the
+# model API does.  Small endpoints make the parser meet tokens it has read.
+
+SMALL_ENDS = st.integers(-4, 4) | st.sampled_from([-DEFAULT_MAGNITUDE_CAP, DEFAULT_MAGNITUDE_CAP])
+
+
+def ref(net, v):
+    """How a line refers to v: by name, unless v has none or its name reads
+    as an integer, which parse_index takes for an index."""
+    name = net.name(v)
+    return name if name is not None and not name.lstrip("-").isdigit() else str(v)
+
+
+def constraint_ivl(draw):
+    lo, hi = draw(st.none() | SMALL_ENDS), draw(st.none() | SMALL_ENDS)
+    return interval(lo, hi)
+
+
+@st.composite
+def block_lines(draw, max_n):
+    """(network, var/domain/constraint lines that build it)."""
+    n = draw(st.integers(0, max_n))
+    net = Stn(n)
+    names = draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
+    lines = []
+    for v in range(n):
+        if draw(st.booleans()):
+            net.set_name(v, names[v])
+            lines.append(f"var {v} {names[v]}")
+    body = []
+    for v in range(n):
+        net.set_domain(v, interval(*sorted((draw(SMALL_ENDS), draw(SMALL_ENDS)))))
+        body.append(f"domain {ref(net, v)} {net.domain(v).to_tokens()}")
+    if n >= 2:
+        for _ in range(draw(st.integers(0, 3 * n))):
+            v, w = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            ivl = constraint_ivl(draw)
+            line = f"constraint {ref(net, v)} {ref(net, w)} {ivl.to_tokens()}"
+            for _ in range(draw(st.integers(1, 2))):
+                net.add_constraint(v, w, ivl)
+                body.append(line)
+    return net, lines + draw(st.permutations(body))
+
+
+@bounded(40)
+@given(block_lines(max_n=5))
+def test_stn_lines_parse_to_their_insertions(drawn):
+    net, lines = drawn
+    text = "\n".join([f"stn {net.n}", *lines]) + "\n"
+    assert parse_stn(text) == net
+    assert parse_stn(serialize_stn(net)) == net
+
+
+@st.composite
+def mastn_lines(draw):
+    blocks = draw(st.lists(block_lines(max_n=3), max_size=4))
+    m = Mastn([net for net, _ in blocks])
+    lines = [f"mastn {m.p}"]
+    for i, (_, body) in enumerate(blocks):
+        lines += [f"agent {i}", *body]
+    owners = [i for i, a in enumerate(m.agents) if a.n]
+    if len(owners) >= 2:
+        for _ in range(draw(st.integers(0, 5))):
+            i, j = draw(st.lists(st.sampled_from(owners), min_size=2, max_size=2, unique=True))
+            v = draw(st.integers(0, m.agents[i].n - 1))
+            w = draw(st.integers(0, m.agents[j].n - 1))
+            ivl = constraint_ivl(draw)
+            line = f"external {i} {ref(m.agents[i], v)} {j} {ref(m.agents[j], w)} {ivl.to_tokens()}"
+            for _ in range(draw(st.integers(1, 2))):
+                m.add_external(i, v, j, w, ivl)
+                lines.append(line)
+    return m, lines
+
+
+@bounded(30)
+@given(mastn_lines())
+def test_mastn_lines_parse_to_their_insertions(drawn):
+    m, lines = drawn
+    assert parse_mastn("\n".join(lines) + "\n") == m
+    assert parse_mastn(serialize_mastn(m)) == m
+
+
 @bounded(40)
 @given(stns(max_n=6, ends=st.integers(-30, 30)))
 def test_solver_matches_oracle(net):

@@ -6,6 +6,7 @@ from stnac import (
     Stn,
     ValidationError,
     interval,
+    parse_mastn,
     parse_stn,
     serialize_stn,
 )
@@ -243,3 +244,188 @@ class TestSerialization:
         net = Stn(1)
         with pytest.raises(ValidationError, match="single token"):
             net.set_name(0, name)
+
+
+# Exact FormatError text and line of malformed inputs in both formats.  Rows
+# whose bad line repeats the tokens of an earlier valid line check that a
+# token the parser has already read once still gets every check.
+STN_HEAD = "stn 2\ndomain 0 0 10\ndomain 1 0 10\n"
+MASTN_HEAD = "mastn 2\nagent 0\ndomain 0 0 10\ndomain 1 0 10\nagent 1\ndomain 0 0 10\ndomain 1 0 10\n"
+# agent 0 has variable 2 and uses it; agent 1 does not have it
+MASTN3_HEAD = (
+    "mastn 2\nagent 0\ndomain 0 0 10\ndomain 1 0 10\ndomain 2 0 10\nconstraint 0 2 3 5\n"
+    "agent 1\ndomain 0 0 10\ndomain 1 0 10\n"
+)
+STN_ERRORS = [
+    (STN_HEAD + "constraint 0 1 +inf 5\n", 4, "'+inf' cannot be a lower endpoint"),
+    (STN_HEAD + "constraint 0 1 3 -inf\n", 4, "'-inf' cannot be an upper endpoint"),
+    (STN_HEAD + "constraint 0 1 +inf -inf\n", 4, "'+inf' cannot be a lower endpoint"),
+    (
+        STN_HEAD + "constraint 0 1 2199023255553 x\n",
+        4,
+        "endpoint 2199023255553 exceeds the magnitude cap 1099511627776",
+    ),
+    (
+        STN_HEAD + "constraint 0 1 -2199023255553 -inf\n",
+        4,
+        "endpoint -2199023255553 exceeds the magnitude cap 1099511627776",
+    ),
+    (STN_HEAD + "constraint 0 1 x 2199023255553\n", 4, "expected an integer endpoint, got 'x'"),
+    (
+        STN_HEAD + "constraint 0 1 5 -2199023255553\n",
+        4,
+        "endpoint -2199023255553 exceeds the magnitude cap 1099511627776",
+    ),
+    (STN_HEAD + "constraint 0 1 1.5 2\n", 4, "expected an integer endpoint, got '1.5'"),
+    (STN_HEAD + "constraint 0 1 0 x\n", 4, "expected an integer endpoint, got 'x'"),
+    (STN_HEAD + "constraint 0 1 x -inf\n", 4, "expected an integer endpoint, got 'x'"),
+    (STN_HEAD + "constraint 0 1 empty 3\n", 4, "expected an integer endpoint, got 'empty'"),
+    (STN_HEAD + "constraint 0 1 5\n", 4, "expected two endpoints or 'empty', got ['5']"),
+    (STN_HEAD + "constraint 0 1\n", 4, "expected 'constraint <v> <w> <a> <b>'"),
+    (STN_HEAD + "constraint 0 1 0 1 2\n", 4, "expected 'constraint <v> <w> <a> <b>'"),
+    (STN_HEAD + "constraint 0 7 0 1\n", 4, "unknown variable 7 (network has 2)"),
+    (STN_HEAD + "constraint -1 0 0 1\n", 4, "unknown variable -1 (network has 2)"),
+    (STN_HEAD + "constraint a 1 0 1\n", 4, "unknown variable 'a'"),
+    (STN_HEAD + "constraint 9 1 x y\n", 4, "unknown variable 9 (network has 2)"),
+    (STN_HEAD + "constraint 0 9 x y\n", 4, "unknown variable 9 (network has 2)"),
+    (STN_HEAD + "constraint 1 1 0 1\n", 4, "self-loop constraint on variable 1"),
+    (STN_HEAD + "constraint 1 1 x 1\n", 4, "expected an integer endpoint, got 'x'"),
+    (STN_HEAD + "domain 0 0 5\n", 4, "domain of variable 0 redeclared"),
+    (STN_HEAD + "domain 0 x y\n", 4, "domain of variable 0 redeclared"),
+    ("stn 2\ndomain 0 1.5 3\ndomain 1 0 1\n", 2, "expected an integer endpoint, got '1.5'"),
+    ("stn 2\ndomain 0 empty 3\ndomain 1 0 1\n", 2, "expected an integer endpoint, got 'empty'"),
+    ("stn 2\ndomain 0 empty\ndomain 1 0 1\n", 2, "expected 'domain <v> <a> <b>'"),
+    ("stn 2\ndomain 0 5 3\ndomain 1 0 1\n", 2, "domain of variable 0 must be non-empty"),
+    (
+        "stn 2\ndomain 0 -inf 3\ndomain 1 0 1\n",
+        2,
+        "domain of variable 0 must be finite on both ends",
+    ),
+    (
+        "stn 2\ndomain 0 2199023255553 -inf\ndomain 1 0 1\n",
+        2,
+        "endpoint 2199023255553 exceeds the magnitude cap 1099511627776",
+    ),
+    ("stn 2\ndomain 9 0 1\ndomain 1 0 1\n", 2, "unknown variable 9 (network has 2)"),
+    ("stn 2\nvar 5 x\ndomain 0 0 1\ndomain 1 0 1\n", 2, "unknown variable 5 (network has 2)"),
+    ("stn 2\nvar 0 a b\ndomain 0 0 1\ndomain 1 0 1\n", 2, "expected 'var <index> [name]'"),
+    ("stn 2\nvar 0 x\nvar 1 x\ndomain 0 0 1\ndomain 1 0 1\n", 3, "duplicate variable name 'x'"),
+    (
+        "stn 2\nvar 0 x\nvar 0 y\nconstraint x 1 0 1\ndomain 0 0 1\ndomain 1 0 1\n",
+        4,
+        "unknown variable 'x'",
+    ),
+    (STN_HEAD + "foo 1 2\n", 4, "unknown directive 'foo'"),
+    (STN_HEAD + "stn 3\n", 4, "duplicate 'stn' header"),
+    (
+        "stn 2\ndomain 0 0 1\n",
+        1,
+        "2 variables but 1 lines after the header: some variable has no domain",
+    ),
+    (
+        STN_HEAD + "constraint 0 1 3 5\nconstraint 0 7 3 5\n",
+        5,
+        "unknown variable 7 (network has 2)",
+    ),
+    (
+        STN_HEAD + "constraint 0 1 3 5\nconstraint 1 0 3 5 7\n",
+        5,
+        "expected 'constraint <v> <w> <a> <b>'",
+    ),
+    (
+        STN_HEAD + "constraint 0 1 3 5\nconstraint 1 1 3 5\n",
+        5,
+        "self-loop constraint on variable 1",
+    ),
+    (
+        "stn 2\nvar 0 x\nconstraint x 1 0 5\nvar 0 y\nvar 1 x\nconstraint x x 1 2\n"
+        "domain 0 0 1\ndomain 1 0 1\n",
+        6,
+        "self-loop constraint on variable 1",
+    ),
+]
+MASTN_ERRORS = [
+    (
+        "mastn 2\nagent 0\ndomain 0 0 10\ndomain 1 0 10\nconstraint 0 1 +inf 5\n"
+        "agent 1\ndomain 0 0 10\ndomain 1 0 10\n",
+        5,
+        "'+inf' cannot be a lower endpoint",
+    ),
+    (MASTN_HEAD + "constraint 0 1 3 -inf\n", 8, "'-inf' cannot be an upper endpoint"),
+    (
+        MASTN_HEAD + "constraint 0 1 2199023255553 x\n",
+        8,
+        "endpoint 2199023255553 exceeds the magnitude cap 1099511627776",
+    ),
+    (MASTN_HEAD + "constraint 0 1 1.5 2\n", 8, "expected an integer endpoint, got '1.5'"),
+    (MASTN_HEAD + "constraint 0 1 0 x\n", 8, "expected an integer endpoint, got 'x'"),
+    (MASTN_HEAD + "constraint 0 1 empty 3\n", 8, "expected an integer endpoint, got 'empty'"),
+    (MASTN_HEAD + "constraint 0 7 0 1\n", 8, "unknown variable 7 (network has 2)"),
+    (MASTN_HEAD + "constraint a 1 0 1\n", 8, "unknown variable 'a'"),
+    (MASTN_HEAD + "constraint 1 1 0 1\n", 8, "self-loop constraint on variable 1"),
+    (MASTN_HEAD + "domain 0 0 5\n", 8, "domain of variable 0 redeclared"),
+    (MASTN_HEAD + "external 0 0 1 0 +inf 5\n", 8, "'+inf' cannot be a lower endpoint"),
+    (MASTN_HEAD + "external 0 0 1 0 3 -inf\n", 8, "'-inf' cannot be an upper endpoint"),
+    (
+        MASTN_HEAD + "external 0 0 1 0 2199023255553 x\n",
+        8,
+        "endpoint 2199023255553 exceeds the magnitude cap 1099511627776",
+    ),
+    (MASTN_HEAD + "external 0 0 1 0 1.5 2\n", 8, "expected an integer endpoint, got '1.5'"),
+    (MASTN_HEAD + "external 0 0 1 0 0 x\n", 8, "expected an integer endpoint, got 'x'"),
+    (MASTN_HEAD + "external 0 0 1 0 empty 3\n", 8, "expected an integer endpoint, got 'empty'"),
+    (MASTN_HEAD + "external 0 9 1 0 0 1\n", 8, "unknown variable 9 (network has 2)"),
+    (MASTN_HEAD + "external 0 0 1 9 x y\n", 8, "unknown variable 9 (network has 2)"),
+    (MASTN_HEAD + "external 0 a 1 0 0 1\n", 8, "unknown variable 'a'"),
+    (
+        MASTN_HEAD + "external 0 0 0 1 0 1\n",
+        8,
+        "external constraint must span two agents, got agent 0 twice",
+    ),
+    (MASTN_HEAD + "external 0 0 5 1 0 1\n", 8, "unknown agent in external (0, 5)"),
+    (MASTN3_HEAD + "constraint 0 2 3 5\n", 10, "unknown variable 2 (network has 2)"),
+    (MASTN3_HEAD + "external 0 2 1 2 3 5\n", 10, "unknown variable 2 (network has 2)"),
+    (MASTN3_HEAD + "external 1 2 0 2 3 5\n", 10, "unknown variable 2 (network has 2)"),
+    (
+        MASTN3_HEAD + "external 0 2 1 1 3 5\nexternal 0 2 1 1 5 +inf\nexternal 1 1 0 2 3 -inf\n",
+        12,
+        "'-inf' cannot be an upper endpoint",
+    ),
+    (
+        "mastn 2\nagent 0\nvar 0 x\ndomain x 0 1\nvar 0 y\nvar 1 x\ndomain x 0 1\n"
+        "agent 1\ndomain 0 0 1\nexternal 0 y 1 0 0 1\nexternal 0 z 1 0 0 1\n",
+        11,
+        "unknown variable 'z'",
+    ),
+]
+
+
+class TestErrorTable:
+    @pytest.mark.parametrize(
+        "parse, text, line, message",
+        [(parse_stn, *row) for row in STN_ERRORS] + [(parse_mastn, *row) for row in MASTN_ERRORS],
+    )
+    def test_error_text_and_line(self, parse, text, line, message):
+        with pytest.raises(FormatError) as err:
+            parse(text)
+        assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+
+    def test_renamed_variable_resolves_to_its_current_owner(self):
+        text = (
+            "stn 2\nvar 0 x\nconstraint x 1 0 5\nvar 0 y\nvar 1 x\n"
+            "constraint x 0 -3 3\ndomain y 0 9\ndomain x 0 9\n"
+        )
+        net = parse_stn(text)
+        assert (net.name(0), net.name(1)) == ("y", "x")
+        # 0 -> 1 in [0, 5], then 1 -> 0 in [-3, 3], which is 0 -> 1 in [-3, 3]
+        assert net.constraint(0, 1) == interval(0, 3)
+
+    def test_renamed_variable_in_a_mastn_block_and_external(self):
+        text = (
+            "mastn 2\nagent 0\nvar 0 x\ndomain x 0 1\nvar 0 y\nvar 1 x\ndomain x 0 1\n"
+            "constraint y x 0 1\nagent 1\nvar 0 x\ndomain x 0 1\nexternal 0 x 1 x 0 +inf\n"
+        )
+        m = parse_mastn(text)
+        assert m.agents[0].constraint(0, 1) == interval(0, 1)
+        [ext] = m.external_constraints()
+        assert (ext.i, ext.v, ext.j, ext.w, ext.ivl) == (0, 1, 1, 0, interval(0, None))
