@@ -40,6 +40,7 @@ from .sim import (
     AuditResult,
     LogEntry,
     MsgKind,
+    PrivacyAuditor,
     SimConfig,
     SimReport,
     TreeInfo,

@@ -195,7 +195,7 @@ def _run_one(cfg: dict, instance: str, obj: Stn | Mastn) -> RunMetrics:
         size = (obj.n, obj.e, 1)
         counts = (verdict, outcome.iterations, outcome.checks, outcome.checks, 0)
     else:
-        run = solve_distributed(obj, cfg["sim"])
+        run = solve_distributed(obj, cfg["sim"], None)
         size = (obj.total_vars, obj.total_edges, obj.p)
         counts = (run.verdict, run.iterations, run.checks, run.nccc, run.messages)
     return RunMetrics(instance, *size, *counts, wall_ms=0)

@@ -20,7 +20,7 @@ from .distributed import solve_distributed
 from .errors import FormatError, StnacError
 from .mastn import parse_mastn
 from .oracle import NegativeCycle, oracle_minimal_domains
-from .sim import SimConfig, audit_privacy, dump_log
+from .sim import PrivacyAuditor, SimConfig, dump_log
 from .solver import (
     AcClosure,
     enforce_ac,
@@ -176,17 +176,31 @@ def _cmd_dsolve(args) -> int:
     m = parse_mastn(_read_input(args.file))
     sched_seed = args.sched_seed if args.sched_seed is not None else _default_seed()
     cfg = SimConfig(scheduler_seed=sched_seed, latency=args.latency)
-    run = solve_distributed(m, cfg)
+    # the run keeps its messages only for --log; the audit judges each one
+    # as it is delivered
+    auditor = PrivacyAuditor(m) if args.audit_privacy else None
+    log = []
+    if args.log and auditor is not None:
+
+        def observe(entry):
+            log.append(entry)
+            auditor(entry)
+
+    elif args.log:
+        observe = log.append
+    else:
+        observe = auditor
+    run = solve_distributed(m, cfg, observe)
     if args.log:
-        Path(args.log).write_text(dump_log(run.log), encoding="utf-8")
+        Path(args.log).write_text(dump_log(log), encoding="utf-8")
     if run.verdict == "consistent":
         for i, domains in enumerate(run.agent_domains):
             for v in range(m.agents[i].n):
                 print(f"{i}.{m.agents[i].label(v)} {domains[v]}")
     else:
         print("inconsistent")
-    if args.audit_privacy:
-        audit = audit_privacy(run.log, m)
+    if auditor is not None:
+        audit = auditor.result
         if audit.ok:
             print("privacy: pass")
         else:

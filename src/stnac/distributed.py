@@ -43,9 +43,11 @@ from .sim import (
     FEEDBACK,
     INCONSISTENT,
     INQUIRY,
+    KEEP_LOG,
     AgentMessage,
     LogEntry,
     MsgKind,
+    Observer,
     SimConfig,
     TreeInfo,
     echo_setup,
@@ -360,11 +362,13 @@ class DistributedRun:
     messages: int
     setup_messages: int
     histogram: dict[str, int]
-    log: list[LogEntry]
+    log: list[LogEntry] | None  # kept only under the default observer
     agent_checks: list[int]
 
 
-def solve_distributed(m: Mastn, cfg: SimConfig | None = None) -> DistributedRun:
+def solve_distributed(
+    m: Mastn, cfg: SimConfig | None = None, observe: Observer | None = KEEP_LOG
+) -> DistributedRun:
     """Run the full protocol: setup wave per component, then the solve run.
 
     Setup reads only the agent views: a wave starts at each agent no
@@ -374,6 +378,12 @@ def solve_distributed(m: Mastn, cfg: SimConfig | None = None) -> DistributedRun:
     every agent of the affected component reports the inconsistent verdict.
     Disconnected agent graphs run one protocol instance per component inside
     the same simulation; the overall verdict is inconsistent when any is.
+
+    `observe` sees every message as run_simulation hands it over: the setup
+    waves' first, as steps 1..setup_messages, then the solve run's.  The
+    default keeps them all in `log`; an observer of the caller's own (an
+    online PrivacyAuditor, say) or None leaves `log` None.  Every count is
+    the same whatever observes the run.
     """
     if cfg is None:
         cfg = SimConfig()
@@ -389,9 +399,7 @@ def solve_distributed(m: Mastn, cfg: SimConfig | None = None) -> DistributedRun:
             trees.update(tree)
             setup_msgs.extend(delivered)
     agents = [SolverAgent(views[i], trees[i]) for i in range(m.p)]
-    # the solve run's deliveries are numbered on after the setup wave's
-    log = [LogEntry(i + 1, msg) for i, msg in enumerate(setup_msgs)]
-    report = run_simulation(agents, cfg, log)
+    report = run_simulation(agents, cfg, observe, setup_msgs)
 
     verdict = "inconsistent" if any(a.result == "inconsistent" for a in agents) else "consistent"
     agent_domains = [a.domains() for a in agents] if verdict == "consistent" else None
@@ -401,9 +409,9 @@ def solve_distributed(m: Mastn, cfg: SimConfig | None = None) -> DistributedRun:
         iterations=max((a.k for a in agents), default=0),
         checks=sum(a.checks for a in agents),
         nccc=report.nccc,
-        messages=len(log),
+        messages=len(setup_msgs) + report.steps,
         setup_messages=len(setup_msgs),
         histogram=report.histogram,
-        log=log,
+        log=report.log,
         agent_checks=[a.checks for a in agents],
     )

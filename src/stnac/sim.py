@@ -20,10 +20,14 @@ An agent is any object with::
     on_start() -> list[AgentMessage]
     on_message(msg) -> list[AgentMessage]
 
-The runtime logs every delivery, numbering steps on from any entries
-already in the log it is given, and reports a deadlock (all blocked,
-nothing in flight) or a runaway (more deliveries than the agents' max_sends
-add up to) as errors that valid protocols never trigger.
+Each delivery is numbered with a step and handed, as a LogEntry, to one
+optional observer: by default a list that keeps every delivery (the message
+log that `dump_log` prints), or any callable, such as the online privacy
+auditor, that judges entries as they come and keeps only what it needs.  A
+run without an observer holds no message once its receiver has handled it.
+The runtime reports a deadlock (all blocked, nothing in flight) or a runaway
+(more deliveries than the agents' max_sends add up to) as errors that valid
+protocols never trigger.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import DeadlockError, RunawayError, ValidationError
 from .intervals import Interval
@@ -95,27 +99,44 @@ class LogEntry:
     message: AgentMessage
 
 
+Observer = Callable[[LogEntry], None]
+
+# observe's default, told apart by identity: keep every delivery in SimReport.log
+KEEP_LOG: Any = object()
+
+
 @dataclass
 class SimReport:
-    log: list[LogEntry]
+    log: list[LogEntry] | None  # the kept deliveries; None under any other observer
     histogram: dict[str, int]
     nccc: int
     steps: int
 
 
-def run_simulation(agents: list, cfg: SimConfig, log: list[LogEntry] | None = None) -> SimReport:
-    """Drive the agents until all terminate; returns the delivery log and metrics.
+def run_simulation(
+    agents: list,
+    cfg: SimConfig,
+    observe: Observer | None = KEEP_LOG,
+    prior: Sequence[AgentMessage] = (),
+) -> SimReport:
+    """Drive the agents until all terminate; returns the metrics and any kept log.
 
-    Each delivery is appended to `log` (a new list when None) with its step
-    numbered on from the entries already there.  The histogram covers the
-    whole log: it starts from the entries already there and counts each
-    delivery as it is made.  `steps` counts only this run's deliveries, and
-    so does the step budget: the sum of the agents' `max_sends`, since every
-    delivery is a message some agent sent.  Exceeding it means an agent
-    broke its own bound.
+    `prior` holds messages delivered before this run, such as a setup
+    wave's: they take steps 1..len(prior), in order, and this run's
+    deliveries are numbered on from there.  Every step, prior ones
+    included, reaches the observer as a LogEntry the moment it is taken.
+    With the default KEEP_LOG the entries are kept, in step order, in
+    SimReport.log; any other callable sees each entry once and the report's
+    log is None; with None nothing observes the run.
+
+    The histogram counts the prior messages and each delivery as it is
+    made.  `steps` counts only this run's deliveries, and so does the step
+    budget: the sum of the agents' `max_sends`, since every delivery is a
+    message some agent sent.  Exceeding it means an agent broke its own
+    bound.
 
     Contract: no message is delivered to an agent whose `done` is set; the
-    step is logged and counted, but on_message is not called and the
+    step is observed and counted, but on_message is not called and the
     agent's clock does not move.
     """
     # agent id -> (agent, the kinds whose clock stamp it absorbs later); a
@@ -139,15 +160,19 @@ def run_simulation(agents: list, cfg: SimConfig, log: list[LogEntry] | None = No
     for a in sorted(agents, key=lambda a: a.agent_id):
         enqueue(a.on_start())
 
-    if log is None:
+    log = None
+    if observe is KEEP_LOG:
         log = []
+        observe = log.append
     # keyed by the kind's plain value attribute: hashing a member or reading
     # its value property costs a Python-level call per delivery
     histogram: dict[str, int] = {}
-    for entry in log:
-        kind = entry.message.kind._value_
+    for step, msg in enumerate(prior, 1):
+        if observe is not None:
+            observe(LogEntry(step, msg))
+        kind = msg.kind._value_
         histogram[kind] = histogram.get(kind, 0) + 1
-    offset = len(log)
+    offset = len(prior)
     step = 0
     while True:
         if not pending:
@@ -160,19 +185,25 @@ def run_simulation(agents: list, cfg: SimConfig, log: list[LogEntry] | None = No
         step += 1
         if step > budget:
             raise RunawayError(f"exceeded the {budget} delivery steps the agents declared")
-        log.append(LogEntry(offset + step, msg))
+        if observe is not None:
+            observe(LogEntry(offset + step, msg))
         kind = msg.kind._value_
         histogram[kind] = histogram.get(kind, 0) + 1
         agent, deferred = by_id[msg.receiver]
         if agent.done:
             continue
-        msg.arrival = msg.clock + latency
+        # without latency the stamp is the carried clock object itself: a
+        # kept message then holds no int of its own for it
+        arrival = msg.clock
+        if latency:
+            arrival += latency
+        msg.arrival = arrival
         # kinds the agent consumes later (e.g. cached domain syncs) carry
         # their arrival stamp with them instead of bumping the clock now:
         # a message influences the clock when the protocol receives it
         if msg.kind not in deferred:
-            if msg.arrival > agent.clock:
-                agent.clock = msg.arrival
+            if arrival > agent.clock:
+                agent.clock = arrival
         enqueue(agent.on_message(msg))
 
     nccc = max((a.clock for a in agents), default=0)
@@ -279,8 +310,8 @@ class AuditResult:
     reason: str | None = None
 
 
-def audit_privacy(log: list[LogEntry], m: Mastn) -> AuditResult:
-    """Check every logged message against the information-flow contract.
+class PrivacyAuditor:
+    """The privacy audit as an observer: judges one LogEntry at a time.
 
     A message fails the audit when it names a variable its sender does not
     share (echo replies are exempt: they carry only aggregate counts), when
@@ -288,31 +319,53 @@ def audit_privacy(log: list[LogEntry], m: Mastn) -> AuditResult:
     or when it travels between agents that are not agent-graph neighbors.
     Shared variables and agent edges are read from the external constraints
     themselves, not from the agent views that decide what agents send.
+    Called with each entry, the auditor keeps only the first failing one;
+    `result` reports it.
     """
-    edges: set[tuple[int, int]] = set()  # (agent, agent), both ways
-    shared: set[tuple[int, int]] = set()  # (agent, var) on an external constraint
-    for ext in m.external_constraints():
-        edges.update(((ext.i, ext.j), (ext.j, ext.i)))
-        shared.update(((ext.i, ext.v), (ext.j, ext.w)))
-    for entry in log:
-        msg = entry.message
-        if (msg.sender, msg.receiver) not in edges:
-            return AuditResult(False, entry, "message between non-neighbor agents")
+
+    def __init__(self, m: Mastn):
+        self._edges: set[tuple[int, int]] = set()  # (agent, agent), both ways
+        self._shared: set[tuple[int, int]] = set()  # (agent, var) on an external constraint
+        for ext in m.external_constraints():
+            self._edges.update(((ext.i, ext.j), (ext.j, ext.i)))
+            self._shared.update(((ext.i, ext.v), (ext.j, ext.w)))
+        self.result = AuditResult(True)
+
+    def __call__(self, entry: LogEntry) -> None:
+        if self.result.ok:
+            reason = self.judge(entry.message)
+            if reason is not None:
+                self.result = AuditResult(False, entry, reason)
+
+    def judge(self, msg: AgentMessage) -> str | None:
+        """Why msg breaks the contract, or None when it keeps it."""
+        if (msg.sender, msg.receiver) not in self._edges:
+            return "message between non-neighbor agents"
         kind = msg.kind
         if kind is DOMAIN_SYNC:
             if msg.domains is None:
-                return AuditResult(False, entry, "domain sync without a payload")
+                return "domain sync without a payload"
+            shared = self._shared
             for key in msg.domains:
                 if key[0] != msg.sender:
-                    return AuditResult(False, entry, "payload names a foreign variable")
+                    return "payload names a foreign variable"
                 if key not in shared:
-                    return AuditResult(False, entry, "payload names a private variable")
+                    return "payload names a private variable"
         elif kind is ECHO_REPLY:
             if msg.domains is not None:
-                return AuditResult(False, entry, "echo reply carries intervals")
-        else:
-            if msg.domains is not None:
-                return AuditResult(False, entry, "interval payload outside domain sync")
+                return "echo reply carries intervals"
+        elif msg.domains is not None:
+            return "interval payload outside domain sync"
+        return None
+
+
+def audit_privacy(log: Iterable[LogEntry], m: Mastn) -> AuditResult:
+    """PrivacyAuditor's verdict on a kept log; stops at the first offender."""
+    judge = PrivacyAuditor(m).judge
+    for entry in log:
+        reason = judge(entry.message)
+        if reason is not None:
+            return AuditResult(False, entry, reason)
     return AuditResult(True)
 
 
@@ -335,13 +388,21 @@ def _payload_text(msg: AgentMessage) -> str:
     return " ".join(parts) if parts else "-"
 
 
-def dump_log(log: list[LogEntry]) -> str:
+# lines joined at a time by dump_log: its peak stays near twice the text's
+# size, not the text plus one string object per line
+DUMP_CHUNK = 1024
+
+
+def dump_log(log: Sequence[LogEntry]) -> str:
     """One message per line: step clock sender receiver kind payload (tab-separated)."""
-    lines = []
-    for entry in log:
-        msg = entry.message
-        lines.append(
-            f"{entry.step}\t{msg.clock}\t{msg.sender}\t{msg.receiver}\t"
-            f"{msg.kind._value_}\t{_payload_text(msg)}\n"
-        )
-    return "".join(lines)
+    chunks = []
+    for start in range(0, len(log), DUMP_CHUNK):
+        lines = []
+        for entry in log[start : start + DUMP_CHUNK]:
+            msg = entry.message
+            lines.append(
+                f"{entry.step}\t{msg.clock}\t{msg.sender}\t{msg.receiver}\t"
+                f"{msg.kind._value_}\t{_payload_text(msg)}\n"
+            )
+        chunks.append("".join(lines))
+    return "".join(chunks)

@@ -76,10 +76,18 @@ class Stn:
             raise ValidationError(f"unknown variable {v} (network has {self.n})")
 
     def set_name(self, v: int, name: str) -> None:
-        """Name v; the name must be one .stn token: non-empty, no whitespace, no '#'."""
+        """Name v; the name must be one .stn token: non-empty, no whitespace,
+        no '#', and not one that int() reads, which a reference would take
+        for an index."""
         self._check_var(v)
         if "#" in name or name.split() != [name]:
             raise ValidationError(f"variable name {name!r} is not a single token without '#'")
+        try:
+            int(name)
+        except ValueError:
+            pass
+        else:
+            raise ValidationError(f"variable name {name!r} reads as an index")
         if name in self._by_name and self._by_name[name] != v:
             raise ValidationError(f"duplicate variable name {name!r}")
         old = self._names[v]

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from conftest import SAMPLES
-from stnac import parse_mastn, parse_stn
+from stnac import LogEntry, MsgKind, interval, parse_mastn, parse_stn
+from stnac import cli
 from stnac.cli import main
 
 
@@ -160,6 +162,57 @@ class TestDsolve:
         mastn.write_text("mastn 0\n")
         code, out, err = run_cli(capsys, "dsolve", str(mastn), "--audit-privacy")
         assert (code, out, err) == (0, "privacy: pass\n", "")
+
+    RING4_OUT = "".join(f"{i}.arrive [0,99]\n{i}.leave [1,100]\n" for i in range(4))
+
+    @pytest.mark.parametrize(
+        "gen, code, expected",
+        [
+            (None, 0, RING4_OUT + "privacy: pass\n"),
+            (
+                ["random-mastn", "--agents", "4", "--activities", "4", "--seed", "3"],
+                1,
+                "inconsistent\nprivacy: pass\n",
+            ),
+        ],
+        ids=["ring4", "random-mastn"],
+    )
+    def test_audit_with_and_without_a_log(self, capsys, tmp_path, gen, code, expected):
+        mastn = SAMPLES / "ring4.mastn"
+        if gen is not None:
+            mastn = tmp_path / "gen.mastn"
+            assert run_cli(capsys, "gen", *gen, "-o", str(mastn))[0] == 0
+        audit = ("dsolve", str(mastn), "--audit-privacy", "--sched-seed", "4")
+        assert run_cli(capsys, *audit) == (code, expected, "")
+        log_path = tmp_path / "run.log"
+        assert run_cli(capsys, *audit, "--log", str(log_path)) == (code, expected, "")
+        assert log_path.stat().st_size > 0
+
+    def test_a_leak_is_reported_with_and_without_a_log(self, capsys, tmp_path, monkeypatch):
+        # every domain sync of the run also names a private variable of its sender
+        real = cli.solve_distributed
+
+        def leaky(m, cfg, observe):
+            def tamper(entry):
+                msg = entry.message
+                if msg.kind is MsgKind.DOMAIN_SYNC:
+                    domains = {**msg.domains, (msg.sender, 0): interval(0, 1)}
+                    entry = LogEntry(entry.step, replace(msg, domains=domains))
+                observe(entry)
+
+            return real(m, cfg, tamper)
+
+        monkeypatch.setattr(cli, "solve_distributed", leaky)
+        outs = []
+        for extra in ((), ("--log", str(tmp_path / "run.log"))):
+            code, out, _ = run_cli(
+                capsys, "dsolve", str(SAMPLES / "interview.mastn"), "--audit-privacy", *extra
+            )
+            assert code == 2
+            outs.append(out)
+        assert outs[0] == outs[1]
+        verdict = outs[0].splitlines()[-1]
+        assert verdict.startswith("privacy: FAIL (payload names a private variable at step ")
 
     def test_latency_flag(self, capsys):
         code, out, _ = run_cli(

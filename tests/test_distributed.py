@@ -372,6 +372,39 @@ class TestPinnedRuns:
         )
 
 
+class TestObservers:
+    """What observes a run changes what it keeps, never what it counts."""
+
+    @staticmethod
+    def counts(run):
+        return (
+            run.verdict, run.agent_domains, run.iterations, run.checks, run.nccc,
+            run.messages, run.setup_messages, run.histogram, run.agent_checks,
+        )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: parse_mastn((SAMPLES / "ring4.mastn").read_text()),
+            lambda: parse_mastn((SAMPLES / "interview.mastn").read_text()),
+            lambda: gen_factory_mastn(agents=16, tasks=400, seed=0),
+        ],
+        ids=["ring4", "interview", "factory-16x400"],
+    )
+    def test_counts_without_a_log(self, make):
+        m = make()
+        cfg = SimConfig(scheduler_seed=2)
+        kept = solve_distributed(m, cfg)
+        assert kept.messages == len(kept.log)
+        seen = []
+        for observe in (None, seen.append):
+            run = solve_distributed(m, cfg, observe)
+            assert run.log is None
+            assert self.counts(run) == self.counts(kept)
+        # an observer sees every message, the setup wave's included, in step order
+        assert dump_log(seen) == dump_log(kept.log)
+
+
 class TestPayloadSharing:
     """Agents hand an unchanged payload dict, and unchanged intervals, to
     several messages; nothing may update them in place once sent."""

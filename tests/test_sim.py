@@ -9,11 +9,20 @@ from stnac import (
     RunawayError,
     SimConfig,
     ValidationError,
+    gen_factory_mastn,
     interval,
     parse_mastn,
     solve_distributed,
 )
-from stnac.sim import TreeInfo, audit_privacy, dump_log, echo_setup, run_simulation
+from stnac.sim import (
+    DUMP_CHUNK,
+    PrivacyAuditor,
+    TreeInfo,
+    audit_privacy,
+    dump_log,
+    echo_setup,
+    run_simulation,
+)
 
 
 class Courier:
@@ -150,25 +159,45 @@ class TestRunSimulation:
             report = run_simulation(agents, SimConfig(latency=latency))
             assert report.nccc == 2 * 4 + latency * 5
 
-    def test_prefilled_log_numbers_steps_on(self):
-        prefix = [LogEntry(i + 1, AgentMessage(MsgKind.INQUIRY, 0, 1)) for i in range(3)]
-        log = list(prefix)
-        report = run_simulation(couriers(hops=4), SimConfig(), log)
-        assert report.log is log
-        assert log[:3] == prefix
-        assert [e.step for e in log] == list(range(1, 9))
+    def test_prior_messages_number_steps_on(self):
+        prior = [AgentMessage(MsgKind.INQUIRY, 0, 1) for _ in range(3)]
+        report = run_simulation(couriers(hops=4), SimConfig(), prior=prior)
+        assert [e.message for e in report.log[:3]] == prior
+        assert [e.step for e in report.log] == list(range(1, 9))
         assert report.steps == 5  # this run's deliveries only
-        # the histogram counts the whole log, the prefix included
+        # the histogram counts the prior messages too
         assert report.histogram == {"Inquiry": 3, "EchoProbe": 4, "EchoReply": 1}
 
-    def test_prefilled_log_leaves_the_step_budget_alone(self):
-        log = [LogEntry(i + 1, AgentMessage(MsgKind.INQUIRY, 0, 1)) for i in range(60)]
+    def test_prior_messages_leave_the_step_budget_alone(self):
+        prior = [AgentMessage(MsgKind.INQUIRY, 0, 1) for _ in range(60)]
         # with four hops the starter sends three messages and its peer two
-        report = run_simulation(couriers(hops=4, max_sends=(3, 2)), SimConfig(), log)
+        report = run_simulation(couriers(hops=4, max_sends=(3, 2)), SimConfig(), prior=prior)
         assert report.steps == 5
-        assert log[-1].step == 65
+        assert report.log[-1].step == 65
         with pytest.raises(RunawayError):
-            run_simulation(couriers(hops=4, max_sends=(3, 1)), SimConfig(), [])
+            run_simulation(couriers(hops=4, max_sends=(3, 1)), SimConfig())
+
+    @pytest.mark.parametrize("latency", [0, 2])
+    def test_an_observer_sees_what_the_log_keeps(self, latency):
+        cfg = SimConfig(scheduler_seed=1, latency=latency)
+        prior = [AgentMessage(MsgKind.INQUIRY, 0, 1)]
+        kept = run_simulation(couriers(hops=5, work=3), cfg, prior=prior)
+        seen = []
+        observed = run_simulation(couriers(hops=5, work=3), cfg, seen.append, prior)
+        silent = run_simulation(couriers(hops=5, work=3), cfg, None, prior)
+        assert dump_log(seen) == dump_log(kept.log)
+        assert observed.log is None and silent.log is None
+        for report in (observed, silent):
+            assert (report.histogram, report.nccc, report.steps) == (
+                kept.histogram, kept.nccc, kept.steps
+            )
+
+    def test_arrival_is_the_carried_clock_without_latency(self):
+        agents = couriers(hops=4, work=300)  # clocks past the cached small ints
+        report = run_simulation(agents, SimConfig())
+        delivered = [e.message for e in report.log]
+        assert delivered[-1].clock > 256
+        assert all(msg.arrival is msg.clock for msg in delivered)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_nothing_is_delivered_to_a_done_agent(self, seed):
@@ -261,6 +290,53 @@ class TestEchoSetup:
         assert {(m.sender, m.receiver) for m in messages} == {(0, 2), (2, 0)}
 
 
+def entries(msgs):
+    return [LogEntry(step, msg) for step, msg in enumerate(msgs, 1)]
+
+
+# Tampered logs on interview.mastn, where agent 0's variable 0 is private:
+# only its slot variables 1 and 2 appear in external constraints, and agents
+# 0 and 2 sit on opposite corners of the ring.  (messages, reason, the
+# offender's step)
+TAMPERED = [
+    (
+        [AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains={(0, 0): interval(0, 5)})],
+        "payload names a private variable",
+        1,
+    ),
+    (
+        [AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains={(1, 0): interval(0, 5)})],
+        "payload names a foreign variable",
+        1,
+    ),
+    ([AgentMessage(MsgKind.INQUIRY, 0, 2, k=1)], "message between non-neighbor agents", 1),
+    (
+        [AgentMessage(MsgKind.INQUIRY, 0, 1, k=1, domains={(0, 0): interval(0, 5)})],
+        "interval payload outside domain sync",
+        1,
+    ),
+    ([AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1)], "domain sync without a payload", 1),
+    (
+        [AgentMessage(MsgKind.ECHO_REPLY, 0, 1, domains={(0, 1): interval(0, 5)})],
+        "echo reply carries intervals",
+        1,
+    ),
+    # the first offender is the one reported
+    (
+        [
+            AgentMessage(MsgKind.INQUIRY, 0, 1, k=1),
+            AgentMessage(MsgKind.INQUIRY, 0, 2, k=1),
+            AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1),
+        ],
+        "message between non-neighbor agents",
+        2,
+    ),
+]
+TAMPERED_IDS = [
+    "private", "foreign", "non-neighbor", "smuggled", "no-payload", "echo-intervals", "first"
+]
+
+
 class TestAuditPrivacy:
     def setup_method(self):
         # in the interview problem agent 0's variable 0 is private: only its
@@ -272,55 +348,31 @@ class TestAuditPrivacy:
             run = solve_distributed(self.m, SimConfig(scheduler_seed=seed))
             assert audit_privacy(run.log, self.m).ok
 
-    def test_private_variable_fails(self):
-        msg = AgentMessage(
-            MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains={(0, 0): interval(0, 5)}
+    @pytest.mark.parametrize("msgs, reason, step", TAMPERED, ids=TAMPERED_IDS)
+    def test_tampered_log_fails(self, msgs, reason, step):
+        result = audit_privacy(entries(msgs), self.m)
+        assert (result.ok, result.reason, result.offender.step) == (False, reason, step)
+
+    @pytest.mark.parametrize("msgs, reason, step", TAMPERED, ids=TAMPERED_IDS)
+    def test_online_auditor_agrees_with_the_log_audit(self, msgs, reason, step):
+        log = entries(msgs)
+        auditor = PrivacyAuditor(self.m)
+        for entry in log:
+            auditor(entry)
+        online, batch = auditor.result, audit_privacy(log, self.m)
+        assert (online.ok, online.reason, online.offender) == (
+            batch.ok, batch.reason, batch.offender
         )
-        result = audit_privacy([LogEntry(1, msg)], self.m)
-        assert not result.ok
-        assert "private" in result.reason
 
-    def test_foreign_variable_fails(self):
-        msg = AgentMessage(
-            MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains={(1, 0): interval(0, 5)}
-        )
-        assert not audit_privacy([LogEntry(1, msg)], self.m).ok
-
-    def test_non_neighbor_traffic_fails(self):
-        # agents 0 and 2 sit on opposite corners of the ring
-        msg = AgentMessage(MsgKind.INQUIRY, 0, 2, k=1)
-        result = audit_privacy([LogEntry(1, msg)], self.m)
-        assert not result.ok
-        assert "non-neighbor" in result.reason
-
-    def test_interval_smuggling_fails(self):
-        msg = AgentMessage(
-            MsgKind.INQUIRY, 0, 1, k=1, domains={(0, 0): interval(0, 5)}
-        )
-        result = audit_privacy([LogEntry(1, msg)], self.m)
-        assert not result.ok
-        assert "outside domain sync" in result.reason
-
-    @pytest.mark.parametrize(
-        "msg, reason",
-        [
-            (AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1), "domain sync without a payload"),
-            (
-                AgentMessage(MsgKind.ECHO_REPLY, 0, 1, domains={(0, 1): interval(0, 5)}),
-                "echo reply carries intervals",
-            ),
-        ],
-    )
-    def test_payload_rules(self, msg, reason):
-        result = audit_privacy([LogEntry(1, msg)], self.m)
-        assert not result.ok
-        assert result.reason == reason
-
-    def test_offender_reported(self):
-        good = AgentMessage(MsgKind.INQUIRY, 0, 1, k=1)
-        bad = AgentMessage(MsgKind.INQUIRY, 0, 2, k=1)
-        result = audit_privacy([LogEntry(1, good), LogEntry(2, bad)], self.m)
-        assert result.offender.step == 2
+    def test_online_auditor_passes_real_runs(self):
+        for seed in range(3):
+            auditor = PrivacyAuditor(self.m)
+            run = solve_distributed(self.m, SimConfig(scheduler_seed=seed), auditor)
+            assert run.log is None
+            assert auditor.result == audit_privacy(
+                solve_distributed(self.m, SimConfig(scheduler_seed=seed)).log, self.m
+            )
+            assert auditor.result.ok
 
 
 class TestDumpLog:
@@ -340,3 +392,13 @@ class TestDumpLog:
 
     def test_empty_log(self):
         assert dump_log([]) == ""
+
+    @pytest.mark.parametrize("latency", [0, 3])
+    def test_chunks_join_to_one_line_per_entry(self, latency):
+        # a factory run long enough to cross several chunks
+        m = gen_factory_mastn(agents=8, tasks=80, seed=0)
+        log = solve_distributed(m, SimConfig(scheduler_seed=1, latency=latency)).log
+        assert len(log) > 3 * DUMP_CHUNK
+        for size in (DUMP_CHUNK - 1, DUMP_CHUNK, DUMP_CHUNK + 1, len(log)):
+            part = log[:size]
+            assert dump_log(part) == "".join(dump_log([entry]) for entry in part)

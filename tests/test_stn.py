@@ -245,6 +245,25 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="single token"):
             net.set_name(0, name)
 
+    @pytest.mark.parametrize("name", ["2", "-1", "+5", "007", "1_000", "\u0663"])
+    def test_names_that_read_as_an_index_are_rejected(self, name):
+        # a reference token that int() reads is taken for an index
+        net = Stn(1)
+        with pytest.raises(ValidationError, match="reads as an index"):
+            net.set_name(0, name)
+
+    def test_an_integer_name_is_not_mistaken_for_another_variable(self):
+        # variable 0 named '2' would otherwise be lost: 'constraint 2 1 0 1'
+        # used to constrain the pair (1, 2) without a word
+        text = (
+            "stn 3\nvar 0 2\ndomain 0 0 10\ndomain 1 0 10\ndomain 2 0 10\n"
+            "constraint 2 1 0 1\n"
+        )
+        with pytest.raises(FormatError) as err:
+            parse_stn(text)
+        assert err.value.line == 2
+        assert "variable name '2' reads as an index" in str(err.value)
+
 
 # Exact FormatError text and line of malformed inputs in both formats.  Rows
 # whose bad line repeats the tokens of an earlier valid line check that a
