@@ -20,7 +20,7 @@ from .distributed import solve_distributed
 from .errors import FormatError, StnacError
 from .mastn import parse_mastn
 from .oracle import NegativeCycle, oracle_minimal_domains
-from .sim import PrivacyAuditor, SimConfig, dump_log
+from .sim import DUMP_CHUNK, PrivacyAuditor, SimConfig, dump_log
 from .solver import (
     AcClosure,
     enforce_ac,
@@ -176,23 +176,27 @@ def _cmd_dsolve(args) -> int:
     m = parse_mastn(_read_input(args.file))
     sched_seed = args.sched_seed if args.sched_seed is not None else _default_seed()
     cfg = SimConfig(scheduler_seed=sched_seed, latency=args.latency)
-    # the run keeps its messages only for --log; the audit judges each one
-    # as it is delivered
+    # the audit judges each message as it is delivered, and --log writes
+    # the messages DUMP_CHUNK at a time: the run keeps no more of them
     auditor = PrivacyAuditor(m) if args.audit_privacy else None
-    log = []
-    if args.log and auditor is not None:
-
-        def observe(entry):
-            log.append(entry)
-            auditor(entry)
-
-    elif args.log:
-        observe = log.append
-    else:
-        observe = auditor
-    run = solve_distributed(m, cfg, observe)
     if args.log:
-        Path(args.log).write_text(dump_log(log), encoding="utf-8")
+        with open(args.log, "w", encoding="utf-8") as out:
+            chunk = []
+
+            def observe(entry):
+                chunk.append(entry)
+                if auditor is not None:
+                    auditor(entry)
+                if len(chunk) == DUMP_CHUNK:
+                    out.write(dump_log(chunk))
+                    chunk.clear()
+
+            try:
+                run = solve_distributed(m, cfg, observe)
+            finally:  # a run that raises leaves the steps it delivered
+                out.write(dump_log(chunk))
+    else:
+        run = solve_distributed(m, cfg, auditor)
     if run.verdict == "consistent":
         for i, domains in enumerate(run.agent_domains):
             for v in range(m.agents[i].n):

@@ -116,8 +116,13 @@ def gen_random_stn(
 ) -> Stn:
     """Pairwise-Bernoulli random network with domains [0, horizon].
 
-    With ``consistent=True`` every constraint interval is placed around a
-    hidden seeded assignment, so the instance is solvable by construction.
+    Each pair v < w, row by row, takes one coin that is True with
+    probability ``density``; rng.misses draws a row's coins up to the next
+    True, so the pairs it skips cost no method call each.  With
+    ``consistent=True`` every constraint interval is placed around a hidden
+    seeded assignment, so the instance is solvable by construction; its
+    endpoints are clamped to the magnitude cap, which still holds the
+    hidden difference because that is at most the horizon.
     """
     if n < 0:
         raise GenerationError("n must be non-negative")
@@ -127,17 +132,22 @@ def gen_random_stn(
     rng = SplitMix64(seed)
     net = _timeline(n, horizon)
     hidden = [rng.randint(0, horizon) for _ in range(n)] if consistent else None
+    slack = max(abs(wmax), 1)
+    cap = DEFAULT_MAGNITUDE_CAP
     for v in range(n):
-        for w in range(v + 1, n):
-            if not rng.bernoulli(density):
-                continue
+        w = v + 1
+        while True:
+            w += rng.misses(density, n - w)
+            if w >= n:
+                break
             if hidden is None:
                 net.add_constraint(v, w, _rand_interval(rng, wmin, wmax))
             else:
                 diff = hidden[w] - hidden[v]
-                slack_lo = rng.randint(0, max(abs(wmax), 1))
-                slack_hi = rng.randint(0, max(abs(wmax), 1))
-                net.add_constraint(v, w, interval(diff - slack_lo, diff + slack_hi))
+                lo = diff - rng.randint(0, slack)
+                hi = diff + rng.randint(0, slack)
+                net.add_constraint(v, w, interval(max(lo, -cap), min(hi, cap)))
+            w += 1
     return net
 
 

@@ -6,9 +6,20 @@ from dataclasses import replace
 import pytest
 
 from conftest import SAMPLES
-from stnac import LogEntry, MsgKind, interval, parse_mastn, parse_stn
+from stnac import (
+    LogEntry,
+    MsgKind,
+    SimConfig,
+    StnacError,
+    dump_log,
+    interval,
+    parse_mastn,
+    parse_stn,
+    solve_distributed,
+)
 from stnac import cli
 from stnac.cli import main
+from stnac.sim import DUMP_CHUNK
 
 
 def run_cli(capsys, *argv):
@@ -213,6 +224,46 @@ class TestDsolve:
         assert outs[0] == outs[1]
         verdict = outs[0].splitlines()[-1]
         assert verdict.startswith("privacy: FAIL (payload names a private variable at step ")
+
+    @pytest.mark.parametrize("audit", [(), ("--audit-privacy",)], ids=["log", "log-audit"])
+    @pytest.mark.parametrize("source", ["interview", "factory-8x80"])
+    def test_log_file_is_the_kept_log_dumped(self, capsys, tmp_path, source, audit):
+        # the factory run delivers several DUMP_CHUNKs, at latency 3
+        if source == "interview":
+            mastn, latency = SAMPLES / "interview.mastn", 0
+        else:
+            mastn, latency = tmp_path / "f.mastn", 3
+            gen = ("gen", "factory-mastn", "--agents", "8", "--tasks", "80", "-o", str(mastn))
+            assert run_cli(capsys, *gen)[0] == 0
+        log_path = tmp_path / "run.log"
+        code, _, _ = run_cli(
+            capsys, "dsolve", str(mastn), "--sched-seed", "3", "--latency", str(latency),
+            "--log", str(log_path), *audit,
+        )
+        assert code in (0, 1)
+        cfg = SimConfig(scheduler_seed=3, latency=latency)
+        kept = solve_distributed(parse_mastn(mastn.read_text()), cfg).log
+        if source != "interview":
+            assert len(kept) > 3 * DUMP_CHUNK
+        assert log_path.read_text() == dump_log(kept)
+
+    def test_a_run_that_raises_leaves_the_steps_it_delivered(self, capsys, tmp_path, monkeypatch):
+        real = cli.solve_distributed
+
+        def broken(m, cfg, observe):
+            def stop_at_ten(entry):
+                observe(entry)
+                if entry.step == 10:
+                    raise StnacError("stopped")
+
+            return real(m, cfg, stop_at_ten)
+
+        monkeypatch.setattr(cli, "solve_distributed", broken)
+        mastn, log_path = SAMPLES / "interview.mastn", tmp_path / "run.log"
+        args = ("dsolve", str(mastn), "--sched-seed", "0", "--log", str(log_path))
+        assert run_cli(capsys, *args) == (2, "", "error: stopped\n")
+        kept = real(parse_mastn(mastn.read_text()), SimConfig(scheduler_seed=0)).log
+        assert log_path.read_text() == dump_log(kept[:10])
 
     def test_latency_flag(self, capsys):
         code, out, _ = run_cli(

@@ -1,3 +1,5 @@
+import pytest
+
 from stnac.rng import SplitMix64
 
 
@@ -47,12 +49,66 @@ def test_randbelow_rejects_nonpositive():
         raise AssertionError("expected ValueError")
 
 
-def test_bernoulli_extremes():
+def test_misses_extremes():
     rng = SplitMix64(5)
-    assert not rng.bernoulli(0.0)
-    assert rng.bernoulli(1.0)
-    hits = sum(rng.bernoulli(0.25) for _ in range(4000))
+    assert rng.misses(0.0, 9) == 9
+    assert rng.misses(1.0, 9) == 0
+    # 4,000 coins at p = 0.25, drawn a run at a time
+    hits = coins = 0
+    while coins < 4000:
+        run = rng.misses(0.25, 4000 - coins)
+        coins += run
+        if coins < 4000:
+            hits += 1
+            coins += 1
     assert 800 < hits < 1200
+
+
+SEEDS = (0, 1, 42, 2**63, -7)
+# below 0 and from 1 up, no coin is drawn
+PROBABILITIES = (-0.5, 0.0, 1e-9, 0.05, 0.5, 0.999, 1.0, 1.5)
+LIMITS = (0, 1, 7, 100)
+
+
+def reference_misses(outputs, p, limit):
+    """misses restated: a coin is True when one output lies below
+    int(p * 2**64); count the False coins before the first True, up to
+    limit.  Returns the count and how many outputs the coins consumed."""
+    if p <= 0.0:
+        return limit, 0
+    if p >= 1.0:
+        return 0, 0
+    threshold = int(p * 2**64)
+    for count, r in enumerate(outputs[:limit]):
+        if r < threshold:
+            return count, count + 1
+    return limit, limit
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_misses_match_reference_coins(seed):
+    outputs = reference_stream(seed, max(LIMITS) + 1)
+    for p in PROBABILITIES:
+        for limit in LIMITS:
+            expected, used = reference_misses(outputs, p, limit)
+            rng = SplitMix64(seed)
+            assert rng.misses(p, limit) == expected
+            # the stream goes on from the first output the coins left
+            assert rng.next_u64() == outputs[used]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_misses_at_thresholds_next_to_an_output(seed):
+    # p taken from the stream's own outputs puts the threshold within 2**12
+    # of an output, so that coin passes the skip bound and the full 64-bit
+    # comparison decides it
+    outputs = reference_stream(seed, 61)
+    for r in outputs[:20]:
+        for p in (r / 2**64, (r + 2**12) / 2**64, (r - 2**12) / 2**64):
+            expected, used = reference_misses(outputs, p, 60)
+            rng = SplitMix64(seed)
+            assert rng.misses(p, 60) == expected
+            assert rng.next_u64() == outputs[used]
 
 
 BOUNDS = (1, 2, 3, 7, 2**32 + 1, 2**63 + 1, 2**64 - 1)

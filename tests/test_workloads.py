@@ -11,10 +11,12 @@ from stnac import (
     ValidationError,
     enforce_ac,
     generate,
+    parse_stn,
     render_generated,
     verify_assignment,
 )
 from stnac.solver import AcClosure
+from stnac.stn import DEFAULT_MAGNITUDE_CAP
 from stnac.workloads import (
     gen_factory_mastn,
     gen_grid_stn,
@@ -46,6 +48,16 @@ class TestRandomStn:
             net = gen_random_stn(n=15, density=0.5, wmin=-20, wmax=20,
                                  horizon=200, seed=seed, consistent=True)
             assert isinstance(enforce_ac(net), AcClosure)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_consistent_endpoints_stay_inside_the_cap(self, seed):
+        # slack on top of a horizon and weights at the cap would reach past it
+        spec = GenSpec("random-stn", seed, dict(n=60, density=1.0, consistent=True,
+                                                horizon=DEFAULT_MAGNITUDE_CAP,
+                                                wmax=DEFAULT_MAGNITUDE_CAP))
+        net = parse_stn(render_generated(generate(spec), spec))
+        assert net.e == 60 * 59 // 2
+        assert isinstance(enforce_ac(net), AcClosure)
 
     def test_parameter_validation(self):
         with pytest.raises(GenerationError):
@@ -278,6 +290,34 @@ PINNED = [
      "14de50a5e7251cc6cf53c7fb6d1ac5683f7985be29f52dc7778e08d2d776fdec"),
     ("factory-mastn", 2, dict(agents=3, tasks=9),
      "a706c6371532d1ccb4e2075727335cae1392e36b7d3ec3cde6af33a97f5ba983"),
+    # random-stn beyond the pool: free intervals, no coin or every coin True,
+    # rows too short for a run, and weights below zero
+    ("random-stn", 0, dict(n=200, density=0.05),
+     "aa6b0d1710b6d2b081314d053a9f98160fd7eda2083e2948cbb4b5019d69a028"),
+    ("random-stn", 1, dict(n=200, density=0.05),
+     "3895244a3982afc4edc325edffe72029fc2dffe34be5859414c93572e2b2099a"),
+    ("random-stn", 0, dict(n=40, density=0.0),
+     "f12681df1824352511e269674b269213e9f75fe9eaac64222e7e3765e16da88a"),
+    ("random-stn", 0, dict(n=40, density=0.0, consistent=True),
+     "ef012bd4965ea728077bbcf9f6b62ea99014f85d8fd0e43e8d42132b895163fa"),
+    ("random-stn", 0, dict(n=30, density=1.0),
+     "e29d9743e067b576c892fbdd2bfd909a79f2a83261aa5d1baa8df0cf27dcf85b"),
+    ("random-stn", 1, dict(n=30, density=1.0, consistent=True),
+     "a5bf94b124196b6aac47b860a3157efabb0862d4f5136fe074213e46607b3827"),
+    ("random-stn", 0, dict(n=0, density=0.5),
+     "104426202a451d2d434f585ccbbb78d12c8d667eee949f5a3910602afbf98a1e"),
+    ("random-stn", 0, dict(n=1, density=0.5, consistent=True),
+     "5e99434cb7d66ff9cae3bec5900a81497591ce3aeffd28960f8ae23016d055ed"),
+    ("random-stn", 0, dict(n=2, density=0.5),  # the one coin is False
+     "4819d610fabc07bfda185f502acdcb03f98e6b98ac4db5a6229f2dfc83a0f9db"),
+    ("random-stn", 3, dict(n=2, density=0.5),  # the one coin is True
+     "fbdd8893afd013fc3fafb798c2742fdb4f893b29ec7d51f6b8e3aa923d2c6fc8"),
+    ("random-stn", 0, dict(n=2, density=0.5, consistent=True),
+     "5db6681f36a81158a0fa1186fd67cd62bec725f20663002a6d184cb294b946ab"),
+    ("random-stn", 0, dict(n=50, density=0.2, wmin=-20, wmax=20),
+     "9daa99f9d6c65e57f2f4815e80695ff3d127a289c6262c0e23109234773560a7"),
+    ("random-stn", 1, dict(n=50, density=0.2, wmin=-20, wmax=20, consistent=True),
+     "cb10a302edeeb094e6b96ffe8a9e4af10e166661f9c8619db865e08111b8f762"),
 ]
 
 
