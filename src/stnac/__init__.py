@@ -7,7 +7,7 @@ and a benchmarking CLI.
 """
 
 from .bench import CSV_COLUMNS, RunMetrics, parse_bench_config, run_bench
-from .distributed import DistributedRun, SolverAgent, solve_distributed
+from .distributed import DistributedRun, SimConfig, SolverAgent, solve_distributed
 from .errors import (
     BoundOverflowError,
     DeadlockError,
@@ -41,7 +41,6 @@ from .sim import (
     LogEntry,
     MsgKind,
     PrivacyAuditor,
-    SimConfig,
     SimReport,
     TreeInfo,
     audit_privacy,

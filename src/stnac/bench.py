@@ -34,10 +34,9 @@ import io
 import time
 from dataclasses import astuple, dataclass, fields, replace
 
-from .distributed import solve_distributed
+from .distributed import SimConfig, solve_distributed
 from .errors import FormatError, ValidationError
 from .mastn import Mastn
-from .sim import SimConfig
 from .solver import AcClosure, enforce_ac
 from .stn import Stn, content_lines
 from .workloads import FAMILIES, GenSpec, generate, parameters

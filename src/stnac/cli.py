@@ -16,11 +16,11 @@ import sys
 from pathlib import Path
 
 from .bench import csv_text, parse_bench_config, run_bench
-from .distributed import solve_distributed
+from .distributed import SimConfig, solve_distributed
 from .errors import FormatError, StnacError
 from .mastn import parse_mastn
 from .oracle import NegativeCycle, oracle_minimal_domains
-from .sim import DUMP_CHUNK, PrivacyAuditor, SimConfig, dump_log
+from .sim import DUMP_CHUNK, PrivacyAuditor, dump_log
 from .solver import (
     AcClosure,
     enforce_ac,
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("file")
     ps.add_argument(
         "--solution",
-        metavar="lower|upper|sample:<seed>",
+        metavar="lower|upper|sample[:<seed>]",
         help="also print an assignment extracted from the closure",
     )
     ps.add_argument("--verify", action="store_true", help="re-check the printed assignment")
@@ -156,7 +156,7 @@ def _extract(net, closure, mode: str) -> list[int]:
         return sample_solution(net, closure, seed)
     if mode == "sample":
         return sample_solution(net, closure, _default_seed())
-    raise StnacError(f"--solution must be lower, upper, or sample:<seed>, got {mode!r}")
+    raise StnacError(f"--solution must be lower, upper, or sample[:<seed>], got {mode!r}")
 
 
 def _cmd_oracle(args) -> int:

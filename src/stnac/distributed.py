@@ -26,6 +26,16 @@ sweep that reads them pops the iteration; an inquiry that arrives before
 the sweep it asks about is remembered by a flag until that sweep ends.
 Anything genuinely impossible, a second sync from one neighbor or a second
 inquiry for one iteration included, raises ProtocolError with a state dump.
+
+Cost is counted in non-concurrent constraint checks (NCCC) with Lamport
+clocks, and the rule lives here, not in the runtime: an agent ticks its
+own clock once per constraint check, every outbound message carries the
+sender's clock, and a message arrives at that clock plus the run's
+latency.  The receiver's clock rises to max(own, arrival) when the
+message is delivered, except for a domain sync, whose arrival is absorbed
+when the agent consumes it: at the sweep that pops its iteration, or at
+once when it wakes the agent from a termination round.  The run's NCCC is
+the largest final clock.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
-from .errors import ProtocolError
+from .errors import ProtocolError, ValidationError
 from .intervals import Interval, interval
 from .mastn import AgentView, Mastn, agent_view
 from .sim import (
@@ -48,7 +58,6 @@ from .sim import (
     LogEntry,
     MsgKind,
     Observer,
-    SimConfig,
     TreeInfo,
     echo_setup,
     run_simulation,
@@ -69,14 +78,11 @@ AWAIT_SYNC, AWAIT_TERMINATION, DONE = Phase
 class SolverAgent:
     """One agent's protocol engine; driven by run_simulation."""
 
-    # domain syncs are consumed at the sweep that uses them, so their clock
-    # stamps are absorbed then, not at delivery
-    deferred_clock_kinds = frozenset({DOMAIN_SYNC})
-
-    def __init__(self, view: AgentView, tree: TreeInfo):
+    def __init__(self, view: AgentView, tree: TreeInfo, latency: int):
         self.agent_id = view.agent_id
         self.view = view
         self.tree = tree
+        self.latency = latency
         self.max_k = tree.n_total  # sweep budget: component variables + zero point
         # per iteration at most one sync per neighbor, one inquiry per child
         # and one feedback; per run at most one broadcast copy per neighbor,
@@ -134,7 +140,12 @@ class SolverAgent:
         kind = msg.kind
         if kind is DOMAIN_SYNC:
             self._on_sync(msg)
-        elif kind is INQUIRY:
+            return self._drain()
+        # every other kind is consumed now, so its arrival lands on the clock now
+        arrival = msg.clock + self.latency
+        if arrival > self.clock:
+            self.clock = arrival
+        if kind is INQUIRY:
             self._on_inquiry(msg)
         elif kind is FEEDBACK:
             self._on_feedback(msg)
@@ -164,13 +175,14 @@ class SolverAgent:
         syncs = self._inbox.setdefault(msg.k, {})
         if msg.sender in syncs:
             self._fail(f"second domain sync from {msg.sender} for iteration {msg.k}")
-        syncs[msg.sender] = (msg.arrival, reads, msg.domains)
+        arrival = msg.clock + self.latency
+        syncs[msg.sender] = (arrival, reads, msg.domains)
         if self.phase is AWAIT_TERMINATION:
             # a neighbor moved on, so iteration k is not globally quiescent;
             # abandon the round and join the next iteration.  This consumes
             # the message, so its stamp lands on the clock now.
-            if msg.arrival > self.clock:
-                self.clock = msg.arrival
+            if arrival > self.clock:
+                self.clock = arrival
             self._advance()
         self._pump()
 
@@ -350,6 +362,16 @@ class SolverAgent:
         )
 
 
+@dataclass(frozen=True)
+class SimConfig:
+    scheduler_seed: int = 0
+    latency: int = 0
+
+    def __post_init__(self):
+        if self.latency < 0:
+            raise ValidationError("latency must be non-negative")
+
+
 @dataclass
 class DistributedRun:
     """Everything a distributed solve produces."""
@@ -398,8 +420,8 @@ def solve_distributed(
             tree, delivered = echo_setup(root, neighbors, sizes)
             trees.update(tree)
             setup_msgs.extend(delivered)
-    agents = [SolverAgent(views[i], trees[i]) for i in range(m.p)]
-    report = run_simulation(agents, cfg, observe, setup_msgs)
+    agents = [SolverAgent(views[i], trees[i], cfg.latency) for i in range(m.p)]
+    report = run_simulation(agents, cfg.scheduler_seed, observe, setup_msgs)
 
     verdict = "inconsistent" if any(a.result == "inconsistent" for a in agents) else "consistent"
     agent_domains = [a.domains() for a in agents] if verdict == "consistent" else None
@@ -408,7 +430,7 @@ def solve_distributed(
         agent_domains=agent_domains,
         iterations=max((a.k for a in agents), default=0),
         checks=sum(a.checks for a in agents),
-        nccc=report.nccc,
+        nccc=max((a.clock for a in agents), default=0),
         messages=len(setup_msgs) + report.steps,
         setup_messages=len(setup_msgs),
         histogram=report.histogram,

@@ -2,21 +2,15 @@
 
 Delivery order is drawn from a seeded stream over the set of in-flight
 messages, so runs are reproducible while still exercising interleavings.
-Logical clocks follow the non-concurrent-check convention: an agent ticks
-its own clock once per constraint check, every outbound message carries the
-sender's clock, and delivery sets msg.arrival to that clock plus latency.
-The receiver's clock rises to max(own, msg.arrival) at delivery, or, for a
-kind in the agent's optional deferred_clock_kinds (SolverAgent's
-DomainSync), when the agent consumes the message.  The run's NCCC is the
-largest final clock.
+The runtime keeps no time: it hands each message over exactly as its
+sender built it, and what an agent's clock counts is the agent's affair
+(SolverAgent's NCCC rule is described in distributed.py).
 
 An agent is any object with::
 
     agent_id: int
-    clock: int
     done: bool
     max_sends: int     # most messages the agent sends over a whole run
-    deferred_clock_kinds: frozenset[MsgKind]  # optional, see above
     on_start() -> list[AgentMessage]
     on_message(msg) -> list[AgentMessage]
 
@@ -67,8 +61,6 @@ class AgentMessage:
     receiver may update them in place.
     `origin` names the agent that started a broadcast; forwarded copies
     keep it.
-    `arrival` is runtime metadata: the carried clock plus latency, filled in
-    at delivery for agents that consume a kind later than they receive it.
     """
 
     kind: MsgKind
@@ -80,17 +72,6 @@ class AgentMessage:
     subtree_agents: int | None = None
     subtree_vars: int | None = None
     origin: int | None = None
-    arrival: int = 0
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    scheduler_seed: int = 0
-    latency: int = 0
-
-    def __post_init__(self):
-        if self.latency < 0:
-            raise ValidationError("latency must be non-negative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,13 +90,12 @@ KEEP_LOG: Any = object()
 class SimReport:
     log: list[LogEntry] | None  # the kept deliveries; None under any other observer
     histogram: dict[str, int]
-    nccc: int
     steps: int
 
 
 def run_simulation(
     agents: list,
-    cfg: SimConfig,
+    scheduler_seed: int,
     observe: Observer | None = KEEP_LOG,
     prior: Sequence[AgentMessage] = (),
 ) -> SimReport:
@@ -136,19 +116,15 @@ def run_simulation(
     bound.
 
     Contract: no message is delivered to an agent whose `done` is set; the
-    step is observed and counted, but on_message is not called and the
-    agent's clock does not move.
+    step is observed and counted, but on_message is not called.
     """
-    # agent id -> (agent, the kinds whose clock stamp it absorbs later); a
-    # tuple, since testing a set for a member would hash it per delivery
     by_id = {}
     for a in agents:
         if a.agent_id in by_id:
             raise ValidationError(f"duplicate agent id {a.agent_id}")
-        by_id[a.agent_id] = (a, tuple(getattr(a, "deferred_clock_kinds", ())))
+        by_id[a.agent_id] = a
     budget = sum(a.max_sends for a in agents)
-    rng = SplitMix64(cfg.scheduler_seed)
-    latency = cfg.latency
+    rng = SplitMix64(scheduler_seed)
     pending: list[AgentMessage] = []
 
     def enqueue(msgs: list[AgentMessage]) -> None:
@@ -189,25 +165,12 @@ def run_simulation(
             observe(LogEntry(offset + step, msg))
         kind = msg.kind._value_
         histogram[kind] = histogram.get(kind, 0) + 1
-        agent, deferred = by_id[msg.receiver]
+        agent = by_id[msg.receiver]
         if agent.done:
             continue
-        # without latency the stamp is the carried clock object itself: a
-        # kept message then holds no int of its own for it
-        arrival = msg.clock
-        if latency:
-            arrival += latency
-        msg.arrival = arrival
-        # kinds the agent consumes later (e.g. cached domain syncs) carry
-        # their arrival stamp with them instead of bumping the clock now:
-        # a message influences the clock when the protocol receives it
-        if msg.kind not in deferred:
-            if arrival > agent.clock:
-                agent.clock = arrival
         enqueue(agent.on_message(msg))
 
-    nccc = max((a.clock for a in agents), default=0)
-    return SimReport(log=log, histogram=histogram, nccc=nccc, steps=step)
+    return SimReport(log=log, histogram=histogram, steps=step)
 
 
 def _describe(agent) -> str:

@@ -98,6 +98,7 @@ class TestSolve:
             capsys, "solve", str(SAMPLES / "two_var.stn"), "--solution", "median"
         )
         assert code == 2
+        assert "--solution must be lower, upper, or sample[:<seed>], got 'median'" in err
 
     def test_verify_needs_a_solution(self, capsys):
         code, out, err = run_cli(capsys, "solve", str(SAMPLES / "two_var.stn"), "--verify")

@@ -144,13 +144,13 @@ class TestArcOrder:
         # agent 0 of ring4: variable 0 reads its partner 1 and the ghost of
         # (1, 0) in slot 2; variable 1 reads 0 and the ghost of (3, 0) in slot 3
         view = agent_view(parse_mastn((SAMPLES / "ring4.mastn").read_text()), 0)
-        agent = SolverAgent(view, TreeInfo(parent=None, children=(1, 3), n_total=9))
+        agent = SolverAgent(view, TreeInfo(parent=None, children=(1, 3), n_total=9), 0)
         assert [[arc[0] for arc in lst] for lst in agent._arcs] == [[1, 2], [0, 3]]
 
     def test_sources_ascend_for_every_factory_agent(self):
         m = gen_factory_mastn(agents=6, tasks=30, seed=1)
         for i in range(m.p):
-            agent = SolverAgent(agent_view(m, i), TreeInfo(parent=None, children=(), n_total=1))
+            agent = SolverAgent(agent_view(m, i), TreeInfo(parent=None, children=(), n_total=1), 0)
             for lst in agent._arcs:
                 sources = [arc[0] for arc in lst]
                 assert sources == sorted(set(sources))
@@ -441,7 +441,7 @@ class TestBroadcastDedup:
     def test_duplicate_broadcast_ignored(self):
         view = agent_view(split_cycle3(), 1)
         tree = TreeInfo(parent=0, children=(2,), n_total=4)
-        agent = SolverAgent(view, tree)
+        agent = SolverAgent(view, tree, 0)
         agent.on_start()
         first = AgentMessage(MsgKind.INCONSISTENT, 0, 1, origin=0)
         out1 = agent.on_message(first)
@@ -464,7 +464,7 @@ class TestAgentStep:
         m.add_external(1, 0, 2, 0, interval(-50, 50))
         view = agent_view(m, 1)
         tree = TreeInfo(parent=0, children=(2,), n_total=4)
-        agent = SolverAgent(view, tree)
+        agent = SolverAgent(view, tree, 0)
         out = agent.on_start()
         assert [(msg.kind, msg.receiver) for msg in out] == [
             (MsgKind.DOMAIN_SYNC, 0),
@@ -494,7 +494,7 @@ class TestAgentStep:
         m.add_external(0, 0, 1, 0, interval(-5, 5))
         view = agent_view(m, 1)
         tree = TreeInfo(parent=0, children=(), n_total=3)
-        agent = SolverAgent(view, tree)
+        agent = SolverAgent(view, tree, 0)
         agent.on_start()
         agent.on_message(AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1,
                                       domains={(0, 0): interval(0, 10)}))
@@ -504,21 +504,64 @@ class TestAgentStep:
         ]
 
 
-def ring4_sync(sender: int, k: int, receiver: int = 0) -> AgentMessage:
+def ring4_sync(sender: int, k: int, receiver: int = 0, clock: int = 0) -> AgentMessage:
     """A ring4 agent syncs its variable 0, the one its neighbors read, at [0, 100]."""
     domains = {(sender, 0): interval(0, 100)}
-    return AgentMessage(MsgKind.DOMAIN_SYNC, sender, receiver, k=k, domains=domains)
+    return AgentMessage(MsgKind.DOMAIN_SYNC, sender, receiver, clock, k, domains)
 
 
 def ring4_feedback(sender: int, k: int) -> AgentMessage:
     return AgentMessage(MsgKind.FEEDBACK, sender, 0, k=k)
 
 
+class TestClockRule:
+    """A message arrives at its carried clock plus the latency; the
+    receiver's clock rises to the arrival on delivery, except that a domain
+    sync is absorbed when the agent consumes it."""
+
+    LATENCY = 5
+
+    def ring4_agent(self, agent_id: int) -> SolverAgent:
+        m = parse_mastn((SAMPLES / "ring4.mastn").read_text())
+        views = [agent_view(m, i) for i in range(m.p)]
+        trees, _ = echo_setup(0, [v.neighbors for v in views], [v.stn.n for v in views])
+        agent = SolverAgent(views[agent_id], trees[agent_id], self.LATENCY)
+        agent.on_start()
+        return agent
+
+    @pytest.mark.parametrize("own, stamp", [(0, 40), (45, 40), (90, 40)])
+    def test_inquiry_raises_the_clock_on_delivery(self, own, stamp):
+        agent = self.ring4_agent(1)  # root 0's child
+        agent.clock = own
+        agent.on_message(AgentMessage(MsgKind.INQUIRY, 0, 1, clock=stamp, k=1))
+        assert agent.clock == max(own, stamp + self.LATENCY)
+
+    def test_sync_in_await_sync_waits_for_its_sweep(self):
+        agent = self.ring4_agent(0)
+        agent.on_message(ring4_sync(1, 1, clock=300))
+        assert (agent.phase, agent.k, agent.clock) == (Phase.AWAIT_SYNC, 1, 0)
+        agent.on_message(ring4_sync(3, 1, clock=7))  # completes k = 1: the sweep pops it
+        assert agent.checks > 0
+        assert agent.clock == 300 + self.LATENCY + agent.checks
+
+    def test_next_sync_in_await_termination_raises_the_clock_at_once(self):
+        agent = self.ring4_agent(0)
+        for k in (1, 2):
+            for j in (1, 3):
+                agent.on_message(ring4_sync(j, k))
+        assert (agent.phase, agent.k) == (Phase.AWAIT_TERMINATION, 2)
+        stamp = agent.clock + 100
+        agent.on_message(ring4_sync(1, 3, clock=stamp))
+        # the round is abandoned for k = 3, whose sweep still waits on agent 3
+        assert (agent.phase, agent.k) == (Phase.AWAIT_SYNC, 3)
+        assert agent.clock == stamp + self.LATENCY
+
+
 class TestProtocolErrors:
     def test_unexpected_echo_probe(self):
         view = agent_view(split_cycle3(), 0)
         tree = TreeInfo(parent=None, children=(1, 2), n_total=4)
-        agent = SolverAgent(view, tree)
+        agent = SolverAgent(view, tree, 0)
         agent.on_start()
         with pytest.raises(ProtocolError):
             agent.on_message(AgentMessage(MsgKind.ECHO_PROBE, 1, 0))
@@ -526,7 +569,7 @@ class TestProtocolErrors:
     def test_inquiry_from_non_parent(self):
         view = agent_view(split_cycle3(), 1)
         tree = TreeInfo(parent=0, children=(2,), n_total=4)
-        agent = SolverAgent(view, tree)
+        agent = SolverAgent(view, tree, 0)
         agent.on_start()
         with pytest.raises(ProtocolError):
             agent.on_message(AgentMessage(MsgKind.INQUIRY, 2, 1, k=1))
@@ -535,7 +578,7 @@ class TestProtocolErrors:
         # agent 0 reads (1, 0) from agent 1 and (3, 0) from agent 3
         view = agent_view(parse_mastn((SAMPLES / "ring4.mastn").read_text()), 0)
         tree = TreeInfo(parent=None, children=(1, 3), n_total=8)
-        agent = SolverAgent(view, tree)
+        agent = SolverAgent(view, tree, 0)
         agent.on_start()
         return agent
 
@@ -590,7 +633,7 @@ class TestProtocolErrors:
         m = parse_mastn((SAMPLES / "ring4.mastn").read_text())
         views = [agent_view(m, i) for i in range(m.p)]
         trees, _ = echo_setup(0, [v.neighbors for v in views], [v.stn.n for v in views])
-        agent = SolverAgent(agent_view(m, agent_id), trees[agent_id])
+        agent = SolverAgent(agent_view(m, agent_id), trees[agent_id], 0)
         agent.on_start()
         if quiescent:
             # agent 0's first sweep tightens its own domains, its second is

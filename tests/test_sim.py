@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import pytest
 
 from conftest import SAMPLES
@@ -26,37 +28,42 @@ from stnac.sim import (
 
 
 class Courier:
-    """Toy agent pair: bounce a countdown token, then exchange a stop."""
+    """Toy agent pair: bounce a countdown token, then exchange a stop.
+
+    It keeps no `clock`: its messages carry a tick count of its own, and it
+    records each message's fields as it sends it.
+    """
 
     def __init__(self, agent_id, peer, hops=0, starter=False, work=0, max_sends=50):
         self.agent_id = agent_id
         self.peer = peer
         self.hops = hops
         self.starter = starter
-        self.work = work  # per-token-delivery constraint-check stand-in
+        self.work = work  # ticks per token delivery
         self.max_sends = max_sends
-        self.clock = 0
+        self.ticks = 0
         self.done = False
+        self.sent = []
 
-    def _token(self, k):
-        return AgentMessage(MsgKind.ECHO_PROBE, self.agent_id, self.peer,
-                            clock=self.clock, k=k)
+    def _send(self, kind, k=None):
+        msg = AgentMessage(kind, self.agent_id, self.peer, clock=self.ticks, k=k)
+        self.sent.append((msg, astuple(msg)))
+        return [msg]
 
     def on_start(self):
         if self.starter:
-            return [self._token(self.hops)]
+            return self._send(MsgKind.ECHO_PROBE, self.hops)
         return []
 
     def on_message(self, msg):
         if msg.kind is MsgKind.ECHO_REPLY:  # the stop marker
             self.done = True
             return []
-        self.clock += self.work
+        self.ticks += self.work
         if msg.k <= 1:
             self.done = True
-            return [AgentMessage(MsgKind.ECHO_REPLY, self.agent_id, self.peer,
-                                 clock=self.clock)]
-        return [self._token(msg.k - 1)]
+            return self._send(MsgKind.ECHO_REPLY)
+        return self._send(MsgKind.ECHO_PROBE, msg.k - 1)
 
 
 class Sleeper:
@@ -66,7 +73,6 @@ class Sleeper:
 
     def __init__(self, agent_id):
         self.agent_id = agent_id
-        self.clock = 0
         self.done = False
 
     def on_start(self):
@@ -82,7 +88,6 @@ class PingPong:
     def __init__(self, agent_id, peer):
         self.agent_id = agent_id
         self.peer = peer
-        self.clock = 0
         self.done = False
 
     def on_start(self):
@@ -101,7 +106,6 @@ class OneShot:
     def __init__(self, agent_id, peer):
         self.agent_id = agent_id
         self.peer = peer
-        self.clock = 0
         self.done = False
         self.received = []
 
@@ -129,39 +133,40 @@ class TestRunSimulation:
         logs = []
         for _ in range(2):
             agents = couriers()
-            report = run_simulation(agents, SimConfig(scheduler_seed=5))
+            report = run_simulation(agents, 5)
             logs.append(dump_log(report.log))
         assert logs[0] == logs[1]
 
     def test_token_run_terminates(self):
-        agents = couriers(hops=4)
-        report = run_simulation(agents, SimConfig())
+        agents = couriers(hops=4, work=2)
+        assert not any(hasattr(a, "clock") for a in agents)  # the runtime reads none
+        report = run_simulation(agents, 0)
         assert report.steps == 5  # four token hops plus the stop
         assert len(report.log) == 5
         assert all(a.done for a in agents)
 
     def test_deadlock_reported_with_snapshot(self):
         with pytest.raises(DeadlockError) as err:
-            run_simulation([Sleeper(0)], SimConfig())
+            run_simulation([Sleeper(0)], 0)
         assert 0 in err.value.snapshot
 
     def test_runaway_reported(self):
         agents = [PingPong(0, 1), PingPong(1, 0)]
         with pytest.raises(RunawayError):
-            run_simulation(agents, SimConfig())  # a budget of 2 * 25 = 50 steps
+            run_simulation(agents, 0)  # a budget of 2 * 25 = 50 steps
 
-    def test_clock_rule_with_latency(self):
-        # each token delivery does 2 units of work; the carried clock plus
-        # latency dominates the receiver's own clock, so the final clock is
-        # work*hops plus latency per delivery (the stop included)
-        for latency in (0, 5):
-            agents = couriers(hops=4, work=2)
-            report = run_simulation(agents, SimConfig(latency=latency))
-            assert report.nccc == 2 * 4 + latency * 5
+    def test_delivered_messages_are_as_sent(self):
+        # the runtime keeps no time: it stamps and rewrites no field
+        agents = couriers(hops=6, work=300)
+        report = run_simulation(agents, 1)
+        sent = {id(msg): fields for a in agents for msg, fields in a.sent}
+        assert len(report.log) == len(sent) == 7
+        for entry in report.log:
+            assert astuple(entry.message) == sent[id(entry.message)]
 
     def test_prior_messages_number_steps_on(self):
         prior = [AgentMessage(MsgKind.INQUIRY, 0, 1) for _ in range(3)]
-        report = run_simulation(couriers(hops=4), SimConfig(), prior=prior)
+        report = run_simulation(couriers(hops=4), 0, prior=prior)
         assert [e.message for e in report.log[:3]] == prior
         assert [e.step for e in report.log] == list(range(1, 9))
         assert report.steps == 5  # this run's deliveries only
@@ -171,44 +176,33 @@ class TestRunSimulation:
     def test_prior_messages_leave_the_step_budget_alone(self):
         prior = [AgentMessage(MsgKind.INQUIRY, 0, 1) for _ in range(60)]
         # with four hops the starter sends three messages and its peer two
-        report = run_simulation(couriers(hops=4, max_sends=(3, 2)), SimConfig(), prior=prior)
+        report = run_simulation(couriers(hops=4, max_sends=(3, 2)), 0, prior=prior)
         assert report.steps == 5
         assert report.log[-1].step == 65
         with pytest.raises(RunawayError):
-            run_simulation(couriers(hops=4, max_sends=(3, 1)), SimConfig())
+            run_simulation(couriers(hops=4, max_sends=(3, 1)), 0)
 
-    @pytest.mark.parametrize("latency", [0, 2])
-    def test_an_observer_sees_what_the_log_keeps(self, latency):
-        cfg = SimConfig(scheduler_seed=1, latency=latency)
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_an_observer_sees_what_the_log_keeps(self, seed):
         prior = [AgentMessage(MsgKind.INQUIRY, 0, 1)]
-        kept = run_simulation(couriers(hops=5, work=3), cfg, prior=prior)
+        kept = run_simulation(couriers(hops=5, work=3), seed, prior=prior)
         seen = []
-        observed = run_simulation(couriers(hops=5, work=3), cfg, seen.append, prior)
-        silent = run_simulation(couriers(hops=5, work=3), cfg, None, prior)
+        observed = run_simulation(couriers(hops=5, work=3), seed, seen.append, prior)
+        silent = run_simulation(couriers(hops=5, work=3), seed, None, prior)
         assert dump_log(seen) == dump_log(kept.log)
         assert observed.log is None and silent.log is None
         for report in (observed, silent):
-            assert (report.histogram, report.nccc, report.steps) == (
-                kept.histogram, kept.nccc, kept.steps
-            )
-
-    def test_arrival_is_the_carried_clock_without_latency(self):
-        agents = couriers(hops=4, work=300)  # clocks past the cached small ints
-        report = run_simulation(agents, SimConfig())
-        delivered = [e.message for e in report.log]
-        assert delivered[-1].clock > 256
-        assert all(msg.arrival is msg.clock for msg in delivered)
+            assert (report.histogram, report.steps) == (kept.histogram, kept.steps)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_nothing_is_delivered_to_a_done_agent(self, seed):
         # each agent finishes on its first message while the second is still
         # in flight; that one is logged and counted but never handed over
         agents = [OneShot(0, 1), OneShot(1, 0)]
-        report = run_simulation(agents, SimConfig(scheduler_seed=seed, latency=1))
+        report = run_simulation(agents, seed)
         assert report.steps == len(report.log) == 4
         for a in agents:
             assert len(a.received) == 1
-            assert a.clock == a.received[0].clock + 1  # the second copy moved no clock
 
     @pytest.mark.parametrize(
         "agents, match",
@@ -219,11 +213,11 @@ class TestRunSimulation:
     )
     def test_bad_agent_set_rejected(self, agents, match):
         with pytest.raises(ValidationError, match=match):
-            run_simulation(agents, SimConfig())
+            run_simulation(agents, 0)
 
     def test_empty_agent_set_runs_to_an_empty_report(self):
-        report = run_simulation([], SimConfig())
-        assert (report.log, report.histogram, report.nccc, report.steps) == ([], {}, 0, 0)
+        report = run_simulation([], 0)
+        assert (report.log, report.histogram, report.steps) == ([], {}, 0)
 
     def test_latency_must_be_non_negative(self):
         with pytest.raises(Exception):
@@ -232,7 +226,6 @@ class TestRunSimulation:
     def test_single_agent_no_messages(self):
         class Instant:
             agent_id = 0
-            clock = 3
             done = False
             max_sends = 0
 
@@ -243,10 +236,9 @@ class TestRunSimulation:
             def on_message(self, msg):
                 return []
 
-        report = run_simulation([Instant()], SimConfig())
+        report = run_simulation([Instant()], 0)
         assert report.steps == 0
         assert report.log == []
-        assert report.nccc == 3
 
 
 class TestEchoSetup:
