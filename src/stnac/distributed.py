@@ -58,8 +58,10 @@ from .sim import (
     LogEntry,
     MsgKind,
     Observer,
+    Payload,
     TreeInfo,
     echo_setup,
+    payload_keys,
     run_simulation,
 )
 from .solver import build_arcs, sweep_once
@@ -110,20 +112,24 @@ class SolverAgent:
         self._dirty = [True] * (n + len(ghosts))
         ext = ((e.local_var, ghosts[(e.peer_agent, e.peer_var)], e.ivl) for e in view.externals)
         self._arcs = build_arcs(n + len(ghosts), chain(stn.pairs(), ext))[:n]
-        # neighbor -> {(neighbor, var): ghost slot}, exactly the keys its syncs carry
-        self._reads = {
-            j: {key: slot for key, slot in ghosts.items() if key[0] == j} for j in view.neighbors
+        # neighbor -> (the keys this agent reads from it, ascending, and their
+        # ghost slots, aligned): a sync from it must carry exactly these keys,
+        # in this order, and _sweep writes its intervals by position
+        self._reads = {}
+        for j in view.neighbors:
+            keys = tuple(key for key in view.external_vars if key[0] == j)
+            self._reads[j] = (keys, tuple(ghosts[key] for key in keys))
+        # shared variable -> its (key, interval) pair as last sent, and
+        # neighbor -> the payload last sent; _advance rebuilds a pair only
+        # when its bounds moved, and a payload only when one of its pairs was
+        # rebuilt, so unchanged domains go out as shared objects
+        self._pairs = {
+            v: ((self.agent_id, v), interval(self._lo[v], self._hi[v])) for v in view.shared_vars
         }
-        # shared variable -> its payload key and the interval last sent, and
-        # neighbor -> the payload last sent; _advance rebuilds an interval
-        # only when its bounds moved, and a payload only when one of its
-        # intervals was rebuilt, so unchanged domains go out as shared objects
-        self._keys = {v: (self.agent_id, v) for v in view.shared_vars}
-        self._sent = {v: interval(self._lo[v], self._hi[v]) for v in view.shared_vars}
         self._payloads = {j: self._payload(j) for j in view.neighbors}
 
-        # k -> {neighbor: (arrival stamp, {(neighbor, var): ghost slot}, payload)}
-        self._inbox: dict[int, dict[int, tuple[int, dict, dict]]] = {}
+        # k -> {neighbor: (arrival stamp, its ghost slots, payload)}
+        self._inbox: dict[int, dict[int, tuple[int, tuple[int, ...], Payload]]] = {}
         self._changed = n  # domains changed by the last sweep
         self._inquiry_seen = False  # the parent's inquiry about k has arrived
         self._feedback_pending: set[int] = set()
@@ -164,7 +170,7 @@ class SolverAgent:
 
     def _on_sync(self, msg: AgentMessage) -> None:
         reads = self._reads.get(msg.sender)
-        if reads is None or msg.domains is None or msg.domains.keys() != reads.keys():
+        if reads is None or payload_keys(msg.domains) != reads[0]:
             self._fail(f"malformed domain sync from {msg.sender}")
         if self.phase is AWAIT_TERMINATION and msg.k != self.k + 1:
             self._fail(f"domain sync for iteration {msg.k} while waiting at {self.k}")
@@ -176,7 +182,7 @@ class SolverAgent:
         if msg.sender in syncs:
             self._fail(f"second domain sync from {msg.sender} for iteration {msg.k}")
         arrival = msg.clock + self.latency
-        syncs[msg.sender] = (arrival, reads, msg.domains)
+        syncs[msg.sender] = (arrival, reads[1], msg.domains)
         if self.phase is AWAIT_TERMINATION:
             # a neighbor moved on, so iteration k is not globally quiescent;
             # abandon the round and join the next iteration.  This consumes
@@ -245,10 +251,10 @@ class SolverAgent:
         self._inquiry_seen = False
         lo = self._lo
         hi = self._hi
-        sent = self._sent
-        moved = {v for v, ivl in sent.items() if ivl.lo != lo[v] or ivl.hi != hi[v]}
+        pairs = self._pairs
+        moved = {v for v, (_, ivl) in pairs.items() if ivl.lo != lo[v] or ivl.hi != hi[v]}
         for v in moved:
-            sent[v] = interval(lo[v], hi[v])
+            pairs[v] = (pairs[v][0], interval(lo[v], hi[v]))
         payloads = self._payloads
         for j in self.view.neighbors:
             if not moved.isdisjoint(self.view.shared_with[j]):
@@ -259,9 +265,11 @@ class SolverAgent:
             )
         self.phase = AWAIT_SYNC
 
-    def _payload(self, j: int) -> dict[tuple[int, int], Interval]:
-        """The domains neighbor j reads, as last sent: a new dict each call."""
-        return {self._keys[v]: self._sent[v] for v in self.view.shared_with[j]}
+    def _payload(self, j: int) -> Payload:
+        """The pairs neighbor j reads, as last sent and sorted by key: a new
+        tuple each call, sharing the pairs themselves."""
+        pairs = self._pairs
+        return tuple([pairs[v] for v in self.view.shared_with[j]])
 
     def _pump(self) -> None:
         """Sweep as long as every neighbor's sync for the iteration is here."""
@@ -273,11 +281,10 @@ class SolverAgent:
         lo = self._lo
         hi = self._hi
         syncs = self._inbox.pop(self.k, {})  # an agent without neighbors has none
-        for stamp, reads, payload in syncs.values():
+        for stamp, slots, payload in syncs.values():
             if stamp > self.clock:  # receiving the awaited domains
                 self.clock = stamp
-            for key, ivl in payload.items():
-                slot = reads[key]
+            for slot, (_, ivl) in zip(slots, payload):
                 lo[slot] = ivl.lo
                 hi[slot] = ivl.hi
         if syncs:  # fresh ghost values: sweep every variable

@@ -52,13 +52,30 @@ class MsgKind(Enum):
 DOMAIN_SYNC, INCONSISTENT, INQUIRY, FEEDBACK, ARC_CONSISTENT, ECHO_PROBE, ECHO_REPLY = MsgKind
 
 
+# a domain sync's payload: ((agent, var), interval) pairs, sorted by key
+Payload = tuple[tuple[tuple[int, int], Interval], ...]
+
+
+def payload_keys(payload: object) -> tuple | None:
+    """A payload's keys in order, or None when it is not a tuple of pairs."""
+    if type(payload) is not tuple:
+        return None
+    keys = []
+    for pair in payload:
+        if type(pair) is not tuple or len(pair) != 2:
+            return None
+        keys.append(pair[0])
+    return tuple(keys)
+
+
 @dataclass(slots=True)
 class AgentMessage:
     """One protocol message.
 
-    `domains` is read-only once sent: a sender may hand one dict, and the
-    intervals in it, to several messages, so neither the runtime nor a
-    receiver may update them in place.
+    `domains` is a domain sync's Payload: one pair per variable of the
+    sender that the receiver reads, sorted by key.  A tuple cannot change
+    once sent, so a sender may hand one payload, and the pairs in it, to
+    several messages.
     `origin` names the agent that started a broadcast; forwarded copies
     keep it.
     """
@@ -68,7 +85,7 @@ class AgentMessage:
     receiver: int
     clock: int = 0
     k: int | None = None
-    domains: dict[tuple[int, int], Interval] | None = None
+    domains: Payload | None = None
     subtree_agents: int | None = None
     subtree_vars: int | None = None
     origin: int | None = None
@@ -273,13 +290,18 @@ class AuditResult:
     reason: str | None = None
 
 
+_NOT_PAIRS = "payload is not a tuple of (variable, interval) pairs"
+
+
 class PrivacyAuditor:
     """The privacy audit as an observer: judges one LogEntry at a time.
 
     A message fails the audit when it names a variable its sender does not
     share (echo replies are exempt: they carry only aggregate counts), when
     it carries interval payloads on anything but a domain synchronization,
-    or when it travels between agents that are not agent-graph neighbors.
+    when a domain synchronization's payload is not a tuple of
+    ((agent, var), Interval) pairs, or when it travels between agents that
+    are not agent-graph neighbors.
     Shared variables and agent edges are read from the external constraints
     themselves, not from the agent views that decide what agents send.
     Called with each entry, the auditor keeps only the first failing one;
@@ -306,11 +328,19 @@ class PrivacyAuditor:
             return "message between non-neighbor agents"
         kind = msg.kind
         if kind is DOMAIN_SYNC:
-            if msg.domains is None:
+            domains = msg.domains
+            if domains is None:
                 return "domain sync without a payload"
+            if payload_keys(domains) is None:
+                return _NOT_PAIRS
             shared = self._shared
-            for key in msg.domains:
-                if key[0] != msg.sender:
+            for key, ivl in domains:
+                if type(ivl) is not Interval or type(key) is not tuple or len(key) != 2:
+                    return _NOT_PAIRS
+                agent, var = key
+                if type(agent) is not int or type(var) is not int:
+                    return _NOT_PAIRS
+                if agent != msg.sender:
                     return "payload names a foreign variable"
                 if key not in shared:
                     return "payload names a private variable"
@@ -342,7 +372,7 @@ def _payload_text(msg: AgentMessage) -> str:
     if msg.origin is not None:
         parts.append(f"origin={msg.origin}")
     if msg.domains is not None:
-        for (agent, var), ivl in sorted(msg.domains.items()):
+        for (agent, var), ivl in msg.domains:
             parts.append(f"{agent}.{var}={ivl}")
     if msg.subtree_agents is not None:
         parts.append(f"agents={msg.subtree_agents}")

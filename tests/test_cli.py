@@ -208,7 +208,7 @@ class TestDsolve:
             def tamper(entry):
                 msg = entry.message
                 if msg.kind is MsgKind.DOMAIN_SYNC:
-                    domains = {**msg.domains, (msg.sender, 0): interval(0, 1)}
+                    domains = tuple(sorted(msg.domains + (((msg.sender, 0), interval(0, 1)),)))
                     entry = LogEntry(entry.step, replace(msg, domains=domains))
                 observe(entry)
 

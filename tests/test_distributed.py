@@ -1,4 +1,3 @@
-import copy
 import hashlib
 
 import pytest
@@ -8,6 +7,7 @@ from stnac import (
     EMPTY,
     AcClosure,
     AgentMessage,
+    Interval,
     Mastn,
     MsgKind,
     ProtocolError,
@@ -406,35 +406,59 @@ class TestObservers:
 
 
 class TestPayloadSharing:
-    """Agents hand an unchanged payload dict, and unchanged intervals, to
-    several messages; nothing may update them in place once sent."""
+    """A domain sync carries a tuple of ((agent, var), interval) pairs sorted
+    by key; agents hand an unchanged pair, and an unchanged payload, to
+    several messages."""
+
+    @staticmethod
+    def edge_syncs(run) -> dict[tuple[int, int], list]:
+        """(sender, receiver) -> its syncs' payloads in iteration order."""
+        per_edge = {}
+        for entry in run.log:
+            msg = entry.message
+            if msg.kind is MsgKind.DOMAIN_SYNC:
+                per_edge.setdefault((msg.sender, msg.receiver), []).append((msg.k, msg.domains))
+        return {edge: [p for _, p in sorted(syncs, key=lambda s: s[0])]
+                for edge, syncs in per_edge.items()}
 
     @pytest.mark.parametrize("externals, seed", [(8, 0), (8, 1), (12, 1)])
-    def test_sent_payloads_never_change(self, monkeypatch, externals, seed):
-        sent = []  # (message, deep copy of its payload when it was emitted)
-        drain = SolverAgent._drain
+    def test_payload_contract(self, externals, seed):
+        m = gen_factory_mastn(agents=6, tasks=30, externals=externals, seed=seed)
+        # (sender, receiver) -> the sender's variables the receiver reads,
+        # read from the external constraints themselves
+        reads: dict[tuple[int, int], set] = {}
+        for e in m.external_constraints():
+            reads.setdefault((e.j, e.i), set()).add((e.j, e.w))
+            reads.setdefault((e.i, e.j), set()).add((e.i, e.v))
+        run = solve_distributed(m, SimConfig(scheduler_seed=seed))
+        per_edge = self.edge_syncs(run)
+        assert per_edge.keys() == reads.keys()
+        for edge, payloads in per_edge.items():
+            for payload in payloads:
+                assert type(payload) is tuple
+                assert all(type(pair) is tuple and len(pair) == 2 for pair in payload)
+                keys = [key for key, _ in payload]
+                assert keys == sorted(reads[edge])
+                assert all(type(ivl) is Interval for _, ivl in payload)
 
-        def copying_drain(agent):
-            out = drain(agent)
-            sent.extend(
-                (msg, copy.deepcopy(msg.domains))
-                for msg in out
-                if msg.kind is MsgKind.DOMAIN_SYNC
-            )
-            return out
-
-        monkeypatch.setattr(SolverAgent, "_drain", copying_drain)
+    @pytest.mark.parametrize("externals, seed", [(8, 0), (8, 1), (12, 1)])
+    def test_unmoved_pairs_are_shared(self, externals, seed):
         m = gen_factory_mastn(agents=6, tasks=30, externals=externals, seed=seed)
         run = solve_distributed(m, SimConfig(scheduler_seed=seed))
-        syncs = [e.message for e in run.log if e.message.kind is MsgKind.DOMAIN_SYNC]
-        # every emitted sync is delivered, in the scheduler's order
-        assert sorted(id(msg) for msg, _ in sent) == sorted(id(msg) for msg in syncs)
-        # the check has teeth only if some payloads and intervals are shared
-        assert len({id(msg.domains) for msg in syncs}) < len(syncs)
-        intervals = [ivl for msg in syncs for ivl in msg.domains.values()]
-        assert len({id(ivl) for ivl in intervals}) < len(intervals)
-        for msg, domains in sent:
-            assert msg.domains == domains
+        kept = moved = mixed = 0
+        for payloads in self.edge_syncs(run).values():
+            for prev, cur in zip(payloads, payloads[1:]):
+                # domains only tighten, so an equal pair is an unmoved variable
+                unmoved = sum(p == q for p, q in zip(prev, cur))
+                assert all(p is q for p, q in zip(prev, cur) if p == q)
+                if unmoved == len(cur):  # no pair rebuilt, so no payload either
+                    assert prev is cur
+                kept += unmoved
+                moved += len(cur) - unmoved
+                mixed += 0 < unmoved < len(cur)
+        # the check has teeth only if some pairs stayed while others moved,
+        # within one payload too
+        assert kept and moved and mixed
 
 
 class TestBroadcastDedup:
@@ -471,10 +495,10 @@ class TestAgentStep:
             (MsgKind.DOMAIN_SYNC, 2),
         ]
         sync0 = AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1,
-                             domains={(0, 0): interval(0, 100)})
+                             domains=(((0, 0), interval(0, 100)),))
         agent.on_message(sync0)
         sync2 = AgentMessage(MsgKind.DOMAIN_SYNC, 2, 1, k=1,
-                             domains={(2, 0): interval(0, 100)})
+                             domains=(((2, 0), interval(0, 100)),))
         agent.on_message(sync2)  # completes the sync set; sweep is quiescent
         inquiry = AgentMessage(MsgKind.INQUIRY, 0, 1, k=1)
         out = agent.on_message(inquiry)
@@ -497,7 +521,7 @@ class TestAgentStep:
         agent = SolverAgent(view, tree, 0)
         agent.on_start()
         agent.on_message(AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1,
-                                      domains={(0, 0): interval(0, 10)}))
+                                      domains=(((0, 0), interval(0, 10)),)))
         out = agent.on_message(AgentMessage(MsgKind.INQUIRY, 0, 1, k=1))
         assert [(msg.kind, msg.receiver, msg.k) for msg in out] == [
             (MsgKind.FEEDBACK, 0, 1)
@@ -506,7 +530,7 @@ class TestAgentStep:
 
 def ring4_sync(sender: int, k: int, receiver: int = 0, clock: int = 0) -> AgentMessage:
     """A ring4 agent syncs its variable 0, the one its neighbors read, at [0, 100]."""
-    domains = {(sender, 0): interval(0, 100)}
+    domains = (((sender, 0), interval(0, 100)),)
     return AgentMessage(MsgKind.DOMAIN_SYNC, sender, receiver, clock, k, domains)
 
 
@@ -649,9 +673,56 @@ class TestProtocolErrors:
 
     def test_second_sync_for_one_iteration(self):
         agent = self.ring4_agent0()
-        sync = AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains={(1, 0): interval(0, 100)})
+        sync = AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains=(((1, 0), interval(0, 100)),))
         agent.on_message(sync)
         with pytest.raises(ProtocolError, match="second domain sync from 1 for iteration 1"):
             agent.on_message(
-                AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains={(1, 0): interval(0, 50)})
+                AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains=(((1, 0), interval(0, 50)),))
             )
+
+
+IVL = interval(0, 10)
+
+# agent 1 of pair_problem() reads agent 0's variables 0 and 1
+MALFORMED_SYNCS = {
+    "missing": (((0, 0), IVL),),
+    "extra": (((0, 0), IVL), ((0, 1), IVL), ((0, 2), IVL)),
+    "duplicate": (((0, 0), IVL), ((0, 1), IVL), ((0, 1), IVL)),
+    "out-of-order": (((0, 1), IVL), ((0, 0), IVL)),
+    "dict": {(0, 0): IVL, (0, 1): IVL},
+    "list-pairs": ([(0, 0), IVL], [(0, 1), IVL]),
+    "keys-only": ((0, 0), (0, 1)),
+    "none": None,
+}
+
+
+class TestMalformedSyncs:
+    @staticmethod
+    def pair_problem() -> Mastn:
+        """Agent 0's variables 0 and 1 both constrain agent 1's variable 0."""
+        m = Mastn([Stn(2), Stn(1)])
+        for a in m.agents:
+            for v in range(a.n):
+                a.set_domain(v, interval(0, 10))
+        m.add_external(0, 0, 1, 0, interval(-5, 5))
+        m.add_external(0, 1, 1, 0, interval(-5, 5))
+        return m
+
+    def agent1(self) -> SolverAgent:
+        agent = SolverAgent(agent_view(self.pair_problem(), 1), TreeInfo(0, (), 4), 0)
+        agent.on_start()
+        return agent
+
+    def test_well_formed_sync_is_swept(self):
+        agent = self.agent1()
+        agent.on_message(
+            AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=(((0, 0), IVL), ((0, 1), IVL)))
+        )
+        assert agent.checks > 0
+
+    @pytest.mark.parametrize("domains", MALFORMED_SYNCS.values(), ids=MALFORMED_SYNCS.keys())
+    def test_malformed_sync_is_a_protocol_error(self, domains):
+        agent = self.agent1()
+        sync = AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=domains)
+        with pytest.raises(ProtocolError, match="malformed domain sync from 0"):
+            agent.on_message(sync)

@@ -292,12 +292,12 @@ def entries(msgs):
 # offender's step)
 TAMPERED = [
     (
-        [AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains={(0, 0): interval(0, 5)})],
+        [AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=(((0, 0), interval(0, 5)),))],
         "payload names a private variable",
         1,
     ),
     (
-        [AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains={(1, 0): interval(0, 5)})],
+        [AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=(((1, 0), interval(0, 5)),))],
         "payload names a foreign variable",
         1,
     ),
@@ -327,6 +327,29 @@ TAMPERED = [
 TAMPERED_IDS = [
     "private", "foreign", "non-neighbor", "smuggled", "no-payload", "echo-intervals", "first"
 ]
+# payloads that are not a tuple of ((agent, var), Interval) pairs, though
+# each names only agent 0's shared variable 1
+NOT_PAIRS = {
+    "dict": {(0, 1): interval(0, 5)},
+    "list": [((0, 1), interval(0, 5))],
+    "list-pair": ([(0, 1), interval(0, 5)],),
+    "bare-key": ((0, 1),),
+    "triple": (((0, 1), interval(0, 5), None),),
+    "flat-key": ((0, interval(0, 5)),),
+    "str-var": (((0, "1"), interval(0, 5)),),
+    "list-key": (([0, 1], interval(0, 5)),),
+    "not-an-interval": (((0, 1), (0, 5)),),
+}
+for name, domains in NOT_PAIRS.items():
+    TAMPERED.append((
+        [
+            AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=(((0, 1), interval(0, 5)),)),
+            AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=2, domains=domains),
+        ],
+        "payload is not a tuple of (variable, interval) pairs",
+        2,
+    ))
+    TAMPERED_IDS.append(f"not-pairs-{name}")
 
 
 class TestAuditPrivacy:
@@ -371,7 +394,7 @@ class TestDumpLog:
     def test_format(self):
         msg = AgentMessage(
             MsgKind.DOMAIN_SYNC, 2, 1, clock=7, k=3,
-            domains={(2, 0): interval(0, 5), (2, 4): interval(-1, None)},
+            domains=(((2, 0), interval(0, 5)), ((2, 4), interval(-1, None))),
         )
         line = dump_log([LogEntry(9, msg)]).strip()
         fields = line.split("\t")
