@@ -13,18 +13,19 @@ Recognized keys::
     family     = random-stn | grid-stn | scale-free-stn
                  | random-mastn | factory-mastn
     sweep      = <parameter name>
-    values     = comma-separated integers
+    values     = comma-separated values of the swept parameter
     seeds      = how many instance seeds per value   (default 1)
     seed       = base instance seed                  (default 0)
     sched-seed = scheduler seed for dsolve           (default 0)
     latency    = message latency for dsolve          (default 0)
     timing     = on | off                            (default off)
 
-Every other key is a number parameter of the family's generator, and
-'sweep' must name one too: both are checked against
-workloads.parameters at parse time, so a misspelt key fails with its
-line number.  A key that names the swept parameter is an error, since
-the sweep sets it.
+Every other key is a parameter of the family's generator, and 'sweep'
+must name one too.  Such a key, and each item of 'values', is read as
+the parameter's type in workloads.parameters: an int or a float as
+Python writes it, a bool as on | off.  A misspelt key or a value of the
+wrong type fails at parse time with its line number.  A key that names the
+swept parameter is an error, since the sweep sets it.
 """
 
 from __future__ import annotations
@@ -70,99 +71,72 @@ def csv_text(rows: list[RunMetrics]) -> str:
     return buf.getvalue()
 
 
+# the bench's own keys besides family, sweep and values, with their defaults;
+# a default's type is its key's type
+_OWN_KEYS = {"seeds": 1, "seed": 0, "sched-seed": 0, "latency": 0, "timing": False}
+
+
 def parse_bench_config(text: str) -> dict:
     """Parse the flat key=value bench format into a validated dict."""
     cfg: dict = {}
     for lineno, line in content_lines(text.splitlines()):
-        if "=" not in line:
-            raise FormatError("expected 'key = value'", lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
         if not key or not value:
             raise FormatError("expected 'key = value'", lineno)
         if key in cfg:
             raise FormatError(f"duplicate key {key!r}", lineno)
         cfg[key] = (lineno, value)
 
-    def take(key, default=None):
-        if key in cfg:
-            return cfg.pop(key)[1]
-        return default
+    def need(key: str) -> tuple[int, str]:
+        if key not in cfg:
+            raise FormatError(f"bench config needs a {key!r} key")
+        return cfg.pop(key)
 
-    family = take("family")
-    if family is None:
-        raise FormatError("bench config needs a 'family' key")
+    family_line, family = need("family")
     if family not in FAMILIES:
-        raise FormatError(f"unknown family {family!r}")
+        raise FormatError(f"unknown family {family!r}", family_line)
     known = parameters(family)
-    sweep_line, sweep = cfg.pop("sweep", (None, None))
-    if sweep is None:
-        raise FormatError("bench config needs a 'sweep' key")
-    swept = sweep.replace("-", "_")
-    if swept not in known:
+    sweep_line, sweep = need("sweep")
+    if sweep not in known:
         raise FormatError(_unknown(family, sweep, known), sweep_line)
-    values_raw = take("values")
-    if values_raw is None:
-        raise FormatError("bench config needs a 'values' key")
-    try:
-        sim = SimConfig(
-            scheduler_seed=_as_int(take("sched-seed", "0"), "sched-seed"),
-            latency=_as_int(take("latency", "0"), "latency"),
-        )
-    except ValidationError as exc:
-        raise FormatError(str(exc)) from None
-    out = {
-        "family": family,
-        "sweep": sweep,
-        "values": [_as_int(v, "values") for v in values_raw.split(",")],
-        "seeds": _as_int(take("seeds", "1"), "seeds"),
-        "seed": _as_int(take("seed", "0"), "seed"),
-        "sim": sim,
-        "timing": _as_flag(take("timing", "off")),
-        "params": {},
-    }
+    values_line, values = need("values")
+    values = [_convert(known[sweep], "values", v, values_line) for v in values.split(",")]
+    own, params = dict(_OWN_KEYS), {}
     for key, (lineno, value) in cfg.items():
-        name = key.replace("-", "_")
-        if name == swept:
+        if key in own:
+            own[key] = _convert(type(own[key]), key, value, lineno)
+        elif key == sweep:
             raise FormatError(f"{key!r} is the swept parameter; 'values' sets it", lineno)
-        if name not in known:
+        elif key in known:
+            params[key] = _convert(known[key], key, value, lineno)
+        else:
             raise FormatError(_unknown(family, key, known), lineno)
-        out["params"][name] = _as_number(value, key)
-    if out["seeds"] < 1:
-        raise FormatError("seeds must be at least 1")
-    return out
+    if own["seeds"] < 1:
+        raise FormatError("seeds must be at least 1", cfg["seeds"][0])
+    try:
+        sim = SimConfig(scheduler_seed=own.pop("sched-seed"), latency=own.pop("latency"))
+    except ValidationError as exc:  # only a negative latency gets here
+        raise FormatError(str(exc), cfg["latency"][0]) from None
+    return {
+        "family": family, "sweep": sweep, "values": values, "sim": sim, "params": params, **own
+    }
 
 
-def _unknown(family: str, key: str, known: tuple[str, ...]) -> str:
+def _unknown(family: str, key: str, known: dict) -> str:
     return f"{family} has no parameter {key!r}; it takes {', '.join(known)}"
 
 
-def _as_int(value: str, key: str) -> int:
+# what each type reads, for the error message
+_EXPECTED = {int: "an integer", float: "a number", bool: "'on' or 'off'"}
+
+
+def _convert(typ: type, key: str, value: str, lineno: int | None):
+    """One value of key as typ: int and float as Python reads them, bool as on|off."""
+    value = value.strip()
     try:
-        return int(value.strip())
-    except ValueError:
-        raise FormatError(f"{key} must be an integer, got {value!r}") from None
-
-
-def _as_number(value: str, key: str):
-    """Generator parameters are integers except densities and the like."""
-    try:
-        return int(value.strip())
-    except ValueError:
-        pass
-    try:
-        return float(value.strip())
-    except ValueError:
-        raise FormatError(f"{key} must be a number, got {value!r}") from None
-
-
-def _as_flag(value: str) -> bool:
-    if value == "on":
-        return True
-    if value == "off":
-        return False
-    raise FormatError(f"timing must be 'on' or 'off', got {value!r}")
+        return {"on": True, "off": False}[value] if typ is bool else typ(value)
+    except (KeyError, ValueError):
+        raise FormatError(f"{key} must be {_EXPECTED[typ]}, got {value!r}", lineno) from None
 
 
 def run_bench(cfg: dict) -> list[RunMetrics]:
@@ -172,7 +146,7 @@ def run_bench(cfg: dict) -> list[RunMetrics]:
         for s in range(cfg["seeds"]):
             inst_seed = cfg["seed"] + s
             params = dict(cfg["params"])
-            params[cfg["sweep"].replace("-", "_")] = value
+            params[cfg["sweep"]] = value
             spec = GenSpec(cfg["family"], inst_seed, params)
             obj = generate(spec)
             instance = f"{cfg['family']}[{cfg['sweep']}={value},seed={inst_seed}]"

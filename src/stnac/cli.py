@@ -35,9 +35,9 @@ EXIT_CONSISTENT = 0
 EXIT_INCONSISTENT = 1
 EXIT_ERROR = 2
 
-# Generator parameters that `gen` takes as --flags: every family's, named as
-# in GenSpec.params.
-GEN_FLAGS = tuple(dict.fromkeys(p for family in FAMILIES for p in parameters(family)))
+# Generator parameters that `gen` takes as --flags, with their types: every
+# family's, named as in GenSpec.params.
+GEN_FLAGS = {name: typ for family in FAMILIES for name, typ in parameters(family).items()}
 
 
 def _default_seed() -> int:
@@ -80,12 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pg.add_argument("family", choices=FAMILIES)
     pg.add_argument("-o", "--output", metavar="FILE", help="default: stdout")
     pg.add_argument("--seed", type=int, default=None)
-    for flag in GEN_FLAGS:
-        if flag == "consistent":
-            pg.add_argument("--consistent", action="store_true", default=None)
-        else:
-            typ = float if flag == "density" else int
-            pg.add_argument(f"--{flag}", type=typ, default=None)
+    for flag, typ in GEN_FLAGS.items():
+        kind = {"action": "store_true"} if typ is bool else {"type": typ}
+        pg.add_argument(f"--{flag}", default=None, **kind)
     pg.set_defaults(run=_cmd_gen)
 
     pb = sub.add_parser("bench", help="run a sweep from a key=value config")
@@ -214,11 +211,7 @@ def _cmd_dsolve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    params = {}
-    for key in GEN_FLAGS:
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
+    params = {k: v for k, v in vars(args).items() if k in GEN_FLAGS and v is not None}
     seed = args.seed if args.seed is not None else _default_seed()
     spec = GenSpec(args.family, seed, params)
     _write_output(render_generated(generate(spec), spec), args.output)

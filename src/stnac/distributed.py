@@ -375,6 +375,10 @@ class SimConfig:
     latency: int = 0
 
     def __post_init__(self):
+        for name in ("scheduler_seed", "latency"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValidationError(f"{name} must be an int, got {value!r}")
         if self.latency < 0:
             raise ValidationError("latency must be non-negative")
 

@@ -337,22 +337,54 @@ _GENERATORS = {
 
 FAMILIES = tuple(_GENERATORS)
 
+# Each family's parameters besides its seed, {name: type}, and the ones without
+# a default: read once from the generator signatures, where int | None counts as int
+_SIGNATURES = {f: inspect.signature(g, eval_str=True).parameters for f, g in _GENERATORS.items()}
+_TYPES = {
+    f: {
+        k: int if p.annotation == int | None else p.annotation
+        for k, p in ps.items()
+        if k != "seed"
+    }
+    for f, ps in _SIGNATURES.items()
+}
+_REQUIRED = {
+    f: [k for k, p in ps.items() if p.default is p.empty] for f, ps in _SIGNATURES.items()
+}
+# the value types each parameter type accepts: a bool is no number
+_ACCEPTS = {int: (int,), float: (int, float), bool: (bool,)}
 
-def parameters(family: str) -> tuple[str, ...]:
-    """The parameter names a family's generator takes, besides its seed."""
-    return tuple(p for p in inspect.signature(_GENERATORS[family]).parameters if p != "seed")
+
+def parameters(family: str) -> dict[str, type]:
+    """{name: type} of each parameter a family's generator takes, besides its seed."""
+    return dict(_TYPES[family])
 
 
 def generate(spec: GenSpec) -> Stn | Mastn:
-    """Dispatch a GenSpec to its family generator."""
-    if spec.family not in _GENERATORS:
-        raise GenerationError(
-            f"unknown family {spec.family!r}; known: {', '.join(FAMILIES)}"
-        )
-    try:
-        return _GENERATORS[spec.family](seed=spec.seed, **spec.params)
-    except TypeError as exc:
-        raise GenerationError(f"bad parameters for {spec.family}: {exc}") from None
+    """Check a GenSpec against its family's parameter table, then call the generator.
+
+    An unknown family or parameter, a missing required parameter, a seed
+    that is not an int, or a value that _ACCEPTS does not take for its
+    parameter's type is a GenerationError naming them.  The generator's own
+    errors pass through.
+    """
+    family = spec.family
+    types = _TYPES.get(family)
+    if types is None:
+        raise GenerationError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    if type(spec.seed) is not int:
+        raise GenerationError(f"{family} seed must be an int, got {spec.seed!r}")
+    for name, value in spec.params.items():
+        if name not in types:
+            raise GenerationError(
+                f"{family} has no parameter {name!r}; it takes {', '.join(types)}"
+            )
+        if type(value) not in _ACCEPTS[types[name]]:
+            raise GenerationError(f"{family} {name} must be {types[name].__name__}, got {value!r}")
+    for name in _REQUIRED[family]:
+        if name not in spec.params:
+            raise GenerationError(f"{family} needs parameter {name!r}")
+    return _GENERATORS[family](seed=spec.seed, **spec.params)
 
 
 def render_generated(obj: Stn | Mastn, spec: GenSpec) -> str:

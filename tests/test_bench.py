@@ -101,14 +101,15 @@ class TestConfig:
             ("family = random-stn\nsweep = densty\nvalues = 2\n",
              "line 2: random-stn has no parameter 'densty'"),
             ("family = random-stn\nsweep = n\nvalues = 2\nlatency = -1\n",
-             "latency must be non-negative"),
+             "line 4: latency must be non-negative"),
             ("family = random-stn\nsweep = n\nvalues = 2\nn = 50\n",
              "line 4: 'n' is the swept parameter"),
             ("family = random-stn\nvalues = 2\n", "'sweep' key"),
             ("family = random-stn\nsweep = n\n", "'values' key"),
-            ("family = random-stn\nsweep = n\nvalues = 2,x\n", "values must be an integer"),
-            ("family = random-stn\nsweep = n\nvalues = 2\nseeds = 0\n", "at least 1"),
-            ("family = random-stn\nsweep = n\nvalues = 2\ndensity = high\n", "density must be a number"),
+            ("family = random-stn\nsweep = n\nvalues = 2,x\n", "line 3: values must be an integer"),
+            ("family = random-stn\nsweep = n\nvalues = 2\nseeds = 0\n", "line 4: seeds must be at least 1"),
+            ("family = random-stn\nsweep = n\nvalues = 2\ndensity = high\n",
+             "line 4: density must be a number"),
         ],
     )
     def test_malformed_config_rejected(self, text, match):
@@ -116,10 +117,35 @@ class TestConfig:
             parse_bench_config(text)
 
     def test_bad_timing(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="line 4: timing must be 'on' or 'off'"):
             parse_bench_config(
                 "family = random-stn\nsweep = n\nvalues = 2\ntiming = maybe\n"
             )
+
+    # each value reads as its parameter's type in workloads.parameters:
+    # no float for an int, no integer for a bool
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("wmax = 1e3", "line 4: wmax must be an integer, got '1e3'"),
+            ("n = 5.0", "line 4: n must be an integer, got '5.0'"),
+            ("consistent = 1", "line 4: consistent must be 'on' or 'off', got '1'"),
+        ],
+    )
+    def test_value_of_the_wrong_type_rejected(self, line, match):
+        text = f"family = random-stn\nsweep = density\nvalues = 0.5\n{line}\n"
+        with pytest.raises(FormatError, match=match):
+            parse_bench_config(text)
+
+    def test_values_take_the_swept_type(self):
+        cfg = parse_bench_config("family = random-stn\nsweep = density\nvalues = 0.1, 1\nn = 8\n")
+        assert cfg["values"] == [0.1, 1.0]
+        assert all(type(v) is float for v in cfg["values"])
+        cfg = parse_bench_config("family = random-stn\nsweep = consistent\nvalues = off,on\n"
+                                 "n = 8\ndensity = 0.5\n")
+        assert cfg["values"] == [False, True]
+        with pytest.raises(FormatError, match="line 3: values must be 'on' or 'off'"):
+            parse_bench_config("family = random-stn\nsweep = consistent\nvalues = yes\n")
 
 
 class TestRunBench:
@@ -156,6 +182,29 @@ class TestRunBench:
         untimed = run_bench(parse_bench_config(text + "timing = off\n"))
         assert all(type(r.wall_ms) is int and r.wall_ms >= 0 for r in timed)
         assert [replace(r, wall_ms=0) for r in timed] == untimed
+
+    def test_density_sweep(self):
+        rows = run_bench(parse_bench_config(
+            "family = random-stn\nsweep = density\nvalues = 0.1,0.5\nn = 8\n"
+        ))
+        assert [r.instance for r in rows] == [
+            "random-stn[density=0.1,seed=0]", "random-stn[density=0.5,seed=0]",
+        ]
+        for row, density in zip(rows, (0.1, 0.5)):
+            net = generate(GenSpec("random-stn", 0, {"n": 8, "density": density}))
+            assert (row.e, row.checks) == (net.e, enforce_ac(net).checks)
+
+    def test_bool_key_reads_on(self):
+        text = "family = random-stn\nsweep = n\nvalues = 8\ndensity = 0.5\n"
+        [row] = run_bench(parse_bench_config(text + "consistent = on\n"))
+        [plain] = run_bench(parse_bench_config(text + "consistent = off\n"))
+        outcome = enforce_ac(
+            generate(GenSpec("random-stn", 0, {"n": 8, "density": 0.5, "consistent": True}))
+        )
+        assert (row.verdict, row.iterations, row.checks) == (
+            "consistent", outcome.iterations, outcome.checks,
+        )
+        assert plain.verdict == "inconsistent"
 
     def test_determinism(self):
         cfg = parse_bench_config(CONFIG)

@@ -311,6 +311,19 @@ class TestGen:
         assert code == 2
         assert "STNAC_SEED" in err
 
+    def test_flags_take_the_generator_types(self, capsys):
+        assert cli.GEN_FLAGS == {
+            "n": int, "density": float, "wmin": int, "wmax": int, "horizon": int,
+            "consistent": bool, "rows": int, "cols": int, "m": int, "agents": int,
+            "activities": int, "externals": int, "tasks": int,
+        }
+        code, out, _ = run_cli(capsys, "gen", "random-stn", "--n", "4", "--density", "1", "--consistent")
+        assert code == 0
+        assert out.startswith("# genspec: family=random-stn seed=0 consistent=True density=1.0 n=4\n")
+        with pytest.raises(SystemExit) as exc:  # argparse refuses a float for an int flag
+            main(["gen", "random-stn", "--n", "4", "--density", "1", "--wmax", "1.5"])
+        assert exc.value.code == 2
+
     def test_bad_params(self, capsys):
         code, _, err = run_cli(capsys, "gen", "scale-free-stn", "--n", "5", "--m", "9")
         assert code == 2

@@ -13,6 +13,7 @@ from stnac import (
     ProtocolError,
     SimConfig,
     Stn,
+    ValidationError,
     agent_view,
     dump_log,
     enforce_ac,
@@ -212,6 +213,16 @@ class TestLatency:
         slow = solve_distributed(m, SimConfig(scheduler_seed=2, latency=5))
         assert fast.agent_domains == slow.agent_domains
         assert slow.nccc > fast.nccc
+
+
+class TestSimConfig:
+    # on ring4 a latency of 1.5 used to run to a float NCCC (20.0), and a
+    # scheduler seed of 1.5 to fail with a TypeError inside rng.py
+    @pytest.mark.parametrize("field", ["scheduler_seed", "latency"])
+    @pytest.mark.parametrize("value", [1.5, True, "2", None])
+    def test_non_int_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an int"):
+            SimConfig(**{field: value})
 
 
 class TestProtocolProperties:

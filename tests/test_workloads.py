@@ -15,14 +15,16 @@ from stnac import (
     render_generated,
     verify_assignment,
 )
+from stnac import workloads
 from stnac.solver import AcClosure
-from stnac.stn import DEFAULT_MAGNITUDE_CAP
+from stnac.stn import DEFAULT_MAGNITUDE_CAP, serialize_stn
 from stnac.workloads import (
     gen_factory_mastn,
     gen_grid_stn,
     gen_random_mastn,
     gen_random_stn,
     gen_scale_free_stn,
+    parameters,
 )
 
 
@@ -215,6 +217,44 @@ class TestGenerateDispatch:
     def test_bad_params_reported(self):
         with pytest.raises(GenerationError):
             generate(GenSpec("grid-stn", 0, {"bogus": 3}))
+
+    def test_parameter_types_come_from_the_signature(self):
+        assert parameters("random-stn") == {
+            "n": int, "density": float, "wmin": int, "wmax": int, "horizon": int, "consistent": bool,
+        }
+        assert parameters("factory-mastn")["externals"] is int  # int | None
+        parameters("grid-stn").clear()  # a copy: the table stays as it is
+        assert "rows" in parameters("grid-stn")
+
+    @pytest.mark.parametrize(
+        "family, seed, params, match",
+        [
+            ("random-stn", 0, {"n": 5, "density": 0.5, "wmax": 100.0}, "wmax must be int"),
+            ("random-stn", 0, {"n": True, "density": 0.5}, "n must be int"),
+            ("random-stn", 0, {"n": 5, "density": False}, "density must be float"),
+            ("random-stn", 0, {"n": 5, "density": 0.5, "consistent": 1}, "consistent must be bool"),
+            ("random-stn", 0, {"n": 5}, "needs parameter 'density'"),
+            ("random-stn", 0, {"n": 5, "density": 0.5, "seed": 1}, "no parameter 'seed'"),
+            ("grid-stn", 1.0, {"rows": 2, "cols": 2}, "seed must be an int"),
+            ("grid-stn", True, {"rows": 2, "cols": 2}, "seed must be an int"),
+        ],
+    )
+    def test_spec_checked_before_the_call(self, family, seed, params, match):
+        with pytest.raises(GenerationError, match=f"{family} .*{match}"):
+            generate(GenSpec(family, seed, params))
+
+    def test_int_accepted_for_a_float(self):
+        spec = GenSpec("random-stn", 3, {"n": 6, "density": 1})
+        same = GenSpec("random-stn", 3, {"n": 6, "density": 1.0})
+        assert serialize_stn(generate(spec)) == serialize_stn(generate(same))
+
+    def test_type_error_inside_a_generator_passes_through(self, monkeypatch):
+        def broken(**params):
+            raise TypeError("raised inside the body")
+
+        monkeypatch.setitem(workloads._GENERATORS, "grid-stn", broken)
+        with pytest.raises(TypeError, match="raised inside the body"):
+            generate(GenSpec("grid-stn", 0, {"rows": 2, "cols": 2}))
 
     def test_oversized_network_rejected(self):
         # the size check comes before any allocation
