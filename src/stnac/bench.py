@@ -25,7 +25,8 @@ must name one too.  Such a key, and each item of 'values', is read as
 the parameter's type in workloads.parameters: an int or a float as
 Python writes it, a bool as on | off.  A misspelt key or a value of the
 wrong type fails at parse time with its line number.  A key that names the
-swept parameter is an error, since the sweep sets it.
+swept parameter is an error, since the sweep sets it, and so is a required
+parameter that neither a key nor the sweep sets (workloads.check_spec).
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ import time
 from dataclasses import astuple, dataclass, fields, replace
 
 from .distributed import SimConfig, solve_distributed
-from .errors import FormatError, ValidationError
+from .errors import FormatError, GenerationError, ValidationError
 from .mastn import Mastn
 from .solver import AcClosure, enforce_ac
 from .stn import Stn, content_lines
-from .workloads import FAMILIES, GenSpec, generate, parameters
+from .workloads import FAMILIES, GenSpec, check_spec, generate, parameters
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,10 @@ def parse_bench_config(text: str) -> dict:
         sim = SimConfig(scheduler_seed=own.pop("sched-seed"), latency=own.pop("latency"))
     except ValidationError as exc:  # only a negative latency gets here
         raise FormatError(str(exc), cfg["latency"][0]) from None
+    try:  # every sweep value has the same type, so the first stands for all
+        check_spec(GenSpec(family, own["seed"], {**params, sweep: values[0]}))
+    except GenerationError as exc:  # only a missing required parameter gets here
+        raise FormatError(str(exc)) from None
     return {
         "family": family, "sweep": sweep, "values": values, "sim": sim, "params": params, **own
     }

@@ -20,7 +20,7 @@ from .distributed import SimConfig, solve_distributed
 from .errors import FormatError, StnacError
 from .mastn import parse_mastn
 from .oracle import NegativeCycle, oracle_minimal_domains
-from .sim import DUMP_CHUNK, PrivacyAuditor, dump_log
+from .sim import PrivacyAuditor, log_line
 from .solver import (
     AcClosure,
     enforce_ac,
@@ -104,10 +104,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_CONSISTENT
-    except StnacError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (StnacError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -128,8 +125,7 @@ def _cmd_solve(args) -> int:
     if not isinstance(outcome, AcClosure):
         print("inconsistent")
         return EXIT_INCONSISTENT
-    for v in range(net.n):
-        print(f"{net.label(v)} {outcome.domains[v]}")
+    _print_domains(net, outcome.domains)
     if args.solution is not None:
         assignment = _extract(net, outcome, args.solution)
         for v in range(net.n):
@@ -164,9 +160,14 @@ def _cmd_oracle(args) -> int:
         cycle = "->".join("o" if x == net.n else net.label(x) for x in result.vertices)
         print(f"negative cycle (weight {result.weight}): {cycle}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    for v in range(net.n):
-        print(f"{net.label(v)} {result[v]}")
+    _print_domains(net, result)
     return EXIT_CONSISTENT
+
+
+def _print_domains(net, domains, prefix: str = "") -> None:
+    """One `<prefix><label> <domain>` line per variable of net."""
+    for v in range(net.n):
+        print(f"{prefix}{net.label(v)} {domains[v]}")
 
 
 def _cmd_dsolve(args) -> int:
@@ -174,30 +175,22 @@ def _cmd_dsolve(args) -> int:
     sched_seed = args.sched_seed if args.sched_seed is not None else _default_seed()
     cfg = SimConfig(scheduler_seed=sched_seed, latency=args.latency)
     # the audit judges each message as it is delivered, and --log writes
-    # the messages DUMP_CHUNK at a time: the run keeps no more of them
+    # each one's line as it is delivered: the run keeps no message
     auditor = PrivacyAuditor(m) if args.audit_privacy else None
     if args.log:
         with open(args.log, "w", encoding="utf-8") as out:
-            chunk = []
 
             def observe(entry):
-                chunk.append(entry)
+                out.write(log_line(entry))
                 if auditor is not None:
                     auditor(entry)
-                if len(chunk) == DUMP_CHUNK:
-                    out.write(dump_log(chunk))
-                    chunk.clear()
 
-            try:
-                run = solve_distributed(m, cfg, observe)
-            finally:  # a run that raises leaves the steps it delivered
-                out.write(dump_log(chunk))
+            run = solve_distributed(m, cfg, observe)
     else:
         run = solve_distributed(m, cfg, auditor)
     if run.verdict == "consistent":
         for i, domains in enumerate(run.agent_domains):
-            for v in range(m.agents[i].n):
-                print(f"{i}.{m.agents[i].label(v)} {domains[v]}")
+            _print_domains(m.agents[i], domains, f"{i}.")
     else:
         print("inconsistent")
     if auditor is not None:

@@ -144,11 +144,11 @@ class SolverAgent:
 
     def on_message(self, msg: AgentMessage) -> list[AgentMessage]:
         kind = msg.kind
+        arrival = msg.clock + self.latency
         if kind is DOMAIN_SYNC:
-            self._on_sync(msg)
+            self._on_sync(msg, arrival)
             return self._drain()
         # every other kind is consumed now, so its arrival lands on the clock now
-        arrival = msg.clock + self.latency
         if arrival > self.clock:
             self.clock = arrival
         if kind is INQUIRY:
@@ -168,7 +168,7 @@ class SolverAgent:
 
     # -- message handlers -------------------------------------------
 
-    def _on_sync(self, msg: AgentMessage) -> None:
+    def _on_sync(self, msg: AgentMessage, arrival: int) -> None:
         reads = self._reads.get(msg.sender)
         if reads is None or payload_keys(msg.domains) != reads[0]:
             self._fail(f"malformed domain sync from {msg.sender}")
@@ -181,7 +181,6 @@ class SolverAgent:
         syncs = self._inbox.setdefault(msg.k, {})
         if msg.sender in syncs:
             self._fail(f"second domain sync from {msg.sender} for iteration {msg.k}")
-        arrival = msg.clock + self.latency
         syncs[msg.sender] = (arrival, reads[1], msg.domains)
         if self.phase is AWAIT_TERMINATION:
             # a neighbor moved on, so iteration k is not globally quiescent;
@@ -420,7 +419,6 @@ def solve_distributed(
     """
     if cfg is None:
         cfg = SimConfig()
-    m.validate()
     views = [agent_view(m, i) for i in range(m.p)]
     neighbors = [view.neighbors for view in views]
     sizes = [view.stn.n for view in views]

@@ -102,10 +102,6 @@ class Mastn:
     def total_edges(self) -> int:
         return sum(a.e for a in self.agents) + len(self._ext)
 
-    def validate(self) -> None:
-        for a in self.agents:
-            a.validate()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mastn):
             return NotImplemented
@@ -133,19 +129,20 @@ def flatten(m: Mastn) -> tuple[Stn, FlatIndex]:
 
     Solutions of the flat network correspond one-to-one with joint solutions
     of the multi-agent problem.  Named variables are prefixed 'agent.' to
-    keep names unique.
+    keep names unique.  Every domain is read, agent by agent, before the
+    first is set, so a variable without one is a ValidationError at once.
     """
-    m.validate()
     offsets = []
-    total = 0
+    domains: list[Interval] = []
     for a in m.agents:
-        offsets.append(total)
-        total += a.n
-    flat = Stn(total)
+        offsets.append(len(domains))
+        domains.extend(a.domain(v) for v in range(a.n))
+    flat = Stn(len(domains))
+    for v, d in enumerate(domains):
+        flat.set_domain(v, d)
     for i, a in enumerate(m.agents):
         off = offsets[i]
         for v in range(a.n):
-            flat.set_domain(off + v, a.domain(v))
             if a.name(v) is not None:
                 flat.set_name(off + v, f"{i}.{a.name(v)}")
         for v, w, ivl in a.pairs():

@@ -171,7 +171,6 @@ def certify_cycle(
 
 def oracle_minimal_domains(net: Stn) -> list[Interval] | NegativeCycle:
     """Minimal domain of every variable, or a validated negative cycle."""
-    net.validate()
     nv = net.n + 1
     edges = _edges(net)
     dist_from, cycle = _bellman_ford(nv, edges, net.n)

@@ -365,7 +365,10 @@ def audit_privacy(log: Iterable[LogEntry], m: Mastn) -> AuditResult:
 # -- log dump ----------------------------------------------------------
 
 
-def _payload_text(msg: AgentMessage) -> str:
+def log_line(entry: LogEntry) -> str:
+    """One delivery's line, newline included: step clock sender receiver kind
+    payload, tab-separated; the payload lists the message's set fields, or is -."""
+    msg = entry.message
     parts = []
     if msg.k is not None:
         parts.append(f"k={msg.k}")
@@ -378,7 +381,11 @@ def _payload_text(msg: AgentMessage) -> str:
         parts.append(f"agents={msg.subtree_agents}")
     if msg.subtree_vars is not None:
         parts.append(f"vars={msg.subtree_vars}")
-    return " ".join(parts) if parts else "-"
+    payload = " ".join(parts) if parts else "-"
+    return (
+        f"{entry.step}\t{msg.clock}\t{msg.sender}\t{msg.receiver}\t"
+        f"{msg.kind._value_}\t{payload}\n"
+    )
 
 
 # lines joined at a time by dump_log: its peak stays near twice the text's
@@ -387,15 +394,8 @@ DUMP_CHUNK = 1024
 
 
 def dump_log(log: Sequence[LogEntry]) -> str:
-    """One message per line: step clock sender receiver kind payload (tab-separated)."""
-    chunks = []
-    for start in range(0, len(log), DUMP_CHUNK):
-        lines = []
-        for entry in log[start : start + DUMP_CHUNK]:
-            msg = entry.message
-            lines.append(
-                f"{entry.step}\t{msg.clock}\t{msg.sender}\t{msg.receiver}\t"
-                f"{msg.kind._value_}\t{_payload_text(msg)}\n"
-            )
-        chunks.append("".join(lines))
-    return "".join(chunks)
+    """The log_line of every entry, in order."""
+    return "".join(
+        "".join(map(log_line, log[start : start + DUMP_CHUNK]))
+        for start in range(0, len(log), DUMP_CHUNK)
+    )

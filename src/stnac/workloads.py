@@ -360,13 +360,12 @@ def parameters(family: str) -> dict[str, type]:
     return dict(_TYPES[family])
 
 
-def generate(spec: GenSpec) -> Stn | Mastn:
-    """Check a GenSpec against its family's parameter table, then call the generator.
+def check_spec(spec: GenSpec) -> None:
+    """Check a GenSpec against its family's parameter table.
 
     An unknown family or parameter, a missing required parameter, a seed
     that is not an int, or a value that _ACCEPTS does not take for its
-    parameter's type is a GenerationError naming them.  The generator's own
-    errors pass through.
+    parameter's type is a GenerationError naming them.
     """
     family = spec.family
     types = _TYPES.get(family)
@@ -384,7 +383,12 @@ def generate(spec: GenSpec) -> Stn | Mastn:
     for name in _REQUIRED[family]:
         if name not in spec.params:
             raise GenerationError(f"{family} needs parameter {name!r}")
-    return _GENERATORS[family](seed=spec.seed, **spec.params)
+
+
+def generate(spec: GenSpec) -> Stn | Mastn:
+    """check_spec, then call the generator; the generator's own errors pass through."""
+    check_spec(spec)
+    return _GENERATORS[spec.family](seed=spec.seed, **spec.params)
 
 
 def render_generated(obj: Stn | Mastn, spec: GenSpec) -> str:

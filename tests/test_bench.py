@@ -110,11 +110,16 @@ class TestConfig:
             ("family = random-stn\nsweep = n\nvalues = 2\nseeds = 0\n", "line 4: seeds must be at least 1"),
             ("family = random-stn\nsweep = n\nvalues = 2\ndensity = high\n",
              "line 4: density must be a number"),
+            ("family = grid-stn\nsweep = rows\nvalues = 2\n", "grid-stn needs parameter 'cols'"),
         ],
     )
     def test_malformed_config_rejected(self, text, match):
         with pytest.raises(FormatError, match=match):
             parse_bench_config(text)
+
+    def test_the_sweep_sets_a_required_parameter(self):
+        cfg = parse_bench_config("family = grid-stn\nsweep = cols\nvalues = 2\nrows = 2\n")
+        assert cfg["params"] == {"rows": 2}
 
     def test_bad_timing(self):
         with pytest.raises(FormatError, match="line 4: timing must be 'on' or 'off'"):

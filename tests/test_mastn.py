@@ -9,8 +9,10 @@ from stnac import (
     agent_view,
     flatten,
     interval,
+    oracle_minimal_domains,
     parse_mastn,
     serialize_mastn,
+    solve_distributed,
 )
 
 
@@ -62,6 +64,37 @@ class TestFlatten:
         g_v = fi.to_global(0, 1)
         g_w = fi.to_global(1, 0)
         assert flat.constraint(g_v, g_w) == interval(0, 5)
+
+
+def gap_stn():
+    """Three variables; variable 1 has no domain."""
+    net = Stn(3)
+    net.set_domain(0, interval(0, 5))
+    net.set_domain(2, interval(0, 5))
+    return net
+
+
+def gap_mastn():
+    """Two agents; the second has no domain for its variable 1."""
+    gap = Stn(2)
+    gap.set_domain(0, interval(0, 5))
+    m = Mastn([local(2), gap])
+    m.add_external(0, 0, 1, 1, interval(0, 3))
+    return m
+
+
+class TestMissingDomain:
+    # each entry point reads every domain before anything else can fail,
+    # so a variable without one is the first error, named by its index
+    @pytest.mark.parametrize("call", [oracle_minimal_domains, lambda net: flatten(Mastn([net]))])
+    def test_stn(self, call):
+        with pytest.raises(ValidationError, match="variable 1 has no domain"):
+            call(gap_stn())
+
+    @pytest.mark.parametrize("call", [solve_distributed, flatten])
+    def test_mastn(self, call):
+        with pytest.raises(ValidationError, match="variable 1 has no domain"):
+            call(gap_mastn())
 
 
 class TestAgentView:

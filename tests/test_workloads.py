@@ -10,6 +10,7 @@ from stnac import (
     Stn,
     ValidationError,
     enforce_ac,
+    flatten,
     generate,
     parse_stn,
     render_generated,
@@ -118,7 +119,7 @@ class TestRandomMastn:
         local_edges = sum(a.e for a in m.agents)
         assert local_edges >= 20  # at least the duration constraints
         assert len(m.external_constraints()) == 50
-        m.validate()
+        flatten(m)
 
     def test_default_external_scaling(self):
         m = gen_random_mastn(agents=4, seed=1)
@@ -152,7 +153,7 @@ class TestFactoryMastn:
         chains = sum(a.e for a in m.agents) - durations
         assert chains == 2
         assert len(m.external_constraints()) >= 1
-        m.validate()
+        flatten(m)
 
     def test_minimal(self):
         m = gen_factory_mastn(agents=1, tasks=1, seed=0)
