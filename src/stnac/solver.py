@@ -322,8 +322,10 @@ def _emptied_walk(
 
 
 def _start_domains(net: Stn, domains: Sequence[Interval] | None) -> list[Interval]:
+    """The stored domains, each read (so a missing one fails first), or the override."""
+    stored = [net.domain(v) for v in range(net.n)]
     if domains is None:
-        return [net.domain(v) for v in range(net.n)]
+        return stored
     if len(domains) != net.n:
         raise ValidationError(f"expected {net.n} domains, got {len(domains)}")
     for v, d in enumerate(domains):
@@ -338,7 +340,6 @@ def enforce_ac(net: Stn, domains: Sequence[Interval] | None = None) -> AcOutcome
     `domains` optionally overrides the network's stored domains as the
     starting point (they then also serve as the virtual zero-point edges).
     """
-    net.validate()
     start = _start_domains(net, domains)
     lo = [d.lo for d in start]
     hi = [d.hi for d in start]
@@ -411,11 +412,11 @@ def verify_assignment(
 
     Returns the first violation as ('domain', v) or ('constraint', v, w).
     """
-    net.validate()
+    domains = [net.domain(v) for v in range(net.n)]
     if len(assignment) != net.n:
         raise ValidationError(f"expected {net.n} values, got {len(assignment)}")
-    for v in range(net.n):
-        if assignment[v] not in net.domain(v):
+    for v, d in enumerate(domains):
+        if assignment[v] not in d:
             return False, ("domain", v)
     for v, w, ivl in net.pairs():
         if (assignment[w] - assignment[v]) not in ivl:

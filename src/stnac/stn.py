@@ -156,11 +156,6 @@ class Stn:
 
     # -- whole-network helpers --------------------------------------
 
-    def validate(self) -> None:
-        for v in range(self.n):
-            if self._domains[v] is None:
-                raise ValidationError(f"variable {v} has no domain")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Stn):
             return NotImplemented
@@ -338,10 +333,11 @@ def parse_stn(text: str) -> Stn:
     reader = BodyReader(net, {})
     for lineno, line in body:
         reader.apply(line.split(), lineno)
-    try:
-        net.validate()
-    except ValidationError as exc:
-        raise FormatError(str(exc)) from exc
+    if not all(net._domains):  # an Interval is always true; None marks no domain line
+        try:
+            net.domain(net._domains.index(None))  # raises the has-a-domain error
+        except ValidationError as exc:
+            raise FormatError(str(exc)) from exc
     return net
 
 
@@ -350,7 +346,8 @@ def write_body(net: Stn, out: list[str]) -> None:
 
     This is the body of a .stn file and of each .mastn agent block.
     """
-    net.validate()
+    if not all(net._domains):  # an Interval is always true; None marks no domain
+        net.domain(net._domains.index(None))  # raises the has-a-domain error
     out.extend(f"var {v} {name}" for v, name in enumerate(net._names) if name is not None)
     out.extend(f"domain {v} {d.to_tokens()}" for v, d in enumerate(net._domains))
     out.extend(f"constraint {v} {w} {ivl.to_tokens()}" for v, w, ivl in net.pairs())

@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from stnac import EMPTY, BoundOverflowError, Interval, interval
-from stnac.intervals import INT64_MAX
+from stnac.intervals import INT64_MAX, INT64_MIN
 from stnac.rng import SplitMix64
 
 
@@ -65,6 +65,11 @@ class TestInverse:
 
     def test_one_sided(self):
         assert interval(0, None).inverse() == interval(None, 0)
+
+    @pytest.mark.parametrize("ivl", [Interval(INT64_MIN, 0), Interval(INT64_MIN, INT64_MIN)])
+    def test_int64_min_endpoint_overflows(self, ivl):
+        with pytest.raises(BoundOverflowError, match="-2\\*\\*63"):
+            ivl.inverse()
 
 
 class TestConstruction:

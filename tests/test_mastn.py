@@ -7,12 +7,16 @@ from stnac import (
     Stn,
     ValidationError,
     agent_view,
+    enforce_ac,
     flatten,
     interval,
     oracle_minimal_domains,
     parse_mastn,
+    parse_stn,
     serialize_mastn,
+    serialize_stn,
     solve_distributed,
+    verify_assignment,
 )
 
 
@@ -86,10 +90,26 @@ def gap_mastn():
 class TestMissingDomain:
     # each entry point reads every domain before anything else can fail,
     # so a variable without one is the first error, named by its index
-    @pytest.mark.parametrize("call", [oracle_minimal_domains, lambda net: flatten(Mastn([net]))])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            oracle_minimal_domains,
+            lambda net: flatten(Mastn([net])),
+            enforce_ac,
+            pytest.param(lambda net: enforce_ac(net, [interval(0, 5)] * 3), id="override"),
+            # the domain error comes before the length check
+            pytest.param(lambda net: verify_assignment(net, [0]), id="verify_assignment"),
+            serialize_stn,
+        ],
+    )
     def test_stn(self, call):
         with pytest.raises(ValidationError, match="variable 1 has no domain"):
             call(gap_stn())
+
+    def test_stn_file(self):
+        text = "stn 3\ndomain 0 0 5\ndomain 2 0 5\nconstraint 0 2 0 1\n"
+        with pytest.raises(FormatError, match="^variable 1 has no domain$"):
+            parse_stn(text)
 
     @pytest.mark.parametrize("call", [solve_distributed, flatten])
     def test_mastn(self, call):
@@ -134,6 +154,20 @@ class TestExternals:
         m = Mastn([local(2), local(2)])
         with pytest.raises(ValidationError):
             m.add_external(0, 0, 0, 1, interval(0, 1))
+
+    @pytest.mark.parametrize(
+        "i, v, j, w, match",
+        [
+            (0, 0, 2, 0, "unknown agent 2"),
+            (-1, 0, 1, 0, "unknown agent -1"),
+            (0, 0, 1, 2, "agent 1 has no variable 2"),
+            (0, -1, 1, 0, "agent 0 has no variable -1"),
+        ],
+    )
+    def test_unknown_endpoint_rejected(self, i, v, j, w, match):
+        m = Mastn([local(2), local(2)])
+        with pytest.raises(ValidationError, match=match):
+            m.add_external(i, v, j, w, interval(0, 1))
 
     def test_duplicates_intersect(self):
         m = Mastn([local(2), local(2)])

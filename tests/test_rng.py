@@ -49,6 +49,11 @@ def test_randbelow_rejects_nonpositive():
         raise AssertionError("expected ValueError")
 
 
+def test_randint_rejects_an_empty_range():
+    with pytest.raises(ValueError, match=r"empty range \[5, 4\]"):
+        SplitMix64(1).randint(5, 4)
+
+
 def test_misses_extremes():
     rng = SplitMix64(5)
     assert rng.misses(0.0, 9) == 9

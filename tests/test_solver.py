@@ -388,6 +388,13 @@ class TestSampleSolution:
         with pytest.raises(ValidationError):
             sample_solution(net, other, 0)
 
+    def test_refutation_is_rejected(self):
+        net = cycle3_net()
+        outcome = enforce_ac(net)
+        assert isinstance(outcome, AcInconsistent)
+        with pytest.raises(ValidationError, match="requires a consistent closure"):
+            sample_solution(net, outcome, 0)
+
     def test_closure_outside_the_domains_is_rejected(self):
         # a closure that lies outside the network's own domains would yield
         # values that break them

@@ -92,10 +92,28 @@ class TestQueries:
         with pytest.raises(ValidationError):
             net.set_domain(0, EMPTY)
         with pytest.raises(ValidationError):
-            net.validate()  # still unset
+            net.domain(0)  # still unset
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: Stn(-1), "must be non-negative, got -1"),
+            (lambda: Stn(2).constraint(1, 1), "between a variable and itself"),
+        ],
+        ids=["negative-count", "self-pair"],
+    )
+    def test_invalid_calls_rejected(self, call, match):
+        with pytest.raises(ValidationError, match=match):
+            call()
 
 
 class TestParsing:
+    @pytest.mark.parametrize("token", ["01", "+1"])
+    def test_index_token_read_as_an_integer(self, token):
+        # not the memo's str(1), so parse_index reads it
+        net = parse_stn(f"stn 2\ndomain 0 0 5\ndomain {token} 0 7\n")
+        assert net.domain(1) == interval(0, 7)
+
     def test_basic_file(self):
         net = parse_stn(TWO_VAR_TEXT)
         assert net.n == 2

@@ -28,12 +28,14 @@ from stnac.workloads import (
     parameters,
 )
 
+OVER_CAP = DEFAULT_MAGNITUDE_CAP + 1
+
 
 class TestRandomStn:
     def test_counts_and_validity(self):
         net = gen_random_stn(n=30, density=0.2, seed=1)
         assert net.n == 30
-        net.validate()
+        assert all(net.domain(v).is_finite for v in range(net.n))
         expected = 0.2 * 30 * 29 / 2
         assert 0.4 * expected < net.e < 2.0 * expected
 
@@ -74,7 +76,7 @@ class TestGridStn:
         net = gen_grid_stn(rows=3, cols=4, seed=0)
         assert net.n == 12
         assert net.e == 3 * 3 + 2 * 4  # horizontal + vertical edges
-        net.validate()
+        assert all(net.domain(v).is_finite for v in range(net.n))
 
     def test_single_cell(self):
         assert gen_grid_stn(rows=1, cols=1).e == 0
@@ -85,11 +87,24 @@ class TestGridStn:
 
 
 class TestScaleFree:
-    def test_edge_count_formula(self):
-        n, m = 100, 2
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_edge_count_formula(self, m):
+        n = 100
         net = gen_scale_free_stn(n=n, m=m, seed=3)
         assert net.e == m * (n - m) + m * (m - 1) // 2
-        net.validate()
+        assert all(net.domain(v).is_finite for v in range(net.n))
+
+    @pytest.mark.parametrize("n", [2, 5, 50])
+    def test_single_attachment_grows_a_tree(self, n):
+        # the lone seed vertex draws the first attachment from its own urn entry
+        net = gen_scale_free_stn(n=n, m=1, seed=0)
+        reached, frontier = {0}, [0]
+        while frontier:
+            fresh = set(neighbors(net)[frontier.pop()]) - reached
+            reached |= fresh
+            frontier.extend(fresh)
+        assert (net.e, len(reached)) == (n - 1, n)
+        assert parse_stn(serialize_stn(net)) == net
 
     def test_near_complete_when_m_large(self):
         net = gen_scale_free_stn(n=5, m=4, seed=1)
@@ -243,6 +258,27 @@ class TestGenerateDispatch:
     def test_spec_checked_before_the_call(self, family, seed, params, match):
         with pytest.raises(GenerationError, match=f"{family} .*{match}"):
             generate(GenSpec(family, seed, params))
+
+    @pytest.mark.parametrize(
+        "family, params, match",
+        [
+            ("random-stn", {"n": -1, "density": 0.5}, "n must be non-negative"),
+            ("random-stn", {"n": 2, "density": 0.5, "wmax": OVER_CAP}, "weight range exceeds"),
+            ("random-stn", {"n": 2, "density": 0.5, "horizon": -1}, "horizon must be non-neg"),
+            ("random-stn", {"n": 2, "density": 0.5, "horizon": OVER_CAP}, "horizon exceeds"),
+            ("random-mastn", {"agents": 0}, "at least one agent"),
+            ("random-mastn", {"agents": 2, "activities": 0}, "at least one activity"),
+            ("random-mastn", {"agents": 2, "externals": -1}, "external count must be non-neg"),
+            ("factory-mastn", {"agents": 0, "tasks": 4}, "at least one agent"),
+            ("factory-mastn", {"agents": 2, "tasks": 0}, "at least one task"),
+            ("factory-mastn", {"agents": 3, "tasks": 6, "externals": 1}, "at least N-1 externals"),
+            ("factory-mastn", {"agents": 1, "tasks": 2, "externals": 1}, "a single agent admits"),
+            ("factory-mastn", {"agents": 3, "tasks": 2}, "every agent needs at least one task"),
+        ],
+    )
+    def test_values_out_of_range_rejected(self, family, params, match):
+        with pytest.raises(GenerationError, match=match):
+            generate(GenSpec(family, 0, params))
 
     def test_int_accepted_for_a_float(self):
         spec = GenSpec("random-stn", 3, {"n": 6, "density": 1})
