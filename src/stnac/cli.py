@@ -2,10 +2,11 @@
 
 Subcommands: solve (centralized closure), oracle (shortest-path
 cross-check), dsolve (distributed run in the simulated runtime), gen
-(workload files), bench (parameter sweeps to CSV).  Exit codes: 0 the
-instance is consistent, 1 inconsistent, 2 usage or I/O errors; a reader
-that closes stdout early ends the run quietly with 0.  The STNAC_SEED
-environment variable supplies default seeds.
+(workload files), bench (parameter sweeps to CSV).  solve and oracle
+print an inconsistent verdict's negative cycle on stderr.  Exit codes: 0
+the instance is consistent, 1 inconsistent, 2 usage or I/O errors; a
+reader that closes stdout early ends the run quietly with 0.  The
+STNAC_SEED environment variable supplies default seeds.
 """
 
 from __future__ import annotations
@@ -124,6 +125,7 @@ def _cmd_solve(args) -> int:
     outcome = enforce_ac(net)
     if not isinstance(outcome, AcClosure):
         print("inconsistent")
+        _print_cycle(net, outcome.cycle)
         return EXIT_INCONSISTENT
     _print_domains(net, outcome.domains)
     if args.solution is not None:
@@ -157,11 +159,17 @@ def _cmd_oracle(args) -> int:
     result = oracle_minimal_domains(net)
     if isinstance(result, NegativeCycle):
         print("inconsistent")
-        cycle = "->".join("o" if x == net.n else net.label(x) for x in result.vertices)
-        print(f"negative cycle (weight {result.weight}): {cycle}", file=sys.stderr)
+        _print_cycle(net, result)
         return EXIT_INCONSISTENT
     _print_domains(net, result)
     return EXIT_CONSISTENT
+
+
+def _print_cycle(net, cycle: NegativeCycle) -> None:
+    """The certificate of an inconsistent verdict, on stderr: its weight and
+    its walk by label, with `o` for the zero point."""
+    walk = "->".join("o" if x == net.n else net.label(x) for x in cycle.vertices)
+    print(f"negative cycle (weight {cycle.weight}): {walk}", file=sys.stderr)
 
 
 def _print_domains(net, domains, prefix: str = "") -> None:

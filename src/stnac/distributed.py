@@ -419,6 +419,7 @@ def solve_distributed(
     """
     if cfg is None:
         cfg = SimConfig()
+    m.domains()  # a variable without a domain fails here, before any agent is built
     views = [agent_view(m, i) for i in range(m.p)]
     neighbors = [view.neighbors for view in views]
     sizes = [view.stn.n for view in views]

@@ -94,6 +94,17 @@ class Mastn:
             out.append(ExternalConstraint(i, v, j, w, self._ext[((i, v), (j, w))]))
         return out
 
+    def domains(self) -> list[list[Interval]]:
+        """Every agent's domains, agent by agent, each read before any is
+        returned; a variable without one is a ValidationError naming its agent."""
+        out = []
+        for i, a in enumerate(self.agents):
+            try:
+                out.append([a.domain(v) for v in range(a.n)])
+            except ValidationError as exc:
+                raise ValidationError(f"agent {i}: {exc}") from None
+        return out
+
     @property
     def total_vars(self) -> int:
         return sum(a.n for a in self.agents)
@@ -129,14 +140,14 @@ def flatten(m: Mastn) -> tuple[Stn, FlatIndex]:
 
     Solutions of the flat network correspond one-to-one with joint solutions
     of the multi-agent problem.  Named variables are prefixed 'agent.' to
-    keep names unique.  Every domain is read, agent by agent, before the
+    keep names unique.  Every domain is read (Mastn.domains) before the
     first is set, so a variable without one is a ValidationError at once.
     """
     offsets = []
     domains: list[Interval] = []
-    for a in m.agents:
+    for agent_domains in m.domains():
         offsets.append(len(domains))
-        domains.extend(a.domain(v) for v in range(a.n))
+        domains.extend(agent_domains)
     flat = Stn(len(domains))
     for v, d in enumerate(domains):
         flat.set_domain(v, d)

@@ -314,7 +314,8 @@ def _emptied_walk(
         while u < n:
             if len(path) > n:  # no root within n steps: the path entered a cycle
                 walk = _parent_cycle(lo_par, hi_par)
-                assert walk is not None
+                if walk is None:
+                    raise RuntimeError("parent path ran past n steps without a parent cycle")
                 return walk
             u = par[u]
             path.append(u)

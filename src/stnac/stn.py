@@ -223,13 +223,24 @@ def parse_interval(tokens: list[str], lineno: int) -> Interval:
 
     Each finite endpoint, the lower first, must be an integer within
     DEFAULT_MAGNITUDE_CAP; the check runs before interval() normalizes an
-    inverted pair to EMPTY, so no endpoint escapes it.
+    inverted pair to EMPTY, so no endpoint escapes it.  A pair of in-cap
+    integers, the common line, is read in one step; every other pair goes
+    through _endpoint, which owns every error text.
     """
     if len(tokens) == 1 and tokens[0] == "empty":
         return EMPTY
     if len(tokens) != 2:
         raise FormatError(f"expected two endpoints or 'empty', got {tokens!r}", lineno)
     a, b = tokens
+    try:
+        lo, hi = int(a), int(b)
+    except ValueError:
+        pass
+    else:
+        if -DEFAULT_MAGNITUDE_CAP <= lo <= DEFAULT_MAGNITUDE_CAP and (
+            -DEFAULT_MAGNITUDE_CAP <= hi <= DEFAULT_MAGNITUDE_CAP
+        ):
+            return EMPTY if lo > hi else Interval(lo, hi)
     lo = _endpoint(a, lineno, "-inf", "a lower")
     return interval(lo, _endpoint(b, lineno, "+inf", "an upper"))
 

@@ -39,6 +39,14 @@ class TestSolve:
         assert code == 1
         assert out.strip() == "inconsistent"
 
+    def test_cycle_on_stderr(self, capsys):
+        # the solver's own certificate, in the line oracle prints; stdout
+        # stays the bare verdict
+        code, out, err = run_cli(capsys, "solve", str(SAMPLES / "cycle3.stn"))
+        assert code == 1
+        assert out == "inconsistent\n"
+        assert err == "negative cycle (weight -3): x->z->y->x\n"
+
     def test_solution_modes(self, capsys):
         for mode, values in (("lower", ["x = 0", "y = 2"]), ("upper", ["x = 8", "y = 10"])):
             code, out, _ = run_cli(

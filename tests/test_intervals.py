@@ -125,6 +125,48 @@ class TestImmutableValue:
         with pytest.raises(ValueError):
             Interval(0, None, is_empty=True)
 
+    @pytest.mark.parametrize(
+        "build, text",
+        [
+            (lambda: Interval(3, 1), "lo > hi; use interval() to normalize to EMPTY"),
+            (lambda: Interval(0, None, True), "the empty interval carries no endpoints"),
+            (lambda: Interval(None, 0, True), "the empty interval carries no endpoints"),
+            # replace() builds through __init__, so it checks the pair too
+            (
+                lambda: dataclasses.replace(interval(1, 2), lo=3),
+                "lo > hi; use interval() to normalize to EMPTY",
+            ),
+        ],
+        ids=["inverted", "empty-lo", "empty-hi", "replace"],
+    )
+    def test_bad_pair_texts(self, build, text):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == text
+
+    @pytest.mark.parametrize(
+        "built, expected",
+        [
+            (lambda: Interval(lo=1, hi=2), interval(1, 2)),
+            (lambda: Interval(is_empty=True), EMPTY),
+            (lambda: Interval(), interval(None, None)),
+            (lambda: dataclasses.replace(interval(1, 2), hi=5), interval(1, 5)),
+            (lambda: dataclasses.replace(interval(1, 2), lo=None), interval(None, 2)),
+            (lambda: dataclasses.replace(EMPTY), EMPTY),
+        ],
+        ids=["keywords", "empty", "defaults", "replace-hi", "replace-lo", "replace-empty"],
+    )
+    def test_keyword_and_replace_construction(self, built, expected):
+        ivl = built()
+        assert ivl == expected and hash(ivl) == hash(expected)
+        assert (ivl.lo, ivl.hi, ivl.is_empty) == (expected.lo, expected.hi, expected.is_empty)
+
+    def test_fields_are_the_dataclass_fields(self):
+        fields = dataclasses.fields(Interval)
+        assert [(f.name, f.default) for f in fields] == [
+            ("lo", None), ("hi", None), ("is_empty", False)
+        ]
+
 
 class TestAlgebraicLaws:
     """Seeded property checks; the full-size suites run in acceptance."""

@@ -113,7 +113,7 @@ class TestMissingDomain:
 
     @pytest.mark.parametrize("call", [solve_distributed, flatten])
     def test_mastn(self, call):
-        with pytest.raises(ValidationError, match="variable 1 has no domain"):
+        with pytest.raises(ValidationError, match="^agent 1: variable 1 has no domain$"):
             call(gap_mastn())
 
 

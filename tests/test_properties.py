@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stnac import (
+    EMPTY,
     AcClosure,
     FormatError,
     Mastn,
@@ -27,7 +28,7 @@ from stnac import (
     serialize_stn,
 )
 from stnac.solver import build_arcs, sweep_once
-from stnac.stn import DEFAULT_MAGNITUDE_CAP
+from stnac.stn import DEFAULT_MAGNITUDE_CAP, _endpoint, parse_interval
 from stnac.workloads import gen_grid_stn, gen_random_stn
 
 
@@ -321,3 +322,37 @@ BENCH_NOISE = st.lists(BENCH_LINES | LINES, max_size=8).map("\n".join)
 @given(BENCH_NOISE | mutated(BENCH_CONFIGS, BENCH_LINES))
 def test_malformed_bench_config_raises_only_format_error(text):
     parses_or_format_error(parse_bench_config, text)
+
+
+# -- the interval reader ---------------------------------------------------
+
+CAP = DEFAULT_MAGNITUDE_CAP
+ENDPOINT_TOKENS = (
+    st.sampled_from([CAP - 1, CAP, CAP + 1, -CAP + 1, -CAP, -CAP - 1]).map(str)
+    | st.integers(-20, 20).map(str)
+    | st.sampled_from(["-inf", "+inf", "empty"])
+    # forms that int() reads besides plain digits, an Arabic-Indic three too
+    | st.sampled_from(["+5", "007", "1_0", "-0", "+0", "-007", "\u0663"])
+    | st.sampled_from(["1.5", "x", "1e3", "--1", "_1", "1__0", "inf", "-", ""])
+    | st.text(alphabet="019+-_fin", min_size=1, max_size=4)
+)
+
+
+def read_or_error(read):
+    try:
+        return read()
+    except FormatError as exc:
+        return str(exc)
+
+
+@bounded(400)
+@given(ENDPOINT_TOKENS, ENDPOINT_TOKENS)
+def test_parse_interval_reads_each_endpoint_on_its_own(a, b):
+    # the reader's result, or its error text, is that of reading the lower
+    # endpoint and then the upper one, each through _endpoint
+    got = read_or_error(lambda: parse_interval([a, b], 7))
+    want = read_or_error(
+        lambda: interval(_endpoint(a, 7, "-inf", "a lower"), _endpoint(b, 7, "+inf", "an upper"))
+    )
+    assert got == want and type(got) is type(want)
+    assert (got is EMPTY) == (want is EMPTY)

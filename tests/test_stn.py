@@ -218,12 +218,27 @@ class TestTokens:
             (["-inf", "5"], interval(None, 5)),
             (["3", "+inf"], interval(3, None)),
             (["empty"], EMPTY),
+            # the magnitude cap itself is in range on either side
+            (["-1099511627776", "1099511627776"], interval(-(2**40), 2**40)),
         ],
     )
     def test_round_trip(self, tokens, expected):
         parsed = parse_interval(tokens, 1)
         assert parsed == expected
         assert parse_interval(parsed.to_tokens().split(), 1) == parsed
+
+    @pytest.mark.parametrize(
+        "tokens, over",
+        [
+            (["1099511627777", "1099511627778"], "1099511627777"),  # the lower is named first
+            (["1099511627777", "0"], "1099511627777"),  # an inverted pair too
+            (["-1099511627777", "0"], "-1099511627777"),
+            (["0", "1099511627777"], "1099511627777"),
+        ],
+    )
+    def test_one_past_the_cap_rejected(self, tokens, over):
+        with pytest.raises(FormatError, match=f"^line 1: endpoint {over} exceeds the magnitude cap"):
+            parse_interval(tokens, 1)
 
     def test_rejects_misplaced_infinities(self):
         with pytest.raises(FormatError):
