@@ -32,8 +32,7 @@ AIJ 1977): a variable whose domain changes flags its neighbors, and a
 variable none of whose neighbors has moved since its last visit is
 skipped, since re-evaluating it could change nothing.  So the bounds after
 every sweep are those of a sweep over all variables, and only the work
-counts fall.  sample_solution() flags just the neighbors of the variable
-it has fixed.
+counts fall.
 
 Each arc evaluated, that is each evaluation of the update rule against a
 pairwise constraint, counts as one constraint check.  The domain itself
@@ -44,16 +43,22 @@ visits as domain updates instead.  Sweep order is fixed (variables
 ascending, neighbors ascending within a variable), so identical inputs
 give identical counts.  The parent searches do no constraint checks.
 
-One sweep is sweep_once(), the single update step of the package: propagate()
-runs it under the budget and the parent searches, and each agent of
-distributed.py runs it once per iteration.  An agent's lo/hi arrays end in
-ghost slots that hold its peers' synced domains; sweep_once() reads them as
-arc sources and never writes them.  An agent flags all its variables
-whenever fresh syncs land in those slots.
+One sweep is sweep_once(), the update step of enforce_ac() and the agents:
+propagate() runs it under the budget and the parent searches, and each
+agent of distributed.py runs it once per iteration.  An agent's lo/hi
+arrays end in ghost slots that hold its peers' synced domains; sweep_once()
+reads them as arc sources and never writes them.  An agent flags all its
+variables whenever fresh syncs land in those slots.
+
+sample_solution() re-closes after each pick without sweeps: it reads the
+same arc lists backwards, pushing from each variable that moved to the
+variables its arcs join, in FIFO order, so it revises only the arcs whose
+source moved.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -201,19 +206,12 @@ def sweep_once(
 
 
 def propagate(
-    arcs: list[list[Arc]],
-    lo: list[int],
-    hi: list[int],
-    dirty: list[bool] | None = None,
+    arcs: list[list[Arc]], lo: list[int], hi: list[int]
 ) -> tuple[bool, tuple[int, ...] | None, int, int, int]:
     """Sweep lo/hi in place until stable or refuted.
 
     The bounds lo/hi start with are the start domains, the zero-point
-    edges.  dirty flags the variables the first sweep visits, and None
-    flags them all.  A caller may leave a variable clear when its bounds
-    already hold against each of its arcs, as after a stable run, which
-    leaves every flag clear; pinning a variable inside its domain keeps
-    that true for it and flags its neighbors.  Returns (stable,
+    edges.  The first sweep visits every variable.  Returns (stable,
     walk, sweeps, checks, domain_updates); walk is the closed vertex walk
     of a negative cycle when refuted, None when stable.  domain_updates
     counts the variables the sweeps visited.  The bound magnitudes stay
@@ -243,8 +241,7 @@ def propagate(
     n = len(lo)
     lo_par = [n] * n  # lo_v was last set along the edge v -> lo_par[v]
     hi_par = [n] * n  # hi_v was last set along the edge hi_par[v] -> v
-    if dirty is None:
-        dirty = [True] * n
+    dirty = [True] * n
     checks = 0
     dom_updates = 0
     sweeps = 0
@@ -371,9 +368,23 @@ def sample_solution(net: Stn, closure: AcClosure, seed: int) -> Assignment:
     seeded-uniform value of its current domain, re-closing after each pick.
 
     `closure` is enforce_ac()'s closure of `net`, so every arc holds at the
-    start and each re-closing starts from the picked variable's neighbors.
-    Domains that one sweep would still tighten are not a closure, and are
-    rejected with ValidationError.
+    start.  Domains that one sweep would still tighten are not a closure,
+    and are rejected with ValidationError.
+
+    Each re-closing is a FIFO worklist that starts at the picked variable u.
+    Popping u reads each arc (x, add_lo, add_hi, _) of arcs[u] backwards,
+    as x's arc from u: lo_x >= lo_u - add_hi and hi_x <= hi_u - add_lo, a
+    None side skipped.  A tightened x joins the queue unless it is already
+    there.  Every arc holds except those read from a queued variable:
+    popping u makes its arcs hold, and tightening x can break only the arcs
+    read from x, which is then queued.  So an empty queue is a fixpoint of
+    the tightening rules.  Each tightening is one of those rules, so no step
+    passes below the greatest fixpoint under the pinned domains: the
+    worklist and full propagate() sweeps are chaotic iterations of the same
+    monotone rules, reach that same fixpoint, and give the same draws.  The
+    worklist ends, since every push follows a strict tightening of integer
+    bounds inside finite domains.  The closure's domains are minimal, so no
+    domain can empty; one that does raises RuntimeError.
     """
     if not isinstance(closure, AcClosure):
         raise ValidationError("sampling requires a consistent closure")
@@ -385,24 +396,43 @@ def sample_solution(net: Stn, closure: AcClosure, seed: int) -> Assignment:
                 f"closure domain {d} of variable {v} is not within its domain {net.domain(v)}"
             )
     rng = SplitMix64(seed)
-    arcs = build_arcs(net.n, net.pairs())
+    n = net.n
+    arcs = build_arcs(n, net.pairs())
     lo = [d.lo for d in closure.domains]
     hi = [d.hi for d in closure.domains]
-    dirty = [True] * net.n  # a stable sweep, and each stable propagate(), clears it
-    changed, emptied, _, _ = sweep_once(arcs, lo, hi, [net.n] * net.n, [net.n] * net.n, dirty)
+    changed, emptied, _, _ = sweep_once(arcs, lo, hi, [n] * n, [n] * n, [True] * n)
     if changed or emptied is not None:
         raise ValidationError("the domains are not a closure of the network: a sweep tightens them")
-    for v in range(net.n):
+    queue: deque[int] = deque()
+    queued = [False] * n
+    for v in range(n):
         t = rng.randint(lo[v], hi[v])
         lo[v] = t
         hi[v] = t
-        for arc in arcs[v]:
-            dirty[arc[0]] = True
-        stable, _, _, _, _ = propagate(arcs, lo, hi, dirty)
-        if not stable:
-            raise RuntimeError(
-                "re-propagation from a closure emptied a domain; minimality is broken"
-            )
+        queue.append(v)
+        queued[v] = True
+        while queue:
+            u = queue.popleft()
+            queued[u] = False
+            lu = lo[u]
+            hu = hi[u]
+            # u's arc from x, read backwards: x - u lies in [-add_hi, -add_lo]
+            for x, add_lo, add_hi, _ in arcs[u]:
+                moved = False
+                if add_hi is not None and lu - add_hi > lo[x]:
+                    lo[x] = lu - add_hi
+                    moved = True
+                if add_lo is not None and hu - add_lo < hi[x]:
+                    hi[x] = hu - add_lo
+                    moved = True
+                if moved:
+                    if lo[x] > hi[x]:
+                        raise RuntimeError(
+                            "re-propagation from a closure emptied a domain; minimality is broken"
+                        )
+                    if not queued[x]:
+                        queued[x] = True
+                        queue.append(x)
     return lo
 
 

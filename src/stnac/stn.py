@@ -224,8 +224,9 @@ def parse_interval(tokens: list[str], lineno: int) -> Interval:
     Each finite endpoint, the lower first, must be an integer within
     DEFAULT_MAGNITUDE_CAP; the check runs before interval() normalizes an
     inverted pair to EMPTY, so no endpoint escapes it.  A pair of in-cap
-    integers, the common line, is read in one step; every other pair goes
-    through _endpoint, which owns every error text.
+    integers, the common line, is read in one step.  In every other pair,
+    -inf as the lower and +inf as the upper endpoint are read in place, and
+    each other token goes through _endpoint, which owns every error text.
     """
     if len(tokens) == 1 and tokens[0] == "empty":
         return EMPTY
@@ -235,12 +236,13 @@ def parse_interval(tokens: list[str], lineno: int) -> Interval:
     try:
         lo, hi = int(a), int(b)
     except ValueError:
-        pass
-    else:
-        if -DEFAULT_MAGNITUDE_CAP <= lo <= DEFAULT_MAGNITUDE_CAP and (
-            -DEFAULT_MAGNITUDE_CAP <= hi <= DEFAULT_MAGNITUDE_CAP
-        ):
-            return EMPTY if lo > hi else Interval(lo, hi)
+        # an infinity of its own side is read here, so it costs no second exception
+        lo = None if a == "-inf" else _endpoint(a, lineno, "-inf", "a lower")
+        return interval(lo, None if b == "+inf" else _endpoint(b, lineno, "+inf", "an upper"))
+    if -DEFAULT_MAGNITUDE_CAP <= lo <= DEFAULT_MAGNITUDE_CAP and (
+        -DEFAULT_MAGNITUDE_CAP <= hi <= DEFAULT_MAGNITUDE_CAP
+    ):
+        return EMPTY if lo > hi else Interval(lo, hi)
     lo = _endpoint(a, lineno, "-inf", "a lower")
     return interval(lo, _endpoint(b, lineno, "+inf", "an upper"))
 

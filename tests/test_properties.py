@@ -19,17 +19,21 @@ from stnac import (
     NegativeCycle,
     Stn,
     enforce_ac,
+    flatten,
     interval,
     oracle_minimal_domains,
     parse_bench_config,
     parse_mastn,
     parse_stn,
+    sample_solution,
     serialize_mastn,
     serialize_stn,
+    verify_assignment,
 )
-from stnac.solver import build_arcs, sweep_once
+from stnac.rng import SplitMix64
+from stnac.solver import build_arcs, propagate, sweep_once
 from stnac.stn import DEFAULT_MAGNITUDE_CAP, _endpoint, parse_interval
-from stnac.workloads import gen_grid_stn, gen_random_stn
+from stnac.workloads import gen_factory_mastn, gen_grid_stn, gen_random_mastn, gen_random_stn
 
 
 def bounded(max_examples: int):
@@ -225,6 +229,51 @@ def test_dirty_sweeps_match_full_sweeps(net):
         assert marked == full
         if want[1] is not None or not want[0]:
             break
+
+
+FLAT_NETS = st.one_of(
+    st.builds(
+        lambda agents, extra, seed: flatten(gen_factory_mastn(agents, agents + extra, seed=seed))[0],
+        agents=st.integers(1, 4),
+        extra=st.integers(0, 12),
+        seed=st.integers(0, 2**16),
+    ),
+    st.builds(
+        lambda agents, activities, externals, seed: flatten(
+            gen_random_mastn(agents, activities, 0 if agents == 1 else externals, seed=seed)
+        )[0],
+        agents=st.integers(1, 4),
+        activities=st.integers(2, 5),
+        externals=st.integers(0, 8),
+        seed=st.integers(0, 2**16),
+    ),
+)
+
+
+def resampled(net, closure, seed):
+    """sample_solution's draws, each pick re-closed by full propagate() sweeps."""
+    arcs = build_arcs(net.n, net.pairs())
+    lo = [d.lo for d in closure.domains]
+    hi = [d.hi for d in closure.domains]
+    rng = SplitMix64(seed)
+    for v in range(net.n):
+        lo[v] = hi[v] = rng.randint(lo[v], hi[v])
+        stable, _, _, _, _ = propagate(arcs, lo, hi)
+        assert stable
+    return lo
+
+
+@bounded(80)
+@given(NETS | FLAT_NETS)
+def test_sample_matches_full_repropagation(net):
+    # the worklist reaches the fixpoint that full sweeps reach after each pick
+    out = enforce_ac(net)
+    if not isinstance(out, AcClosure):
+        return
+    for seed in range(3):
+        sample = sample_solution(net, out, seed)
+        assert sample == resampled(net, out, seed)
+        assert verify_assignment(net, sample) == (True, None)
 
 
 @bounded(60)

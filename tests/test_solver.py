@@ -17,8 +17,7 @@ from stnac import (
     verify_assignment,
 )
 from stnac import solver
-from stnac.rng import SplitMix64
-from stnac.solver import build_arcs, propagate, sweep_once
+from stnac.solver import build_arcs, sweep_once
 from stnac.workloads import gen_grid_stn, gen_random_stn, gen_scale_free_stn
 
 
@@ -353,34 +352,6 @@ class TestSampleSolution:
         net = gen_random_stn(n=10, density=0.35, wmin=-5, wmax=9, horizon=60, seed=4, consistent=True)
         out = enforce_ac(net)
         assert sample_solution(net, out, 9) == sample_solution(net, out, 9)
-
-    def test_marked_neighbors_match_full_sweeps(self, monkeypatch):
-        # sampling re-propagates from the fixed variable's neighbors only;
-        # the reference re-sweeps every variable after each pick
-        net = gen_random_stn(n=60, density=0.1, seed=7, consistent=True)
-        out = enforce_ac(net)
-        assert isinstance(out, AcClosure)
-        arcs = build_arcs(net.n, net.pairs())
-        calls = []
-
-        def traced(*args):
-            result = propagate(*args)
-            calls.append(result)
-            return result
-
-        monkeypatch.setattr(solver, "propagate", traced)
-        for seed in range(5):
-            rng = SplitMix64(seed)
-            lo = [d.lo for d in out.domains]
-            hi = [d.hi for d in out.domains]
-            full = []
-            for v in range(net.n):
-                lo[v] = hi[v] = rng.randint(lo[v], hi[v])
-                full.append(propagate(arcs, lo, hi))
-            calls.clear()
-            assert sample_solution(net, out, seed) == lo
-            assert [c[:3] for c in calls] == [f[:3] for f in full]  # stable, walk, sweeps
-            assert sum(c[3] for c in calls) < sum(f[3] for f in full)  # fewer checks
 
     def test_closure_of_another_network_is_rejected(self):
         net = parse_stn((SAMPLES / "cycle3.stn").read_text())
