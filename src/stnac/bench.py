@@ -40,7 +40,7 @@ from .distributed import SimConfig, solve_distributed
 from .errors import FormatError, GenerationError, ValidationError
 from .mastn import Mastn
 from .solver import AcClosure, enforce_ac
-from .stn import Stn, content_lines
+from .stn import Stn, content_lines, split_lines
 from .workloads import FAMILIES, GenSpec, check_spec, generate, parameters
 
 
@@ -80,7 +80,7 @@ _OWN_KEYS = {"seeds": 1, "seed": 0, "sched-seed": 0, "latency": 0, "timing": Fal
 def parse_bench_config(text: str) -> dict:
     """Parse the flat key=value bench format into a validated dict."""
     cfg: dict = {}
-    for lineno, line in content_lines(text.splitlines()):
+    for lineno, line in content_lines(split_lines(text)):
         key, _, value = (part.strip() for part in line.partition("="))
         if not key or not value:
             raise FormatError("expected 'key = value'", lineno)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import FormatError, ValidationError
 from .intervals import Interval
-from .stn import BodyReader, Stn, conjoin, content_lines, read_header, write_body
+from .stn import BodyReader, Stn, conjoin, content_lines, read_header, split_lines, write_body
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ def agent_view(m: Mastn, i: int) -> AgentView:
 
 def parse_mastn(text: str) -> Mastn:
     """Parse the .mastn text format; raises FormatError with a line number."""
-    body = content_lines(text.splitlines())
+    body = content_lines(split_lines(text))
     _, p = read_header(body, "mastn <p>")
     current: int | None = None
     # collected per agent: lists of (lineno, tokens) to build once sizes are known

@@ -14,6 +14,9 @@ File format (UTF-8, '#' starts a comment, tokens whitespace-separated)::
     domain <v> <a> <b>            # required once per variable, a and b finite
     constraint <v> <w> <a> <b>    # a <= w - v <= b; -inf/+inf allowed, or 'empty'
 
+Lines end at '\n' only (split_lines): a comment runs to it, so no other
+character that str.splitlines() breaks at, such as U+2028 or '\x0c', ends
+a comment or moves a line number.
 Duplicate constraint lines intersect, matching conjunction semantics.
 Every finite endpoint token is capped at parse time at the fixed
 DEFAULT_MAGNITUDE_CAP (2**40), that of an inverted pair (which reads as
@@ -21,10 +24,11 @@ DEFAULT_MAGNITUDE_CAP (2**40), that of an inverted pair (which reads as
 64-bit arithmetic.
 
 This module owns the line grammar that the .mastn and bench-config
-formats share: the line reader (content_lines), the header parser
-(read_header), the interval parser (parse_interval, the one reader of
-endpoint tokens), the body-line parser (BodyReader) and the body writer
-(write_body).  A .mastn agent block is .stn body text.
+formats share: the line splitter (split_lines), the line reader
+(content_lines), the header parser (read_header), the interval parser
+(parse_interval, the one reader of endpoint tokens), the body-line parser
+(BodyReader) and the body writer (write_body).  A .mastn agent block is
+.stn body text.
 
 A parse reads each distinct token once.  Its BodyReaders memoize index
 tokens (str(v) -> v, per network) and endpoint tokens (-> the Interval,
@@ -32,11 +36,20 @@ per file, as intervals are immutable values); a token the memo lacks goes
 through parse_index or parse_interval, which own every check and error.
 Names are never memoized, because a later var line can move a name to
 another variable.
+
+A .stn body is read by BodyReader.read, which stores the common line
+inline: a 'constraint v w a b' or 'domain v a b' line without '#', whose
+indices are memo hits, that constrains a pair v < w for the first time
+or declares v's first domain, and whose endpoints are a memo hit or two
+integers within the cap, finite and non-empty either way.  Every other
+line goes to BodyReader.apply, the one owner of every check and error
+text, as does each line of a .mastn agent block.
 """
 
 from __future__ import annotations
 
 import sys
+from itertools import islice
 
 from .errors import FormatError, ValidationError
 from .intervals import EMPTY, Interval, interval
@@ -170,10 +183,28 @@ class Stn:
         return f"<Stn n={self.n} e={self.e}>"
 
 
-def content_lines(lines: list[str]):
-    """(lineno, text) for each line that has content once its '#' comment is cut.
+def split_lines(text: str) -> list[str]:
+    """text's raw lines, broken only at '\n', as str.splitlines() lists them
+    when '\n' is the only break (no empty last line after a final '\n').
 
-    The one line reader of the .stn, .mastn and bench-config grammars.
+    The one line splitter of the .stn, .mastn and bench-config grammars.
+    No other character ends a line: a U+2028, U+0085, '\x0b', '\x0c' or
+    '\x1c'-'\x1e' inside a '#' comment stays in the comment, and no line
+    number shifts.  A '\r' before the '\n' is stripped as whitespace;
+    Path.read_text already reads '\r\n' and '\r' as '\n'.
+    """
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def content_lines(lines: list[str]):
+    """(lineno, text) for each of split_lines' lines that has content once
+    its '#' comment is cut.
+
+    The one line reader of the .mastn and bench-config grammars and of the
+    .stn header; BodyReader.read reads a .stn body by the same rule.
     """
     for lineno, raw in enumerate(lines, start=1):
         if "#" in raw:
@@ -266,19 +297,18 @@ def _endpoint(token: str, lineno: int, infinity: str, side: str) -> int | None:
 
 class BodyReader:
     """Applies one network's var/domain/constraint lines, in file order: a
-    .stn body or one .mastn agent block.
+    .stn body or one .mastn agent block, read into a new network.
 
     It holds the parse's memo (see above): its own network's index tokens,
     and the endpoint tokens it shares with every other reader of the file.
     """
 
-    __slots__ = ("net", "_indices", "_intervals", "_seen_domain")
+    __slots__ = ("net", "_indices", "_intervals")
 
     def __init__(self, net: Stn, intervals: dict):
         self.net = net
         self._indices = {str(v): v for v in range(net.n)}
         self._intervals = intervals
-        self._seen_domain: set[int] = set()
 
     def index(self, token: str, lineno: int) -> int:
         """parse_index's result for token, from the memo when it holds one."""
@@ -311,10 +341,9 @@ class BodyReader:
                 if len(tokens) != 4:
                     raise FormatError("expected 'domain <v> <a> <b>'", lineno)
                 v = self.index(tokens[1], lineno)
-                if v in self._seen_domain:
+                if net._domains[v] is not None:
                     raise FormatError(f"domain of variable {v} redeclared", lineno)
                 net.set_domain(v, self.interval(tokens[2:], lineno))
-                self._seen_domain.add(v)
             elif kind == "var":
                 if len(tokens) not in (2, 3):
                     raise FormatError("expected 'var <index> [name]'", lineno)
@@ -328,12 +357,67 @@ class BodyReader:
         except ValidationError as exc:
             raise FormatError(str(exc), lineno) from None
 
+    def read(self, lines, first_lineno: int) -> None:
+        """Apply raw lines, numbered from first_lineno, as content_lines and
+        apply would: the common line (see above) is stored here, in the
+        slot apply would store it in, and every other line goes to apply
+        with its tokens.
+        """
+        indices = self._indices
+        intervals = self._intervals
+        cons = self.net._cons
+        domains = self.net._domains
+        apply = self.apply
+        cap = DEFAULT_MAGNITUDE_CAP
+        for lineno, raw in enumerate(lines, first_lineno):
+            if "#" in raw:
+                tokens = raw.split("#", 1)[0].split()
+                if tokens:
+                    apply(tokens, lineno)
+                continue
+            tokens = raw.split()
+            size = len(tokens)
+            if size == 5 and tokens[0] == "constraint":
+                v = indices.get(tokens[1])
+                w = indices.get(tokens[2])
+                if v is None or w is None or v >= w or (v, w) in cons:
+                    apply(tokens, lineno)
+                    continue
+                store, key, a, b = cons, (v, w), tokens[3], tokens[4]
+            elif size == 4 and tokens[0] == "domain":
+                v = indices.get(tokens[1])
+                if v is None or domains[v] is not None:
+                    apply(tokens, lineno)
+                    continue
+                store, key, a, b = domains, v, tokens[2], tokens[3]
+            else:
+                if size:
+                    apply(tokens, lineno)
+                continue
+            ivl = intervals.get((a, b))
+            if ivl is None:
+                try:
+                    lo, hi = int(a), int(b)
+                except ValueError:  # not two integers: apply reads the pair
+                    apply(tokens, lineno)
+                    continue
+                if -cap <= lo <= hi <= cap:
+                    store[key] = intervals[a, b] = Interval(lo, hi)
+                    continue
+            elif ivl.lo is not None and ivl.hi is not None:  # neither infinite nor EMPTY
+                store[key] = ivl
+                continue
+            apply(tokens, lineno)
+
 
 def parse_stn(text: str) -> Stn:
-    """Parse the .stn text format; raises FormatError with a line number."""
-    lines = text.splitlines()
-    body = content_lines(lines)
-    lineno, n = read_header(body, "stn <n>")
+    """Parse the .stn text format; raises FormatError with a line number.
+
+    The header is read through content_lines and the body through
+    BodyReader.read, which stores the common line inline.
+    """
+    lines = split_lines(text)
+    lineno, n = read_header(content_lines(lines), "stn <n>")
     # each variable needs a domain line of its own, so a count above the
     # lines left is invalid; rejecting it here keeps Stn(n) from allocating
     left = len(lines) - lineno
@@ -343,9 +427,7 @@ def parse_stn(text: str) -> Stn:
             lineno,
         )
     net = Stn(n)
-    reader = BodyReader(net, {})
-    for lineno, line in body:
-        reader.apply(line.split(), lineno)
+    BodyReader(net, {}).read(islice(lines, lineno, None), lineno + 1)
     if not all(net._domains):  # an Interval is always true; None marks no domain line
         try:
             net.domain(net._domains.index(None))  # raises the has-a-domain error

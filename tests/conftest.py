@@ -8,6 +8,9 @@ from pathlib import Path
 from stnac import Interval, NegativeCycle, Stn, interval
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+# every character besides '\n' at which str.splitlines() breaks a line; the
+# parsers end a line at '\n' only
+OTHER_LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 def pytest_configure(config):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import OTHER_LINE_BREAKS
 from stnac import (
     AcClosure,
     FormatError,
@@ -116,6 +117,13 @@ class TestConfig:
     def test_malformed_config_rejected(self, text, match):
         with pytest.raises(FormatError, match=match):
             parse_bench_config(text)
+
+    @pytest.mark.parametrize("sep", OTHER_LINE_BREAKS)
+    def test_comment_ends_only_at_a_newline(self, sep):
+        text = f"family = random-stn\nsweep = n\n# x{sep}seeds = 3\nvalues = 2\ndensity = 0.5\n"
+        assert parse_bench_config(text)["seeds"] == 1
+        with pytest.raises(FormatError, match="line 6: seeds must be at least 1"):
+            parse_bench_config(text + "seeds = 0\n")
 
     def test_the_sweep_sets_a_required_parameter(self):
         cfg = parse_bench_config("family = grid-stn\nsweep = cols\nvalues = 2\nrows = 2\n")

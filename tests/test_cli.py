@@ -47,6 +47,16 @@ class TestSolve:
         assert out == "inconsistent\n"
         assert err == "negative cycle (weight -3): x->z->y->x\n"
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr_line_ends(self, capsys, tmp_path, end):
+        # the file is read with universal newlines; a comment still ends at
+        # its line end, not at the U+2028 inside it
+        text = "stn 2\ndomain 0 0 10\ndomain 1 0 10\n# a\u2028constraint 0 1 5 3\n"
+        path = tmp_path / "net.stn"
+        path.write_bytes(text.replace("\n", end).encode("utf-8"))
+        code, out, _ = run_cli(capsys, "solve", str(path))
+        assert (code, out) == (0, "v0 [0,10]\nv1 [0,10]\n")
+
     def test_solution_modes(self, capsys):
         for mode, values in (("lower", ["x = 0", "y = 2"]), ("upper", ["x = 8", "y = 10"])):
             code, out, _ = run_cli(

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import SAMPLES
+from conftest import OTHER_LINE_BREAKS, SAMPLES
 from stnac import (
     FormatError,
     Mastn,
@@ -258,6 +258,14 @@ class TestFormat:
     def test_malformed_line_rejected(self, text, match):
         with pytest.raises(FormatError, match=match):
             parse_mastn(text)
+
+    @pytest.mark.parametrize("sep", OTHER_LINE_BREAKS)
+    def test_comment_ends_only_at_a_newline(self, sep):
+        head = "mastn 1\nagent 0\ndomain 0 0 1\n"
+        assert parse_mastn(head + f"# x{sep}bogus\n").agents[0].n == 1
+        with pytest.raises(FormatError) as err:
+            parse_mastn(head + f"# x{sep}bogus\nfoo\n")
+        assert (str(err.value), err.value.line) == ("line 5: unknown directive 'foo'", 5)
 
     def test_local_indices_dense(self):
         # a constraint naming a variable with no domain line must fail

@@ -8,7 +8,7 @@ hypothesis's other caches out of the tree.
 
 import pytest
 from conftest import all_pairs_distances, assert_certificate, assert_simple_cycle
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stnac import (
@@ -18,6 +18,7 @@ from stnac import (
     Mastn,
     NegativeCycle,
     Stn,
+    ValidationError,
     enforce_ac,
     flatten,
     interval,
@@ -32,7 +33,15 @@ from stnac import (
 )
 from stnac.rng import SplitMix64
 from stnac.solver import build_arcs, propagate, sweep_once
-from stnac.stn import DEFAULT_MAGNITUDE_CAP, _endpoint, parse_interval
+from stnac.stn import (
+    DEFAULT_MAGNITUDE_CAP,
+    BodyReader,
+    _endpoint,
+    content_lines,
+    parse_interval,
+    read_header,
+    split_lines,
+)
 from stnac.workloads import gen_factory_mastn, gen_grid_stn, gen_random_mastn, gen_random_stn
 
 
@@ -405,3 +414,122 @@ def test_parse_interval_reads_each_endpoint_on_its_own(a, b):
     )
     assert got == want and type(got) is type(want)
     assert (got is EMPTY) == (want is EMPTY)
+
+
+# -- the inline body reader against the line grammar -----------------------
+# parse_stn stores the common line inline, in BodyReader.read, and hands every
+# other line to BodyReader.apply.  The reference reads each line through
+# content_lines and apply, the line grammar's own pieces, so both must give
+# equal networks or the same error text and line.
+
+
+def grammar_parse_stn(text):
+    lines = split_lines(text)
+    body = content_lines(lines)
+    lineno, n = read_header(body, "stn <n>")
+    left = len(lines) - lineno
+    if n > left:
+        raise FormatError(
+            f"{n} variables but {left} lines after the header: some variable has no domain",
+            lineno,
+        )
+    net = Stn(n)
+    reader = BodyReader(net, {})
+    for lineno, line in body:
+        reader.apply(line.split(), lineno)
+    try:
+        for v in range(n):
+            net.domain(v)
+    except ValidationError as exc:
+        raise FormatError(str(exc)) from exc
+    return net
+
+
+def net_or_error(parse, text):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return str(exc), exc.line
+
+
+# endpoint pairs besides in-cap a <= b
+ODD_PAIRS = [
+    ["-inf", "3"], ["0", "+inf"], ["-inf", "+inf"], ["3", "1"], ["empty"], [str(-CAP), str(CAP)],
+    ["+inf", "1"], ["1.5", "2"], [str(-CAP - 1), "3"], ["0", str(CAP + 1)],
+]
+ODD_INDICES = ["9", "-1", "01", "+1", "a", "x1"]
+
+
+def rarely(draw) -> bool:
+    return draw(st.integers(0, 4)) == 4
+
+
+def reader_ends(draw, odd_pairs) -> list[str]:
+    if rarely(draw):
+        return draw(st.sampled_from(odd_pairs))
+    return [str(e) for e in sorted((draw(st.integers(-2, 3)), draw(st.integers(-2, 3))))]
+
+
+@st.composite
+def reader_lines(draw, n=4, odd_pairs=ODD_PAIRS, odd=True):
+    """A body line of a network of n variables that the inline reader may
+    store or must hand to apply: names, v > w, self-loops, repeated pairs and
+    domains, infinite, 'empty', inverted and over-cap endpoints, other
+    separators, comments and blank lines.  Without odd, a constraint line on
+    two distinct variables, or a blank line."""
+
+    def index():
+        if not n or rarely(draw):
+            return draw(st.sampled_from(ODD_INDICES))
+        return str(draw(st.integers(0, n - 1)))
+
+    if not odd:
+        if n < 2 or rarely(draw):
+            return ""
+        v, w = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        return " ".join(["constraint", str(v), str(w), *reader_ends(draw, odd_pairs)])
+    kind = draw(st.sampled_from(["constraint"] * 5 + ["domain"] * 2 + ["var", "foo", ""]))
+    if kind == "constraint":
+        tokens = [kind, index(), index(), *reader_ends(draw, odd_pairs)]
+    elif kind == "domain":
+        tokens = [kind, index(), *reader_ends(draw, odd_pairs)]
+    elif kind == "var":
+        tokens = [kind, index(), draw(NAMES) if draw(st.booleans()) else index()]
+    else:
+        tokens = [kind] if kind else []
+    line = draw(st.sampled_from([" ", " ", "  ", "\t"])).join(tokens)
+    return line + draw(st.sampled_from(["", "", "", "", " ", "  # c", "\t#"]))
+
+
+@st.composite
+def reader_texts(draw):
+    """serialize_stn output, or one domain line per variable with a few
+    missing, shuffled with reader_lines.  Half the texts take no odd lines,
+    so they often parse and repeat a pair; each text draws one or two odd
+    endpoint pairs, so a later line often repeats an earlier one's."""
+    odd_pairs = draw(st.lists(st.sampled_from(ODD_PAIRS), min_size=1, max_size=2))
+    if draw(st.booleans()):
+        net = draw(stns(max_n=4, ends=SMALL_ENDS))
+        n, lines = net.n, serialize_stn(net).split("\n")[1:]
+    else:
+        n = draw(st.integers(0, 4))
+        lines = [
+            f"domain {v} {' '.join(reader_ends(draw, odd_pairs))}"
+            for v in range(n)
+            if not rarely(draw)
+        ]
+    odd = draw(st.booleans())
+    lines += draw(st.lists(reader_lines(n, odd_pairs, odd), max_size=8))
+    return "\n".join([f"stn {n}", *draw(st.permutations(lines))])
+
+
+@bounded(300)
+@given(reader_texts() | mutated(reader_texts(), reader_lines()))
+# a memo hit is not a valid domain: the constraint line put -inf 5 in the memo
+@example("stn 3\ndomain 0 0 10\ndomain 1 0 10\nconstraint 0 1 -inf 5\ndomain 2 -inf 5\n")
+# v > w, a repeated pair and an over-cap lower endpoint of a <= b
+@example("stn 2\ndomain 0 0 9\ndomain 1 0 9\nconstraint 1 0 0 5\n")
+@example("stn 2\ndomain 0 0 9\ndomain 1 0 9\nconstraint 0 1 0 5\nconstraint 0 1 3 9\n")
+@example("stn 2\ndomain 0 0 9\ndomain 1 0 9\nconstraint 0 1 -1099511627777 5\n")
+def test_inline_reader_matches_the_line_grammar(text):
+    assert net_or_error(parse_stn, text) == net_or_error(grammar_parse_stn, text)

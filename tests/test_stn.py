@@ -1,16 +1,21 @@
 import pytest
 
+from conftest import OTHER_LINE_BREAKS
 from stnac import (
     EMPTY,
+    AcClosure,
     FormatError,
+    GenSpec,
     Stn,
     ValidationError,
+    enforce_ac,
+    generate,
     interval,
     parse_mastn,
     parse_stn,
     serialize_stn,
 )
-from stnac.stn import parse_interval
+from stnac.stn import parse_interval, split_lines
 
 TWO_VAR_TEXT = """\
 stn 2
@@ -344,6 +349,17 @@ STN_ERRORS = [
     (STN_HEAD + "constraint 1 1 x 1\n", 4, "expected an integer endpoint, got 'x'"),
     (STN_HEAD + "domain 0 0 5\n", 4, "domain of variable 0 redeclared"),
     (STN_HEAD + "domain 0 x y\n", 4, "domain of variable 0 redeclared"),
+    # a domain whose endpoint pair an earlier constraint line has read
+    (
+        "stn 3\ndomain 0 0 10\ndomain 1 0 10\nconstraint 0 1 -inf 5\ndomain 2 -inf 5\n",
+        5,
+        "domain of variable 2 must be finite on both ends",
+    ),
+    (
+        "stn 3\ndomain 0 0 10\ndomain 1 0 10\nconstraint 0 1 5 3\ndomain 2 5 3\n",
+        5,
+        "domain of variable 2 must be non-empty",
+    ),
     ("stn 2\ndomain 0 1.5 3\ndomain 1 0 1\n", 2, "expected an integer endpoint, got '1.5'"),
     ("stn 2\ndomain 0 empty 3\ndomain 1 0 1\n", 2, "expected an integer endpoint, got 'empty'"),
     ("stn 2\ndomain 0 empty\ndomain 1 0 1\n", 2, "expected 'domain <v> <a> <b>'"),
@@ -462,6 +478,30 @@ class TestErrorTable:
             parse(text)
         assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
 
+    @pytest.mark.parametrize("sep", OTHER_LINE_BREAKS)
+    def test_comment_ends_only_at_a_newline(self, sep):
+        # the text after the character is still comment, not a constraint
+        text = STN_HEAD + f"# note{sep}constraint 0 1 5 3\n"
+        net = parse_stn(text)
+        assert net.e == 0
+        assert isinstance(enforce_ac(net), AcClosure)
+
+    @pytest.mark.parametrize("sep", OTHER_LINE_BREAKS)
+    def test_line_numbers_count_only_newlines(self, sep):
+        with pytest.raises(FormatError) as err:
+            parse_stn(STN_HEAD + f"# x{sep}y\nbogus 1\n")
+        assert (str(err.value), err.value.line) == ("line 5: unknown directive 'bogus'", 5)
+
+    def test_carriage_return_before_a_newline_is_whitespace(self):
+        assert parse_stn(STN_HEAD.replace("\n", "\r\n")) == parse_stn(STN_HEAD)
+
+    @pytest.mark.parametrize(
+        "text, lines",
+        [("", []), ("\n", [""]), ("a", ["a"]), ("a\n", ["a"]), ("a\n\nb\n", ["a", "", "b"])],
+    )
+    def test_split_lines_drops_only_the_final_newline(self, text, lines):
+        assert split_lines(text) == lines == text.splitlines()
+
     def test_renamed_variable_resolves_to_its_current_owner(self):
         text = (
             "stn 2\nvar 0 x\nconstraint x 1 0 5\nvar 0 y\nvar 1 x\n"
@@ -481,3 +521,13 @@ class TestErrorTable:
         assert m.agents[0].constraint(0, 1) == interval(0, 1)
         [ext] = m.external_constraints()
         assert (ext.i, ext.v, ext.j, ext.w, ext.ivl) == (0, 1, 1, 0, interval(0, None))
+
+
+class TestIntervalMemo:
+    def test_each_endpoint_pair_is_one_interval(self):
+        # a grid file repeats endpoint pairs; each is read into one shared value
+        grid = generate(GenSpec("grid-stn", 0, dict(rows=24, cols=24, wmin=-20, wmax=20)))
+        stored = [ivl for _, _, ivl in parse_stn(serialize_stn(grid)).pairs()]
+        pairs = {(ivl.lo, ivl.hi, ivl.is_empty) for ivl in stored}
+        assert len(stored) > len(pairs)
+        assert len({id(ivl) for ivl in stored}) == len(pairs)
