@@ -1,7 +1,7 @@
 """Arc-consistency toolkit for simple temporal networks.
 
 Exact interval algebra, the network models and their text formats, a
-centralized sweep solver with a shortest-path oracle, a deterministic
+centralized worklist solver with a shortest-path oracle, a deterministic
 multi-agent runtime running the distributed protocol, workload generators,
 and a benchmarking CLI.
 """

@@ -3,8 +3,9 @@
 Each iteration k an agent sends the current domains of its shared variables
 to its neighbors, waits until every neighbor's iteration-k domains have
 arrived, writes them into its ghost slots (one per peer variable its
-external constraints read, after its own variables), then runs the
-solver's own sweep_once() over its own variables.  If the sweep changed
+external constraints read, after its own variables), then runs one plain
+ascending sweep, the solver's sweep_once(), over its own variables: each
+re-reads every arc into it, ghost arcs included.  If the sweep changed
 nothing the agent is quiescent and joins the termination round for k;
 otherwise it moves straight to k+1, and the fresh domain message doubles as
 the signal that wakes quiescent neighbors out of their round.
@@ -106,10 +107,6 @@ class SolverAgent:
         ghosts = {key: n + i for i, key in enumerate(view.external_vars)}
         self._lo = [stn.domain(v).lo for v in range(n)] + [0] * len(ghosts)
         self._hi = [stn.domain(v).hi for v in range(n)] + [0] * len(ghosts)
-        self._parents = ([n] * n, [n] * n)  # kept by sweep_once, never read here
-        # sweep_once's flags, one per slot; every sync sets them all, so only
-        # an agent without neighbors carries marks from sweep to sweep
-        self._dirty = [True] * (n + len(ghosts))
         ext = ((e.local_var, ghosts[(e.peer_agent, e.peer_var)], e.ivl) for e in view.externals)
         self._arcs = build_arcs(n + len(ghosts), chain(stn.pairs(), ext))[:n]
         # neighbor -> (the keys this agent reads from it, ascending, and their
@@ -286,11 +283,7 @@ class SolverAgent:
             for slot, (_, ivl) in zip(slots, payload):
                 lo[slot] = ivl.lo
                 hi[slot] = ivl.hi
-        if syncs:  # fresh ghost values: sweep every variable
-            self._dirty = [True] * len(self._dirty)
-        self._changed, emptied, checks, _ = sweep_once(
-            self._arcs, lo, hi, *self._parents, self._dirty
-        )
+        self._changed, emptied, checks = sweep_once(self._arcs, lo, hi)
         self.clock += checks
         self.checks += checks
         if emptied is not None:

@@ -1,4 +1,4 @@
-"""Shortest-path ground truth for the sweep-based solver.
+"""Shortest-path ground truth for the arc-consistency solver.
 
 The network maps onto a weighted digraph over the variables plus the zero
 time point (vertex index n): a constraint [a, b] from v to w becomes the

@@ -1,59 +1,54 @@
 """Centralized arc-consistency solver for simple temporal networks.
 
-enforce_ac() repeatedly sweeps the variables in ascending index order,
-tightening each domain against every incident constraint:
+enforce_ac() tightens every domain against every incident constraint,
 
     I_v <- I_v  intersect  (I_w compose I_wv)
 
-A run ends when a full sweep changes nothing (the closure is reached) or
-a negative cycle is found, which means the network has no solution; one
-turns up within n + 1 sweeps.  On consistent input the closure's domains
-are minimal: every value in them extends to a full solution, and the
-vectors of all lower (or all upper) endpoints are themselves solutions.
+until nothing changes (the closure is reached) or a negative cycle is
+found, which means the network has no solution; one turns up within
+n + 1 rounds.  On consistent input the closure's domains are minimal:
+every value in them extends to a full solution, and the vectors of all
+lower (or all upper) endpoints are themselves solutions.
 
 The upper bounds are shortest distances from the zero time point and the
 lower bounds negated distances to it, over the distance graph that
-oracle.py describes, so each sweep is a round of label-correcting
-relaxations.  The kernel records, for every lo and every hi, the
-neighbor (or the zero point) whose arc last tightened it.  Any cycle of
-these parent pointers has negative weight (Cherkassky & Goldberg,
-"Negative-cycle detection algorithms", Math. Programming 1999), so once
-at least n domains have changed since the last look, both parent graphs
-are searched in O(n) and a cycle ends the run.  An emptied domain
-lo_v > hi_v is a negative cycle too: the hi-parent path 0 -> v plus the
-lo-parent path v -> 0 weighs at most hi_v - lo_v < 0.  An empty
-constraint between v and w gives the 2-cycle v -> w -> v.  Every
-refutation therefore carries a NegativeCycle, which enforce_ac() has
-oracle.certify_cycle() re-sum over the network's own edges.
+oracle.py describes, so propagation is label-correcting relaxation.
+propagate() runs it as a FIFO worklist in push order: popping a variable
+u reads u's arc list backwards, as the arcs from u, and tightens the
+variables at their other ends; a tightened variable joins the queue
+unless it is already there.  So only arcs whose source moved are revised,
+as in AC-3 (Mackworth, "Consistency in networks of relations", AIJ 1977),
+in the queue order of Bellman-Ford-Moore.  A round ends once every
+variable queued before it began has been popped; enforce_ac() queues
+every variable once, in ascending order, so its first round pops each of
+them.
 
-A sweep visits only dirty variables, as AC-3 revises only the arcs whose
-source has changed (Mackworth, "Consistency in networks of relations",
-AIJ 1977): a variable whose domain changes flags its neighbors, and a
-variable none of whose neighbors has moved since its last visit is
-skipped, since re-evaluating it could change nothing.  So the bounds after
-every sweep are those of a sweep over all variables, and only the work
-counts fall.
+The kernel records, for every lo and every hi, the variable (or the zero
+point) whose arc last tightened it.  Any cycle of these parent pointers
+has negative weight (Cherkassky & Goldberg, "Negative-cycle detection
+algorithms", Math. Programming 1999), so after each round that brings the
+changes since the last look to at least n, both parent graphs are
+searched in O(n) and a cycle ends the run.  An emptied domain lo_v > hi_v
+is a negative cycle too: the hi-parent path 0 -> v plus the lo-parent
+path v -> 0 weighs at most hi_v - lo_v < 0.  An empty constraint between
+u and x gives the 2-cycle u -> x -> u.  Every refutation therefore
+carries a NegativeCycle, which enforce_ac() has oracle.certify_cycle()
+re-sum over the network's own edges.
 
-Each arc evaluated, that is each evaluation of the update rule against a
+Each arc read, that is each evaluation of the update rule against a
 pairwise constraint, counts as one constraint check.  The domain itself
 acts as a virtual edge from the zero time point.  Bounds only ever tighten
 from the start domains, so every domain stays inside its zero-point edge
-and the kernel never re-applies it; a sweep tallies the variables it
-visits as domain updates instead.  Sweep order is fixed (variables
-ascending, neighbors ascending within a variable), so identical inputs
-give identical counts.  The parent searches do no constraint checks.
+and the kernel never re-applies it; it tallies the variables it pops as
+domain updates instead.  The seed order and each arc list's order are
+fixed, so identical inputs give identical counts.  The parent searches do
+no constraint checks.
 
-One sweep is sweep_once(), the update step of enforce_ac() and the agents:
-propagate() runs it under the budget and the parent searches, and each
-agent of distributed.py runs it once per iteration.  An agent's lo/hi
-arrays end in ghost slots that hold its peers' synced domains; sweep_once()
-reads them as arc sources and never writes them.  An agent flags all its
-variables whenever fresh syncs land in those slots.
-
-sample_solution() re-closes after each pick without sweeps: it reads the
-same arc lists backwards, pushing from each variable that moved to the
-variables its arcs join, in FIFO order, so it revises only the arcs whose
-source moved.
+sample_solution() runs the same propagate() after each pick, seeded with
+the picked variable alone.  The agents of distributed.py run
+sweep_once() instead, one plain ascending sweep per iteration: an agent's
+lo/hi arrays end in ghost slots that hold its peers' synced domains, and
+sweep_once() reads them as arc sources and never writes them.
 """
 
 from __future__ import annotations
@@ -75,8 +70,8 @@ Assignment = list[int]
 class AcClosure:
     """Arc-consistent fixpoint: minimal domains plus effort counters.
 
-    checks counts the arcs evaluated and domain_updates the variables
-    visited over all sweeps; a sweep skips the clean variables.
+    iterations counts propagate()'s rounds, checks the arcs read and
+    domain_updates the variables popped, each time one is popped.
     """
 
     domains: tuple[Interval, ...]
@@ -134,46 +129,26 @@ def build_arcs(n: int, pairs: Iterable[tuple[int, int, Interval]]) -> list[list[
 
 
 def sweep_once(
-    arcs: list[list[Arc]],
-    lo: list[int],
-    hi: list[int],
-    lo_par: list[int],
-    hi_par: list[int],
-    dirty: list[bool],
-) -> tuple[int, int | None, int, int]:
-    """Sweep the dirty variables among 0..len(arcs)-1 once, in ascending
-    order, in place.
+    arcs: list[list[Arc]], lo: list[int], hi: list[int]
+) -> tuple[int, int | None, int]:
+    """Sweep the variables 0..len(arcs)-1 once, in ascending order, in place.
 
-    A variable whose dirty flag is clear is skipped; a visited one has its
-    flag cleared, and when its domain changes it sets the flag of every
-    source on its arcs.  Arcs are symmetric, so those sources are exactly
-    the variables that read it: a lower-index one is visited in the next
-    sweep, a higher-index one later in this sweep.  dirty covers every slot
-    of lo/hi, ghosts included, so marking needs no bounds test.  Slots of
-    lo/hi beyond len(arcs) (an agent's ghost slots, holding its peers'
-    variables) are read as arc sources and never written.  The kernel only
-    tightens lo/hi, so bounds that start as the start domains stay within
-    them and the zero-point edges never need re-applying.  lo_par and
-    hi_par get the source whose arc last tightened each bound; a bound no
-    arc has tightened keeps its parent, len(arcs) (the zero point) at the
-    start.  Returns (changed, emptied, checks, domain_updates): the number
-    of changed domains, the variable whose domain emptied or None, the arcs
-    evaluated and the variables visited.  An emptied domain ends the sweep
+    Each variable re-reads every arc into it.  Slots of lo/hi beyond
+    len(arcs) (an agent's ghost slots, holding its peers' variables) are
+    read as arc sources and never written.  The sweep only tightens lo/hi,
+    so bounds that start as the start domains stay within them and the
+    zero-point edges never need re-applying.  Returns (changed, emptied,
+    checks): the number of changed domains, the variable whose domain
+    emptied or None, and the arcs read.  An emptied domain ends the sweep
     at once, so the counts stop with that variable.
     """
     checks = 0
     changed = 0
-    visited = 0
     for v in range(len(arcs)):
-        if not dirty[v]:
-            continue
-        dirty[v] = False
-        visited += 1
         lv = lo[v]
         hv = hi[v]
         old_lo = lv
         old_hi = hv
-        plo = phi = -1
         arcs_v = arcs[v]
         checks += len(arcs_v)
         for w, add_lo, add_hi, dead in arcs_v:
@@ -184,89 +159,113 @@ def sweep_once(
                 cand = lo[w] + add_lo
                 if cand > lv:
                     lv = cand
-                    plo = w
             if add_hi is not None:
                 cand = hi[w] + add_hi
                 if cand < hv:
                     hv = cand
-                    phi = w
         if lv != old_lo or hv != old_hi:
             lo[v] = lv
             hi[v] = hv
-            if plo >= 0:
-                lo_par[v] = plo
-            if phi >= 0:
-                hi_par[v] = phi
             if lv > hv:
-                return changed, v, checks, visited
+                return changed, v, checks
             changed += 1
-            for arc in arcs_v:
-                dirty[arc[0]] = True
-    return changed, None, checks, visited
+    return changed, None, checks
 
 
 def propagate(
-    arcs: list[list[Arc]], lo: list[int], hi: list[int]
+    arcs: list[list[Arc]], lo: list[int], hi: list[int], queue: Iterable[int]
 ) -> tuple[bool, tuple[int, ...] | None, int, int, int]:
-    """Sweep lo/hi in place until stable or refuted.
+    """Close lo/hi in place from the variables in `queue`, until stable or
+    refuted.
 
     The bounds lo/hi start with are the start domains, the zero-point
-    edges.  The first sweep visits every variable.  Returns (stable,
-    walk, sweeps, checks, domain_updates); walk is the closed vertex walk
-    of a negative cycle when refuted, None when stable.  domain_updates
-    counts the variables the sweeps visited.  The bound magnitudes stay
-    within a few times the parse-time cap, so the plain integer sums here
-    cannot reach the 64-bit overflow range.
+    edges, and every arc whose source is not in `queue` must already hold
+    (for enforce_ac() the queue is every variable).  Popping u reads each
+    arc (x, add_lo, add_hi, dead) of arcs[u] backwards, as x's arc from u:
+    lo_x >= lo_u - add_hi and hi_x <= hi_u - add_lo, a None side skipped,
+    and a dead arc refutes at once.  A tightened bound takes u as its
+    parent, and a tightened x joins the queue unless it is already there.
+    Returns (stable, walk, rounds, checks, pops); walk is the closed vertex
+    walk of a negative cycle when refuted, None when stable.  The bound
+    magnitudes stay within a few times the parse-time cap, so the plain
+    integer sums here cannot reach the 64-bit overflow range.
 
-    Re-evaluating a variable whose sources have not moved since its last
-    visit leaves its bounds and parents unchanged: that visit left each
-    bound at least as tight as every arc candidate from those sources, and
-    an arc sets a parent only on a strict tightening.  A source that moves
-    sets the flag, so a clear variable is one this holds for, and skipping
-    it changes nothing.  After every sweep the bounds, parents, changed and
-    emptied are therefore those of a sweep over all variables, and so are
-    the sweep counts and verdicts below.
+    Every arc holds except those read from a queued variable: popping u
+    makes its arcs hold, and tightening x can break only the arcs read
+    from x, which is then queued.  So an empty queue is a fixpoint.  Each
+    tightening applies one of the monotone update rules, so no step passes
+    below the greatest fixpoint; every order of them, full sweeps
+    included, reaches the same one.
 
-    A refutation takes at most n + 1 sweeps.  Labels only tighten, so while
+    A refutation takes at most n + 1 rounds.  A label reaches its value at
+    the start or by a tightening that queues its variable, so that value is
+    pushed along its arcs within the next round at the latest.  By
+    induction, after round k each hi_v is at least as tight as every walk
+    of at most k edges from the zero point.  Labels only tighten, so while
     hi_par[v] = u stands, hi_v >= hi_u + c(u, v), taking hi of the zero
-    point as 0.  Were the hi parents acyclic after sweep n + 1, chaining
+    point as 0.  Were the hi parents acyclic after round n + 1, chaining
     this along v's tree path to the zero point, at most n edges, would make
-    hi_v no tighter than that path's weight.  But after sweep n every hi_v
-    was already at least as tight as every walk of at most n edges from
-    the zero point, so sweep n + 1 could not have tightened it.  A hi bound
-    that sweep n + 1 still tightens therefore leaves a cycle among the hi
-    parents, and the lo side is symmetric.  A budget spent without a parent
-    cycle is a bug, and raises RuntimeError.
+    hi_v no tighter than that path's weight, which hi_v already was after
+    round n; so round n + 1 could not have tightened it.  A hi bound that
+    round n + 1 still tightens therefore leaves a cycle among the hi
+    parents, and the lo side is symmetric.  An inconsistent network never
+    empties the queue without emptying a domain, since a fixpoint of
+    non-empty domains would hold its own all-lower solution.  A budget
+    spent without a parent cycle is a bug, and raises RuntimeError.
     """
     n = len(lo)
     lo_par = [n] * n  # lo_v was last set along the edge v -> lo_par[v]
     hi_par = [n] * n  # hi_v was last set along the edge hi_par[v] -> v
-    dirty = [True] * n
+    fifo = deque(queue)
+    queued = [False] * n
+    for v in fifo:
+        queued[v] = True
+    pop = fifo.popleft
+    push = fifo.append
     checks = 0
-    dom_updates = 0
-    sweeps = 0
-    since_search = 0  # domain changes since the last parent search
+    pops = 0
+    rounds = 0
+    since_search = 0  # bounds tightened since the last parent search
     while True:
-        sweeps += 1
-        changed, emptied, sweep_checks, sweep_updates = sweep_once(
-            arcs, lo, hi, lo_par, hi_par, dirty
-        )
-        checks += sweep_checks
-        dom_updates += sweep_updates
-        if emptied is not None:
-            walk = _emptied_walk(arcs, lo_par, hi_par, emptied)
-            break
-        if not changed:
-            return True, None, sweeps, checks, dom_updates
-        since_search += changed
-        if since_search >= n or sweeps > n:  # a budget of n + 1 sweeps
+        rounds += 1
+        for _ in range(len(fifo)):
+            u = pop()
+            queued[u] = False
+            pops += 1
+            lu = lo[u]
+            hu = hi[u]
+            arcs_u = arcs[u]
+            checks += len(arcs_u)
+            # u's arc from x, read backwards: x - u lies in [-add_hi, -add_lo]
+            for x, add_lo, add_hi, dead in arcs_u:
+                if add_hi is not None and lu - add_hi > lo[x]:
+                    lo[x] = lu - add_hi
+                    lo_par[x] = u
+                    if add_lo is not None and hu - add_lo < hi[x]:
+                        hi[x] = hu - add_lo
+                        hi_par[x] = u
+                elif add_lo is not None and hu - add_lo < hi[x]:
+                    hi[x] = hu - add_lo
+                    hi_par[x] = u
+                elif dead:
+                    return False, (u, x, u), rounds, checks, pops
+                else:
+                    continue  # x did not move
+                since_search += 1
+                if lo[x] > hi[x]:
+                    return False, _emptied_walk(lo_par, hi_par, x), rounds, checks, pops
+                if not queued[x]:
+                    queued[x] = True
+                    push(x)
+        if not fifo:
+            return True, None, rounds, checks, pops
+        if since_search >= n or rounds > n:  # a budget of n + 1 rounds
             since_search = 0
             walk = _parent_cycle(lo_par, hi_par)
             if walk is not None:
-                break
-            if sweeps > n:
-                raise RuntimeError("sweep budget spent without a parent cycle")
-    return False, walk, sweeps, checks, dom_updates
+                return False, walk, rounds, checks, pops
+            if rounds > n:
+                raise RuntimeError("round budget spent without a parent cycle")
 
 
 def _parent_cycle(lo_par: list[int], hi_par: list[int]) -> tuple[int, ...] | None:
@@ -296,13 +295,8 @@ def _parent_cycle(lo_par: list[int], hi_par: list[int]) -> tuple[int, ...] | Non
     return None
 
 
-def _emptied_walk(
-    arcs: list[list[Arc]], lo_par: list[int], hi_par: list[int], v: int
-) -> tuple[int, ...]:
+def _emptied_walk(lo_par: list[int], hi_par: list[int], v: int) -> tuple[int, ...]:
     """Closed walk from v through the zero point certifying that v emptied."""
-    for w, _, _, dead in arcs[v]:
-        if dead:
-            return (v, w, v)
     n = len(lo_par)
     to_zero = [v]  # lo parents: v -> ... -> zero point
     from_zero = [v]  # hi parents, reversed below: zero point -> ... -> v
@@ -342,11 +336,11 @@ def enforce_ac(net: Stn, domains: Sequence[Interval] | None = None) -> AcOutcome
     lo = [d.lo for d in start]
     hi = [d.hi for d in start]
     arcs = build_arcs(net.n, net.pairs())
-    stable, walk, sweeps, checks, dom_updates = propagate(arcs, lo, hi)
+    stable, walk, rounds, checks, pops = propagate(arcs, lo, hi, range(net.n))
     if stable:
         closed = tuple(interval(a, b) for a, b in zip(lo, hi))
-        return AcClosure(closed, sweeps, checks, dom_updates)
-    return AcInconsistent(walk[0], sweeps, checks, dom_updates, certify_cycle(net, walk, start))
+        return AcClosure(closed, rounds, checks, pops)
+    return AcInconsistent(walk[0], rounds, checks, pops, certify_cycle(net, walk, start))
 
 
 def extract_bound_solution(closure: AcClosure, side: str) -> Assignment:
@@ -368,22 +362,13 @@ def sample_solution(net: Stn, closure: AcClosure, seed: int) -> Assignment:
     seeded-uniform value of its current domain, re-closing after each pick.
 
     `closure` is enforce_ac()'s closure of `net`, so every arc holds at the
-    start.  Domains that one sweep would still tighten are not a closure,
+    start.  Domains that propagate() would still tighten are not a closure,
     and are rejected with ValidationError.
 
-    Each re-closing is a FIFO worklist that starts at the picked variable u.
-    Popping u reads each arc (x, add_lo, add_hi, _) of arcs[u] backwards,
-    as x's arc from u: lo_x >= lo_u - add_hi and hi_x <= hi_u - add_lo, a
-    None side skipped.  A tightened x joins the queue unless it is already
-    there.  Every arc holds except those read from a queued variable:
-    popping u makes its arcs hold, and tightening x can break only the arcs
-    read from x, which is then queued.  So an empty queue is a fixpoint of
-    the tightening rules.  Each tightening is one of those rules, so no step
-    passes below the greatest fixpoint under the pinned domains: the
-    worklist and full propagate() sweeps are chaotic iterations of the same
-    monotone rules, reach that same fixpoint, and give the same draws.  The
-    worklist ends, since every push follows a strict tightening of integer
-    bounds inside finite domains.  The closure's domains are minimal, so no
+    Each re-closing is propagate() seeded with the picked variable alone:
+    every other arc held before the pick.  propagate() reaches the greatest
+    fixpoint under the pinned domains whatever its order, so full sweeps
+    would give the same draws.  The closure's domains are minimal, so no
     domain can empty; one that does raises RuntimeError.
     """
     if not isinstance(closure, AcClosure):
@@ -400,39 +385,13 @@ def sample_solution(net: Stn, closure: AcClosure, seed: int) -> Assignment:
     arcs = build_arcs(n, net.pairs())
     lo = [d.lo for d in closure.domains]
     hi = [d.hi for d in closure.domains]
-    changed, emptied, _, _ = sweep_once(arcs, lo, hi, [n] * n, [n] * n, [True] * n)
-    if changed or emptied is not None:
+    start = (lo[:], hi[:])
+    if not propagate(arcs, lo, hi, range(n))[0] or (lo, hi) != start:
         raise ValidationError("the domains are not a closure of the network: a sweep tightens them")
-    queue: deque[int] = deque()
-    queued = [False] * n
     for v in range(n):
-        t = rng.randint(lo[v], hi[v])
-        lo[v] = t
-        hi[v] = t
-        queue.append(v)
-        queued[v] = True
-        while queue:
-            u = queue.popleft()
-            queued[u] = False
-            lu = lo[u]
-            hu = hi[u]
-            # u's arc from x, read backwards: x - u lies in [-add_hi, -add_lo]
-            for x, add_lo, add_hi, _ in arcs[u]:
-                moved = False
-                if add_hi is not None and lu - add_hi > lo[x]:
-                    lo[x] = lu - add_hi
-                    moved = True
-                if add_lo is not None and hu - add_lo < hi[x]:
-                    hi[x] = hu - add_lo
-                    moved = True
-                if moved:
-                    if lo[x] > hi[x]:
-                        raise RuntimeError(
-                            "re-propagation from a closure emptied a domain; minimality is broken"
-                        )
-                    if not queued[x]:
-                        queued[x] = True
-                        queue.append(x)
+        lo[v] = hi[v] = rng.randint(lo[v], hi[v])
+        if not propagate(arcs, lo, hi, (v,))[0]:
+            raise RuntimeError("re-propagation from a closure emptied a domain; minimality is broken")
     return lo
 
 

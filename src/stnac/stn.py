@@ -5,7 +5,7 @@ constraint interval per unordered variable pair.  The interval is kept in
 the low-to-high index direction; queries in the other direction answer
 with the inverse, so both orientations always agree.  Domains must be
 finite on both ends and non-empty: the solver relies on finite bounds to
-detect inconsistency within its sweep budget.
+detect inconsistency within its round budget.
 
 File format (UTF-8, '#' starts a comment, tokens whitespace-separated)::
 

@@ -32,7 +32,7 @@ from stnac import (
     verify_assignment,
 )
 from stnac.rng import SplitMix64
-from stnac.solver import build_arcs, propagate, sweep_once
+from stnac.solver import build_arcs, sweep_once
 from stnac.stn import (
     DEFAULT_MAGNITUDE_CAP,
     BodyReader,
@@ -218,28 +218,6 @@ NETS = st.one_of(
 )
 
 
-@bounded(60)
-@given(NETS)
-def test_dirty_sweeps_match_full_sweeps(net):
-    # one dirty list carried across sweeps against a fresh all-dirty one in
-    # each: the same bounds, parents and sweep results after every sweep
-    n = net.n
-    arcs = build_arcs(n, net.pairs())
-    lo = [net.domain(v).lo for v in range(n)]
-    hi = [net.domain(v).hi for v in range(n)]
-    marked = (lo[:], hi[:], [n] * n, [n] * n)
-    full = (lo, hi, [n] * n, [n] * n)
-    dirty = [True] * n
-    for _ in range(n + 1):
-        got = sweep_once(arcs, *marked, dirty)
-        want = sweep_once(arcs, *full, [True] * n)
-        assert got[:2] == want[:2]  # changed, emptied
-        assert got[2] <= want[2] and got[3] <= want[3]  # checks, variables visited
-        assert marked == full
-        if want[1] is not None or not want[0]:
-            break
-
-
 FLAT_NETS = st.one_of(
     st.builds(
         lambda agents, extra, seed: flatten(gen_factory_mastn(agents, agents + extra, seed=seed))[0],
@@ -259,16 +237,42 @@ FLAT_NETS = st.one_of(
 )
 
 
+def swept(arcs, lo, hi, sweeps):
+    """Full sweep_once() sweeps of lo/hi in place until one changes nothing:
+    True, or False when a domain empties or `sweeps` sweeps still change."""
+    for _ in range(sweeps):
+        changed, emptied, _ = sweep_once(arcs, lo, hi)
+        if emptied is not None:
+            return False
+        if not changed:
+            return True
+    return False
+
+
+@bounded(80)
+@given(NETS | FLAT_NETS)
+def test_push_worklist_matches_full_sweeps(net):
+    # enforce_ac's verdict and closure are what repeated full sweeps reach
+    # within n + 1 sweeps
+    n = net.n
+    lo = [net.domain(v).lo for v in range(n)]
+    hi = [net.domain(v).hi for v in range(n)]
+    closed = swept(build_arcs(n, net.pairs()), lo, hi, n + 1)
+    out = enforce_ac(net)
+    assert isinstance(out, AcClosure) == closed
+    if closed:
+        assert list(out.domains) == [interval(a, b) for a, b in zip(lo, hi)]
+
+
 def resampled(net, closure, seed):
-    """sample_solution's draws, each pick re-closed by full propagate() sweeps."""
+    """sample_solution's draws, each pick re-closed by full sweep_once() sweeps."""
     arcs = build_arcs(net.n, net.pairs())
     lo = [d.lo for d in closure.domains]
     hi = [d.hi for d in closure.domains]
     rng = SplitMix64(seed)
     for v in range(net.n):
         lo[v] = hi[v] = rng.randint(lo[v], hi[v])
-        stable, _, _, _, _ = propagate(arcs, lo, hi)
-        assert stable
+        assert swept(arcs, lo, hi, net.n + 1)
     return lo
 
 

@@ -17,7 +17,7 @@ from stnac import (
     verify_assignment,
 )
 from stnac import solver
-from stnac.solver import build_arcs, sweep_once
+from stnac.solver import build_arcs, propagate, sweep_once
 from stnac.workloads import gen_grid_stn, gen_random_stn, gen_scale_free_stn
 
 
@@ -81,14 +81,14 @@ class TestEnforceAc:
         assert isinstance(oracle_minimal_domains(net), NegativeCycle)
         out = enforce_ac(net)
         assert isinstance(out, AcInconsistent)
-        # the first sweep changes all n domains, so the parents are searched
-        # right after it, and their lo side already closes the cycle
-        assert out.iterations == 1 <= net.n + 1
+        # the first round tightens n bounds, so the parents are searched right
+        # after it; they close the cycle in the second round
+        assert out.iterations == 2 <= net.n + 1
         assert_certificate(net, [net.domain(v) for v in range(net.n)], out)
         assert out.cycle.weight == -1
 
     def test_spent_budget_without_a_parent_cycle_is_a_bug(self, monkeypatch):
-        # hide the weak cycle's parent cycle: the sweeps then run the whole
+        # hide the weak cycle's parent cycle: the rounds then run the whole
         # budget without emptying a domain, which propagate's docstring
         # proves impossible, so the run must fail loudly, not end uncertified
         net = weak_cycle_net()
@@ -196,77 +196,61 @@ class TestCertificates:
 
 
 class TestSweepOnce:
-    """The kernel contract: slot 2 is a ghost, beyond the two swept variables."""
+    """The agents' sweep: slot 2 is a ghost, beyond the two swept variables."""
 
     def test_tightens_from_ghost_and_leaves_it(self):
         # y - x in [2, 3]; g - y in [0, 4] with the ghost g in [10, 12]
         arcs = build_arcs(3, [(0, 1, interval(2, 3)), (1, 2, interval(0, 4))])[:2]
         lo, hi = [0, 0, 10], [100, 100, 12]
-        lo_par, hi_par = [-1, -1], [-1, -1]
-        dirty = [True] * 3
-        out = sweep_once(arcs, lo, hi, lo_par, hi_par, dirty)
-        assert out == (2, None, 3, 2)  # changed, emptied, checks, domain updates
+        out = sweep_once(arcs, lo, hi)
+        assert out == (2, None, 3)  # changed, emptied, checks
         assert (lo, hi) == ([0, 6, 10], [98, 12, 12])
-        assert (lo_par, hi_par) == ([-1, 2], [1, 2])  # y's bounds both came from g
-        assert dirty == [True, False, True]  # y moved: its sources x and g are marked
 
     def test_emptied_stops_the_sweep(self):
         # x has two arcs (y and g); g = x forces x to 200, past its bound 100
         arcs = build_arcs(3, [(0, 1, interval(0, 10)), (0, 2, interval(0, 0))])[:2]
         lo, hi = [0, 0, 200], [100, 100, 200]
-        out = sweep_once(arcs, lo, hi, [2, 2], [2, 2], [True] * 3)
-        assert out == (0, 0, 2, 1)  # checks stop with x's two arcs
+        out = sweep_once(arcs, lo, hi)
+        assert out == (0, 0, 2)  # checks stop with x's two arcs
         assert (lo[1:], hi[1:]) == ([0, 200], [100, 200])  # y not swept, g untouched
 
-    def test_clean_variable_is_not_visited(self):
-        # the first test's network with x clean: x is neither checked nor
-        # counted, and y still reads the ghost
-        arcs = build_arcs(3, [(0, 1, interval(2, 3)), (1, 2, interval(0, 4))])[:2]
-        lo, hi = [0, 0, 10], [100, 100, 12]
-        dirty = [False, True, False]
-        out = sweep_once(arcs, lo, hi, [2, 2], [2, 2], dirty)
-        assert out == (1, None, 2, 1)
-        assert (lo, hi) == ([0, 6, 10], [100, 12, 12])  # x untouched though y moved
-        assert dirty == [True, False, True]
-        # with every flag clear the sweep does nothing at all
-        assert sweep_once(arcs, lo, hi, [2, 2], [2, 2], [False] * 3) == (0, None, 0, 0)
 
-    def test_change_marks_sources_on_both_sides(self):
-        # x0 = x1 = x2 and x1 = g, the ghost g fixed at 5; only x1 is dirty
-        pairs = [(0, 1, interval(0, 0)), (1, 2, interval(0, 0)), (1, 3, interval(0, 0))]
-        arcs = build_arcs(4, pairs)[:3]
-        lo, hi = [0, 0, 0, 5], [100, 100, 100, 5]
-        par = ([3] * 3, [3] * 3)
-        dirty = [False, True, False, False]
-        # x1 moves and marks x0, x2 and g; x2, above it, is swept in the same
-        # sweep (and marks x1 again), x0, below it, waits
-        assert sweep_once(arcs, lo, hi, *par, dirty) == (2, None, 4, 2)
-        assert (lo[:3], hi[:3]) == ([0, 5, 5], [100, 5, 5])
-        assert dirty == [True, True, False, True]
-        # the next sweep visits x0, which marks x1 once more, and then x1
-        assert sweep_once(arcs, lo, hi, *par, dirty) == (1, None, 4, 2)
-        assert (lo[:3], hi[:3]) == ([5, 5, 5], [5, 5, 5])
-        assert dirty[:3] == [False, False, False]
-        assert sweep_once(arcs, lo, hi, *par, dirty) == (0, None, 0, 0)
+class TestPropagate:
+    """The central kernel: a FIFO worklist that pushes from what moved."""
 
-    def test_propagate_counts_are_sweep_sums(self):
+    def test_one_variable_seed_reads_only_what_moved(self):
+        # x1 - x0 in [0, 10], a loose x2 - x1, x3 - x2 in [0, 10]: all of
+        # [0, 100] is closed.  Pinning x0 to 5 moves x1 alone, so only the
+        # arcs of x0 and x1 are read, and x2's and x3's never.
+        pairs = [(0, 1, interval(0, 10)), (1, 2, interval(-200, 200)), (2, 3, interval(0, 10))]
+        arcs = build_arcs(4, pairs)
+        lo, hi = [5, 0, 0, 0], [5, 100, 100, 100]
+        out = propagate(arcs, lo, hi, [0])
+        assert out == (True, None, 2, 3, 2)  # stable, walk, rounds, checks, pops
+        assert (lo, hi) == ([5, 5, 0, 0], [5, 15, 100, 100])
+
+    def test_closure_is_one_round_over_every_arc(self):
         net = gen_random_stn(n=12, density=0.3, seed=2, consistent=True)
-        arcs = build_arcs(net.n, net.pairs())
-        lo = [net.domain(v).lo for v in range(net.n)]
-        hi = [net.domain(v).hi for v in range(net.n)]
-        par = ([net.n] * net.n, [net.n] * net.n)
-        dirty = [True] * net.n
-        checks = updates = 0
-        while True:
-            changed, emptied, c, d = sweep_once(arcs, lo, hi, *par, dirty)
-            checks, updates = checks + c, updates + d
-            assert emptied is None
-            if not changed:
-                break
-        assert not any(dirty)  # a stable sweep leaves every flag clear
         out = enforce_ac(net)
-        assert (out.checks, out.domain_updates) == (checks, updates)
+        arcs = build_arcs(net.n, net.pairs())
+        lo = [d.lo for d in out.domains]
+        hi = [d.hi for d in out.domains]
+        again = propagate(arcs, lo, hi, range(net.n))
+        assert again == (True, None, 1, 2 * net.e, net.n)
         assert list(out.domains) == [interval(a, b) for a, b in zip(lo, hi)]
+
+    def test_budget_is_counted_in_rounds(self, monkeypatch):
+        # the weak cycle never empties a domain; with its parent cycles
+        # hidden, the run ends at the search after round n + 1
+        net = weak_cycle_net()
+        arcs = build_arcs(net.n, net.pairs())
+        lo, hi = [0] * 3, [10**6] * 3
+        searches = []
+        monkeypatch.setattr(solver, "_parent_cycle", lambda lo_par, hi_par: searches.append(1))
+        with pytest.raises(RuntimeError, match="round budget spent without a parent cycle"):
+            propagate(arcs, lo, hi, range(net.n))
+        # each round tightens at least n bounds, so every round ends in a search
+        assert len(searches) == net.n + 1
 
 
 class TestBuildArcs:
