@@ -1,10 +1,11 @@
 """Per-agent state machine for distributed arc-consistency.
 
 Each iteration k an agent sends the current domains of its shared variables
-to its neighbors, waits until every neighbor's iteration-k domains have
-arrived, writes them into its ghost slots (one per peer variable its
-external constraints read, after its own variables), then runs one plain
-ascending sweep, the solver's sweep_once(), over its own variables: each
+to its neighbors, as ((agent, var), lo, hi) triples of ints sorted by key;
+it waits until every neighbor's iteration-k domains have arrived, writes
+their bounds into its ghost slots (one per peer variable its external
+constraints read, after its own variables), then runs one plain ascending
+sweep, the solver's sweep_once(), over its own variables: each
 re-reads every arc into it, ghost arcs included.  If the sweep changed
 nothing the agent is quiescent and joins the termination round for k;
 otherwise it moves straight to k+1, and the fresh domain message doubles as
@@ -26,7 +27,14 @@ wait in an inbox keyed by iteration, one entry per neighbor, until the
 sweep that reads them pops the iteration; an inquiry that arrives before
 the sweep it asks about is remembered by a flag until that sweep ends.
 Anything genuinely impossible, a second sync from one neighbor or a second
-inquiry for one iteration included, raises ProtocolError with a state dump.
+inquiry for one iteration included, raises ProtocolError with a state dump;
+so does a sync whose keys are not exactly the ones the receiver reads, in
+order, or whose bounds are not two ints.
+
+An agent builds no Interval on the sync path: it keeps int bounds, sends
+them as they are, and reuses the triple (and the payload) it sent last
+while a domain has not moved.  A run of agents makes no reference cycles,
+which is why run_simulation may pause the cyclic garbage collector over it.
 
 Cost is counted in non-concurrent constraint checks (NCCC) with Lamport
 clocks, and the rule lives here, not in the runtime: an agent ticks its
@@ -111,18 +119,16 @@ class SolverAgent:
         self._arcs = build_arcs(n + len(ghosts), chain(stn.pairs(), ext))[:n]
         # neighbor -> (the keys this agent reads from it, ascending, and their
         # ghost slots, aligned): a sync from it must carry exactly these keys,
-        # in this order, and _sweep writes its intervals by position
+        # in this order, and _sweep writes its bounds by position
         self._reads = {}
         for j in view.neighbors:
             keys = tuple(key for key in view.external_vars if key[0] == j)
             self._reads[j] = (keys, tuple(ghosts[key] for key in keys))
-        # shared variable -> its (key, interval) pair as last sent, and
-        # neighbor -> the payload last sent; _advance rebuilds a pair only
-        # when its bounds moved, and a payload only when one of its pairs was
-        # rebuilt, so unchanged domains go out as shared objects
-        self._pairs = {
-            v: ((self.agent_id, v), interval(self._lo[v], self._hi[v])) for v in view.shared_vars
-        }
+        # shared variable -> its (key, lo, hi) triple as last sent, and
+        # neighbor -> the payload last sent; _advance rebuilds a triple only
+        # when its bounds moved, and a payload only when one of its triples
+        # was rebuilt, so unchanged domains go out as shared objects
+        self._sent = {v: ((self.agent_id, v), self._lo[v], self._hi[v]) for v in view.shared_vars}
         self._payloads = {j: self._payload(j) for j in view.neighbors}
 
         # k -> {neighbor: (arrival stamp, its ghost slots, payload)}
@@ -247,10 +253,10 @@ class SolverAgent:
         self._inquiry_seen = False
         lo = self._lo
         hi = self._hi
-        pairs = self._pairs
-        moved = {v for v, (_, ivl) in pairs.items() if ivl.lo != lo[v] or ivl.hi != hi[v]}
+        sent = self._sent
+        moved = {v for v, (_, slo, shi) in sent.items() if slo != lo[v] or shi != hi[v]}
         for v in moved:
-            pairs[v] = (pairs[v][0], interval(lo[v], hi[v]))
+            sent[v] = (sent[v][0], lo[v], hi[v])
         payloads = self._payloads
         for j in self.view.neighbors:
             if not moved.isdisjoint(self.view.shared_with[j]):
@@ -262,10 +268,10 @@ class SolverAgent:
         self.phase = AWAIT_SYNC
 
     def _payload(self, j: int) -> Payload:
-        """The pairs neighbor j reads, as last sent and sorted by key: a new
-        tuple each call, sharing the pairs themselves."""
-        pairs = self._pairs
-        return tuple([pairs[v] for v in self.view.shared_with[j]])
+        """The triples neighbor j reads, as last sent and sorted by key: a
+        new tuple each call, sharing the triples themselves."""
+        sent = self._sent
+        return tuple([sent[v] for v in self.view.shared_with[j]])
 
     def _pump(self) -> None:
         """Sweep as long as every neighbor's sync for the iteration is here."""
@@ -280,9 +286,9 @@ class SolverAgent:
         for stamp, slots, payload in syncs.values():
             if stamp > self.clock:  # receiving the awaited domains
                 self.clock = stamp
-            for slot, (_, ivl) in zip(slots, payload):
-                lo[slot] = ivl.lo
-                hi[slot] = ivl.hi
+            for slot, (_, slo, shi) in zip(slots, payload):
+                lo[slot] = slo
+                hi[slot] = shi
         self._changed, emptied, checks = sweep_once(self._arcs, lo, hi)
         self.clock += checks
         self.checks += checks

@@ -22,17 +22,23 @@ run without an observer holds no message once its receiver has handled it.
 The runtime reports a deadlock (all blocked, nothing in flight) or a runaway
 (more deliveries than the agents' max_sends add up to) as errors that valid
 protocols never trigger.
+
+A domain sync carries ((agent, var), lo, hi) triples of ints, not Interval
+objects, so the cyclic garbage collector can stop tracking a kept payload.
+A run makes no reference cycles, and run_simulation pauses that collector
+while it delivers, so a long run's kept log is not walked over and over by
+collections that can free nothing.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import DeadlockError, RunawayError, ValidationError
-from .intervals import Interval
 from .mastn import Mastn
 from .rng import SplitMix64
 
@@ -52,19 +58,25 @@ class MsgKind(Enum):
 DOMAIN_SYNC, INCONSISTENT, INQUIRY, FEEDBACK, ARC_CONSISTENT, ECHO_PROBE, ECHO_REPLY = MsgKind
 
 
-# a domain sync's payload: ((agent, var), interval) pairs, sorted by key
-Payload = tuple[tuple[tuple[int, int], Interval], ...]
+# a domain sync's payload: ((agent, var), lo, hi) triples, sorted by key.  An
+# agent only sends a finite, non-empty domain, so both bounds are ints, and a
+# payload is tuples of ints all through, which the cyclic collector can untrack
+Payload = tuple[tuple[tuple[int, int], int, int], ...]
 
 
 def payload_keys(payload: object) -> tuple | None:
-    """A payload's keys in order, or None when it is not a tuple of pairs."""
+    """A payload's keys in order, or None unless it is a tuple of
+    (key, lo, hi) triples whose bounds are ints (a bool is not one)."""
     if type(payload) is not tuple:
         return None
     keys = []
-    for pair in payload:
-        if type(pair) is not tuple or len(pair) != 2:
+    for triple in payload:
+        if type(triple) is not tuple or len(triple) != 3:
             return None
-        keys.append(pair[0])
+        key, lo, hi = triple
+        if type(lo) is not int or type(hi) is not int:
+            return None
+        keys.append(key)
     return tuple(keys)
 
 
@@ -72,10 +84,10 @@ def payload_keys(payload: object) -> tuple | None:
 class AgentMessage:
     """One protocol message.
 
-    `domains` is a domain sync's Payload: one pair per variable of the
-    sender that the receiver reads, sorted by key.  A tuple cannot change
-    once sent, so a sender may hand one payload, and the pairs in it, to
-    several messages.
+    `domains` is a domain sync's Payload: one (key, lo, hi) triple per
+    variable of the sender that the receiver reads, sorted by key.  A tuple
+    cannot change once sent, so a sender may hand one payload, and the
+    triples in it, to several messages.
     `origin` names the agent that started a broadcast; forwarded copies
     keep it.
     """
@@ -134,6 +146,15 @@ def run_simulation(
 
     Contract: no message is delivered to an agent whose `done` is set; the
     step is observed and counted, but on_message is not called.
+
+    The cyclic garbage collector is paused from the first on_start to the
+    last delivery, and the caller's setting (gc.isenabled()) comes back
+    however the run ends, as timeit does it.  A run makes no reference
+    cycles: messages, their int-only payloads and the log entries are trees
+    that reference counting frees, so the collections that allocation would
+    trigger, each walking the kept log, could only find nothing.  No
+    collection is forced afterwards; an observer's own cycles, if it makes
+    any, wait for the next one.
     """
     by_id = {}
     for a in agents:
@@ -150,42 +171,48 @@ def run_simulation(
                 raise ValidationError(f"message to unknown agent {msg.receiver}")
             pending.append(msg)
 
-    for a in sorted(agents, key=lambda a: a.agent_id):
-        enqueue(a.on_start())
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for a in sorted(agents, key=lambda a: a.agent_id):
+            enqueue(a.on_start())
 
-    log = None
-    if observe is KEEP_LOG:
-        log = []
-        observe = log.append
-    # keyed by the kind's plain value attribute: hashing a member or reading
-    # its value property costs a Python-level call per delivery
-    histogram: dict[str, int] = {}
-    for step, msg in enumerate(prior, 1):
-        if observe is not None:
-            observe(LogEntry(step, msg))
-        kind = msg.kind._value_
-        histogram[kind] = histogram.get(kind, 0) + 1
-    offset = len(prior)
-    step = 0
-    while True:
-        if not pending:
-            blocked = {a.agent_id: _describe(a) for a in agents if not a.done}
-            if not blocked:
-                break
-            raise DeadlockError(blocked)
-        idx = rng.randbelow(len(pending))
-        msg = pending.pop(idx)
-        step += 1
-        if step > budget:
-            raise RunawayError(f"exceeded the {budget} delivery steps the agents declared")
-        if observe is not None:
-            observe(LogEntry(offset + step, msg))
-        kind = msg.kind._value_
-        histogram[kind] = histogram.get(kind, 0) + 1
-        agent = by_id[msg.receiver]
-        if agent.done:
-            continue
-        enqueue(agent.on_message(msg))
+        log = None
+        if observe is KEEP_LOG:
+            log = []
+            observe = log.append
+        # keyed by the kind's plain value attribute: hashing a member or reading
+        # its value property costs a Python-level call per delivery
+        histogram: dict[str, int] = {}
+        for step, msg in enumerate(prior, 1):
+            if observe is not None:
+                observe(LogEntry(step, msg))
+            kind = msg.kind._value_
+            histogram[kind] = histogram.get(kind, 0) + 1
+        offset = len(prior)
+        step = 0
+        while True:
+            if not pending:
+                blocked = {a.agent_id: _describe(a) for a in agents if not a.done}
+                if not blocked:
+                    break
+                raise DeadlockError(blocked)
+            idx = rng.randbelow(len(pending))
+            msg = pending.pop(idx)
+            step += 1
+            if step > budget:
+                raise RunawayError(f"exceeded the {budget} delivery steps the agents declared")
+            if observe is not None:
+                observe(LogEntry(offset + step, msg))
+            kind = msg.kind._value_
+            histogram[kind] = histogram.get(kind, 0) + 1
+            agent = by_id[msg.receiver]
+            if agent.done:
+                continue
+            enqueue(agent.on_message(msg))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
     return SimReport(log=log, histogram=histogram, steps=step)
 
@@ -290,7 +317,7 @@ class AuditResult:
     reason: str | None = None
 
 
-_NOT_PAIRS = "payload is not a tuple of (variable, interval) pairs"
+_NOT_TRIPLES = "payload is not a tuple of (variable, lo, hi) triples"
 
 
 class PrivacyAuditor:
@@ -300,8 +327,8 @@ class PrivacyAuditor:
     share (echo replies are exempt: they carry only aggregate counts), when
     it carries interval payloads on anything but a domain synchronization,
     when a domain synchronization's payload is not a tuple of
-    ((agent, var), Interval) pairs, or when it travels between agents that
-    are not agent-graph neighbors.
+    ((agent, var), lo, hi) triples with int bounds, or when it travels
+    between agents that are not agent-graph neighbors.
     Shared variables and agent edges are read from the external constraints
     themselves, not from the agent views that decide what agents send.
     Called with each entry, the auditor keeps only the first failing one;
@@ -331,15 +358,16 @@ class PrivacyAuditor:
             domains = msg.domains
             if domains is None:
                 return "domain sync without a payload"
-            if payload_keys(domains) is None:
-                return _NOT_PAIRS
+            keys = payload_keys(domains)
+            if keys is None:
+                return _NOT_TRIPLES
             shared = self._shared
-            for key, ivl in domains:
-                if type(ivl) is not Interval or type(key) is not tuple or len(key) != 2:
-                    return _NOT_PAIRS
+            for key in keys:
+                if type(key) is not tuple or len(key) != 2:
+                    return _NOT_TRIPLES
                 agent, var = key
                 if type(agent) is not int or type(var) is not int:
-                    return _NOT_PAIRS
+                    return _NOT_TRIPLES
                 if agent != msg.sender:
                     return "payload names a foreign variable"
                 if key not in shared:
@@ -375,8 +403,8 @@ def log_line(entry: LogEntry) -> str:
     if msg.origin is not None:
         parts.append(f"origin={msg.origin}")
     if msg.domains is not None:
-        for (agent, var), ivl in msg.domains:
-            parts.append(f"{agent}.{var}={ivl}")
+        for (agent, var), lo, hi in msg.domains:
+            parts.append(f"{agent}.{var}=[{lo},{hi}]")
     if msg.subtree_agents is not None:
         parts.append(f"agents={msg.subtree_agents}")
     if msg.subtree_vars is not None:

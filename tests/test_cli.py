@@ -12,7 +12,6 @@ from stnac import (
     SimConfig,
     StnacError,
     dump_log,
-    interval,
     parse_mastn,
     parse_stn,
     solve_distributed,
@@ -226,7 +225,7 @@ class TestDsolve:
             def tamper(entry):
                 msg = entry.message
                 if msg.kind is MsgKind.DOMAIN_SYNC:
-                    domains = tuple(sorted(msg.domains + (((msg.sender, 0), interval(0, 1)),)))
+                    domains = tuple(sorted(msg.domains + (((msg.sender, 0), 0, 1),)))
                     entry = LogEntry(entry.step, replace(msg, domains=domains))
                 observe(entry)
 

@@ -8,7 +8,6 @@ from stnac import (
     EMPTY,
     AcClosure,
     AgentMessage,
-    Interval,
     Mastn,
     MsgKind,
     ProtocolError,
@@ -398,8 +397,8 @@ class TestObservers:
 
 
 class TestPayloadSharing:
-    """A domain sync carries a tuple of ((agent, var), interval) pairs sorted
-    by key; agents hand an unchanged pair, and an unchanged payload, to
+    """A domain sync carries a tuple of ((agent, var), lo, hi) triples sorted
+    by key; agents hand an unchanged triple, and an unchanged payload, to
     several messages."""
 
     @staticmethod
@@ -428,10 +427,11 @@ class TestPayloadSharing:
         for edge, payloads in per_edge.items():
             for payload in payloads:
                 assert type(payload) is tuple
-                assert all(type(pair) is tuple and len(pair) == 2 for pair in payload)
-                keys = [key for key, _ in payload]
+                assert all(type(triple) is tuple and len(triple) == 3 for triple in payload)
+                keys = [key for key, _, _ in payload]
                 assert keys == sorted(reads[edge])
-                assert all(type(ivl) is Interval for _, ivl in payload)
+                # a sent domain is finite and non-empty
+                assert all(type(lo) is type(hi) is int and lo <= hi for _, lo, hi in payload)
 
     @pytest.mark.parametrize("externals, seed", [(8, 0), (8, 1), (12, 1)])
     def test_unmoved_pairs_are_shared(self, externals, seed):
@@ -440,15 +440,15 @@ class TestPayloadSharing:
         kept = moved = mixed = 0
         for payloads in self.edge_syncs(run).values():
             for prev, cur in zip(payloads, payloads[1:]):
-                # domains only tighten, so an equal pair is an unmoved variable
+                # domains only tighten, so an equal triple is an unmoved variable
                 unmoved = sum(p == q for p, q in zip(prev, cur))
                 assert all(p is q for p, q in zip(prev, cur) if p == q)
-                if unmoved == len(cur):  # no pair rebuilt, so no payload either
+                if unmoved == len(cur):  # no triple rebuilt, so no payload either
                     assert prev is cur
                 kept += unmoved
                 moved += len(cur) - unmoved
                 mixed += 0 < unmoved < len(cur)
-        # the check has teeth only if some pairs stayed while others moved,
+        # the check has teeth only if some triples stayed while others moved,
         # within one payload too
         assert kept and moved and mixed
 
@@ -486,11 +486,9 @@ class TestAgentStep:
             (MsgKind.DOMAIN_SYNC, 0),
             (MsgKind.DOMAIN_SYNC, 2),
         ]
-        sync0 = AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1,
-                             domains=(((0, 0), interval(0, 100)),))
+        sync0 = AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=(((0, 0), 0, 100),))
         agent.on_message(sync0)
-        sync2 = AgentMessage(MsgKind.DOMAIN_SYNC, 2, 1, k=1,
-                             domains=(((2, 0), interval(0, 100)),))
+        sync2 = AgentMessage(MsgKind.DOMAIN_SYNC, 2, 1, k=1, domains=(((2, 0), 0, 100),))
         agent.on_message(sync2)  # completes the sync set; sweep is quiescent
         inquiry = AgentMessage(MsgKind.INQUIRY, 0, 1, k=1)
         out = agent.on_message(inquiry)
@@ -512,8 +510,7 @@ class TestAgentStep:
         tree = TreeInfo(parent=0, children=(), n_total=3)
         agent = SolverAgent(view, tree, 0)
         agent.on_start()
-        agent.on_message(AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1,
-                                      domains=(((0, 0), interval(0, 10)),)))
+        agent.on_message(AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=(((0, 0), 0, 10),)))
         out = agent.on_message(AgentMessage(MsgKind.INQUIRY, 0, 1, k=1))
         assert [(msg.kind, msg.receiver, msg.k) for msg in out] == [
             (MsgKind.FEEDBACK, 0, 1)
@@ -522,7 +519,7 @@ class TestAgentStep:
 
 def ring4_sync(sender: int, k: int, receiver: int = 0, clock: int = 0) -> AgentMessage:
     """A ring4 agent syncs its variable 0, the one its neighbors read, at [0, 100]."""
-    domains = (((sender, 0), interval(0, 100)),)
+    domains = (((sender, 0), 0, 100),)
     return AgentMessage(MsgKind.DOMAIN_SYNC, sender, receiver, clock, k, domains)
 
 
@@ -601,11 +598,11 @@ class TestProtocolErrors:
     def test_sync_missing_a_key(self):
         agent = self.ring4_agent0()
         with pytest.raises(ProtocolError, match="malformed domain sync from 1"):
-            agent.on_message(AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains={}))
+            agent.on_message(AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains=()))
 
     def test_sync_with_a_foreign_key(self):
         agent = self.ring4_agent0()
-        domains = {(1, 0): interval(0, 100), (2, 0): interval(0, 100)}
+        domains = (((1, 0), 0, 100), ((2, 0), 0, 100))
         with pytest.raises(ProtocolError, match="malformed domain sync from 1"):
             agent.on_message(AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains=domains))
 
@@ -665,26 +662,31 @@ class TestProtocolErrors:
 
     def test_second_sync_for_one_iteration(self):
         agent = self.ring4_agent0()
-        sync = AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains=(((1, 0), interval(0, 100)),))
+        sync = AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains=(((1, 0), 0, 100),))
         agent.on_message(sync)
         with pytest.raises(ProtocolError, match="second domain sync from 1 for iteration 1"):
             agent.on_message(
-                AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains=(((1, 0), interval(0, 50)),))
+                AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains=(((1, 0), 0, 50),))
             )
 
 
-IVL = interval(0, 10)
-
 # agent 1 of pair_problem() reads agent 0's variables 0 and 1
 MALFORMED_SYNCS = {
-    "missing": (((0, 0), IVL),),
-    "extra": (((0, 0), IVL), ((0, 1), IVL), ((0, 2), IVL)),
-    "duplicate": (((0, 0), IVL), ((0, 1), IVL), ((0, 1), IVL)),
-    "out-of-order": (((0, 1), IVL), ((0, 0), IVL)),
-    "dict": {(0, 0): IVL, (0, 1): IVL},
-    "list-pairs": ([(0, 0), IVL], [(0, 1), IVL]),
+    "missing": (((0, 0), 0, 10),),
+    "extra": (((0, 0), 0, 10), ((0, 1), 0, 10), ((0, 2), 0, 10)),
+    "duplicate": (((0, 0), 0, 10), ((0, 1), 0, 10), ((0, 1), 0, 10)),
+    "out-of-order": (((0, 1), 0, 10), ((0, 0), 0, 10)),
+    "dict": {(0, 0): (0, 10), (0, 1): (0, 10)},
+    "list-triples": ([(0, 0), 0, 10], [(0, 1), 0, 10]),
     "keys-only": ((0, 0), (0, 1)),
     "none": None,
+    # the right keys in the right order, but bounds that are not two ints
+    "none-bounds": (((0, 0), None, None), ((0, 1), None, None)),
+    "float-bound": (((0, 0), 0, 10), ((0, 1), 0.0, 10)),
+    "bool-bound": (((0, 0), 0, 10), ((0, 1), False, True)),
+    "interval-bound": (((0, 0), interval(0, 10), 10), ((0, 1), 0, 10)),
+    "old-pairs": (((0, 0), interval(0, 10)), ((0, 1), interval(0, 10))),
+    "none-pairs": (((0, 0), None), ((0, 1), None)),
 }
 
 
@@ -708,7 +710,7 @@ class TestMalformedSyncs:
     def test_well_formed_sync_is_swept(self):
         agent = self.agent1()
         agent.on_message(
-            AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=(((0, 0), IVL), ((0, 1), IVL)))
+            AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=(((0, 0), 0, 10), ((0, 1), 0, 10)))
         )
         assert agent.checks > 0
 

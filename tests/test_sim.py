@@ -1,3 +1,5 @@
+import gc
+from contextlib import contextmanager
 from dataclasses import astuple
 
 import pytest
@@ -7,15 +9,20 @@ from stnac import (
     AgentMessage,
     DeadlockError,
     LogEntry,
+    Mastn,
     MsgKind,
+    ProtocolError,
     RunawayError,
     SimConfig,
+    Stn,
     ValidationError,
+    agent_view,
     gen_factory_mastn,
     interval,
     parse_mastn,
     solve_distributed,
 )
+from stnac.distributed import SolverAgent
 from stnac.sim import (
     DUMP_CHUNK,
     PrivacyAuditor,
@@ -241,6 +248,102 @@ class TestRunSimulation:
         assert report.log == []
 
 
+@contextmanager
+def gc_enabled(enabled: bool):
+    """Run the block with the cyclic collector on or off, then restore it."""
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+class Forger:
+    """Agent 0 of a two-agent pair: sends one domain sync without a payload,
+    which its SolverAgent peer rejects with a ProtocolError."""
+
+    max_sends = 1
+
+    def __init__(self):
+        self.agent_id = 0
+        self.done = False
+
+    def on_start(self):
+        return [AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1)]
+
+    def on_message(self, msg):
+        return []
+
+
+def forged_pair() -> list:
+    m = Mastn([Stn(1), Stn(1)])
+    for a in m.agents:
+        a.set_domain(0, interval(0, 10))
+    m.add_external(0, 0, 1, 0, interval(-5, 5))
+    return [Forger(), SolverAgent(agent_view(m, 1), TreeInfo(0, (), 3), 0)]
+
+
+def raising_observer(entry):
+    raise RuntimeError("observer failed")
+
+
+# (agents, observer, the error run_simulation raises)
+FAILING_RUNS = {
+    "deadlock": (lambda: [Sleeper(0)], None, DeadlockError),
+    "runaway": (lambda: [PingPong(0, 1), PingPong(1, 0)], None, RunawayError),
+    "protocol": (forged_pair, None, ProtocolError),
+    "unknown-receiver": (lambda: [PingPong(0, 7)], None, ValidationError),
+    "observer": (couriers, raising_observer, RuntimeError),
+}
+
+
+class TestGcPause:
+    """run_simulation pauses the cyclic collector over a run and gives the
+    caller back its own setting, however the run ends."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_paused_during_the_run_and_restored_after(self, enabled):
+        during = []
+        with gc_enabled(enabled):
+            report = run_simulation(couriers(), 0, lambda entry: during.append(gc.isenabled()))
+            assert gc.isenabled() is enabled
+        assert len(during) == report.steps > 0
+        assert not any(during)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize(
+        "make_agents, observe, error", FAILING_RUNS.values(), ids=FAILING_RUNS.keys()
+    )
+    def test_restored_after_a_failed_run(self, make_agents, observe, error, enabled):
+        with gc_enabled(enabled):
+            with pytest.raises(error):
+                run_simulation(make_agents(), 0, observe)
+            assert gc.isenabled() is enabled
+
+    def test_a_kept_run_makes_no_reference_cycles(self):
+        m = gen_factory_mastn(agents=8, tasks=40, externals=12, seed=0)
+        with gc_enabled(False):
+            gc.collect()
+            run = solve_distributed(m, SimConfig(scheduler_seed=1))
+            assert dump_log(run.log)
+            assert audit_privacy(run.log, m).ok
+            # nothing the run, the dump or the audit made is unreachable
+            assert gc.collect() == 0
+
+    def test_kept_payloads_are_untracked_by_the_collector(self):
+        m = gen_factory_mastn(agents=8, tasks=40, externals=12, seed=0)
+        run = solve_distributed(m, SimConfig(scheduler_seed=1))
+        payloads = [e.message.domains for e in run.log if e.message.kind is MsgKind.DOMAIN_SYNC]
+        assert payloads
+        # a collection untracks a tuple only once its items are untracked,
+        # and it reaches a payload before the triples in it, so each one
+        # peels one level: the (agent, var) keys, the triples, the payloads
+        for _ in range(3):
+            gc.collect()
+        assert not any(gc.is_tracked(payload) for payload in payloads)
+
+
 class TestEchoSetup:
     def test_ring_of_four(self):
         neighbors = [(1, 3), (0, 2), (1, 3), (0, 2)]
@@ -292,24 +395,24 @@ def entries(msgs):
 # offender's step)
 TAMPERED = [
     (
-        [AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=(((0, 0), interval(0, 5)),))],
+        [AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=(((0, 0), 0, 5),))],
         "payload names a private variable",
         1,
     ),
     (
-        [AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=(((1, 0), interval(0, 5)),))],
+        [AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=(((1, 0), 0, 5),))],
         "payload names a foreign variable",
         1,
     ),
     ([AgentMessage(MsgKind.INQUIRY, 0, 2, k=1)], "message between non-neighbor agents", 1),
     (
-        [AgentMessage(MsgKind.INQUIRY, 0, 1, k=1, domains={(0, 0): interval(0, 5)})],
+        [AgentMessage(MsgKind.INQUIRY, 0, 1, k=1, domains=(((0, 0), 0, 5),))],
         "interval payload outside domain sync",
         1,
     ),
     ([AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1)], "domain sync without a payload", 1),
     (
-        [AgentMessage(MsgKind.ECHO_REPLY, 0, 1, domains={(0, 1): interval(0, 5)})],
+        [AgentMessage(MsgKind.ECHO_REPLY, 0, 1, domains=(((0, 1), 0, 5),))],
         "echo reply carries intervals",
         1,
     ),
@@ -327,29 +430,32 @@ TAMPERED = [
 TAMPERED_IDS = [
     "private", "foreign", "non-neighbor", "smuggled", "no-payload", "echo-intervals", "first"
 ]
-# payloads that are not a tuple of ((agent, var), Interval) pairs, though
-# each names only agent 0's shared variable 1
-NOT_PAIRS = {
-    "dict": {(0, 1): interval(0, 5)},
-    "list": [((0, 1), interval(0, 5))],
-    "list-pair": ([(0, 1), interval(0, 5)],),
+# payloads that are not a tuple of ((agent, var), lo, hi) triples with int
+# bounds, though each names only agent 0's shared variable 1
+NOT_TRIPLES = {
+    "dict": {(0, 1): (0, 5)},
+    "list": [((0, 1), 0, 5)],
+    "list-triple": ([(0, 1), 0, 5],),
     "bare-key": ((0, 1),),
-    "triple": (((0, 1), interval(0, 5), None),),
-    "flat-key": ((0, interval(0, 5)),),
-    "str-var": (((0, "1"), interval(0, 5)),),
-    "list-key": (([0, 1], interval(0, 5)),),
-    "not-an-interval": (((0, 1), (0, 5)),),
+    "quadruple": (((0, 1), 0, 5, None),),
+    "flat-key": ((0, 0, 5),),
+    "str-var": (((0, "1"), 0, 5),),
+    "list-key": (([0, 1], 0, 5),),
+    "not-an-int": (((0, 1), 0, 5.0),),
+    "bool": (((0, 1), False, True),),
+    "interval": (((0, 1), interval(0, 5), 5),),
+    "old-pair": (((0, 1), interval(0, 5)),),
 }
-for name, domains in NOT_PAIRS.items():
+for name, domains in NOT_TRIPLES.items():
     TAMPERED.append((
         [
-            AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=(((0, 1), interval(0, 5)),)),
+            AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=(((0, 1), 0, 5),)),
             AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=2, domains=domains),
         ],
-        "payload is not a tuple of (variable, interval) pairs",
+        "payload is not a tuple of (variable, lo, hi) triples",
         2,
     ))
-    TAMPERED_IDS.append(f"not-pairs-{name}")
+    TAMPERED_IDS.append(f"not-triples-{name}")
 
 
 class TestAuditPrivacy:
@@ -394,12 +500,14 @@ class TestDumpLog:
     def test_format(self):
         msg = AgentMessage(
             MsgKind.DOMAIN_SYNC, 2, 1, clock=7, k=3,
-            domains=(((2, 0), interval(0, 5)), ((2, 4), interval(-1, None))),
+            domains=(((2, 0), 0, 5), ((2, 4), -1, 7)),
         )
         line = dump_log([LogEntry(9, msg)]).strip()
         fields = line.split("\t")
         assert fields[:5] == ["9", "7", "2", "1", "DomainSync"]
-        assert fields[5] == "k=3 2.0=[0,5] 2.4=[-1,+inf]"
+        assert fields[5] == "k=3 2.0=[0,5] 2.4=[-1,7]"
+        # each bound pair prints as its Interval's str does
+        assert fields[5] == f"k=3 2.0={interval(0, 5)} 2.4={interval(-1, 7)}"
 
     def test_empty_payload_platholder(self):
         msg = AgentMessage(MsgKind.ECHO_PROBE, 0, 1)
