@@ -124,9 +124,7 @@ def _cmd_solve(args) -> int:
     net = parse_stn(_read_input(args.file))
     outcome = enforce_ac(net)
     if not isinstance(outcome, AcClosure):
-        print("inconsistent")
-        _print_cycle(net, outcome.cycle)
-        return EXIT_INCONSISTENT
+        return _refuted(net, outcome.cycle)
     _print_domains(net, outcome.domains)
     if args.solution is not None:
         assignment = _extract(net, outcome, args.solution)
@@ -158,18 +156,19 @@ def _cmd_oracle(args) -> int:
     net = parse_stn(_read_input(args.file))
     result = oracle_minimal_domains(net)
     if isinstance(result, NegativeCycle):
-        print("inconsistent")
-        _print_cycle(net, result)
-        return EXIT_INCONSISTENT
+        return _refuted(net, result)
     _print_domains(net, result)
     return EXIT_CONSISTENT
 
 
-def _print_cycle(net, cycle: NegativeCycle) -> None:
-    """The certificate of an inconsistent verdict, on stderr: its weight and
-    its walk by label, with `o` for the zero point."""
+def _refuted(net, cycle: NegativeCycle) -> int:
+    """Report an inconsistent verdict: `inconsistent` on stdout, then its
+    certificate on stderr, the cycle's weight and its walk by label with `o`
+    for the zero point; returns EXIT_INCONSISTENT."""
+    print("inconsistent")
     walk = "->".join("o" if x == net.n else net.label(x) for x in cycle.vertices)
     print(f"negative cycle (weight {cycle.weight}): {walk}", file=sys.stderr)
+    return EXIT_INCONSISTENT
 
 
 def _print_domains(net, domains, prefix: str = "") -> None:

@@ -44,11 +44,13 @@ domain updates instead.  The seed order and each arc list's order are
 fixed, so identical inputs give identical counts.  The parent searches do
 no constraint checks.
 
-sample_solution() runs the same propagate() after each pick, seeded with
-the picked variable alone.  The agents of distributed.py run
-sweep_once() instead, one plain ascending sweep per iteration: an agent's
-lo/hi arrays end in ghost slots that hold its peers' synced domains, and
-sweep_once() reads them as arc sources and never writes them.
+sample_solution() checks that the closure it is given is a fixpoint with
+one sweep_once(), a plain ascending sweep that reads every arc, and runs
+the same propagate() after each pick, seeded with the picked variable
+alone.  The agents of distributed.py run sweep_once() as their one sweep
+per iteration: an agent's lo/hi arrays end in ghost slots that hold its
+peers' synced domains, and sweep_once() reads them as arc sources and
+never writes them.
 """
 
 from __future__ import annotations
@@ -362,8 +364,9 @@ def sample_solution(net: Stn, closure: AcClosure, seed: int) -> Assignment:
     seeded-uniform value of its current domain, re-closing after each pick.
 
     `closure` is enforce_ac()'s closure of `net`, so every arc holds at the
-    start.  Domains that propagate() would still tighten are not a closure,
-    and are rejected with ValidationError.
+    start.  One sweep_once() checks that: it reads every arc, so domains it
+    leaves unchanged are a fixpoint, and domains it tightens or empties are
+    not a closure and are rejected with ValidationError.
 
     Each re-closing is propagate() seeded with the picked variable alone:
     every other arc held before the pick.  propagate() reaches the greatest
@@ -385,8 +388,8 @@ def sample_solution(net: Stn, closure: AcClosure, seed: int) -> Assignment:
     arcs = build_arcs(n, net.pairs())
     lo = [d.lo for d in closure.domains]
     hi = [d.hi for d in closure.domains]
-    start = (lo[:], hi[:])
-    if not propagate(arcs, lo, hi, range(n))[0] or (lo, hi) != start:
+    changed, emptied, _ = sweep_once(arcs, lo, hi)
+    if changed or emptied is not None:
         raise ValidationError("the domains are not a closure of the network: a sweep tightens them")
     for v in range(n):
         lo[v] = hi[v] = rng.randint(lo[v], hi[v])

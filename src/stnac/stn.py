@@ -252,28 +252,16 @@ def parse_index(net: Stn, token: str, lineno: int) -> int:
 def parse_interval(tokens: list[str], lineno: int) -> Interval:
     """An interval's tokens: 'empty', or 'a b' with -inf only as a and +inf only as b.
 
-    Each finite endpoint, the lower first, must be an integer within
-    DEFAULT_MAGNITUDE_CAP; the check runs before interval() normalizes an
-    inverted pair to EMPTY, so no endpoint escapes it.  A pair of in-cap
-    integers, the common line, is read in one step.  In every other pair,
-    -inf as the lower and +inf as the upper endpoint are read in place, and
-    each other token goes through _endpoint, which owns every error text.
+    Each endpoint goes through _endpoint, which owns every error text: a
+    finite one must be an integer within DEFAULT_MAGNITUDE_CAP.  The lower
+    endpoint is read first, and both are checked before interval()
+    normalizes an inverted pair to EMPTY, so no endpoint escapes the cap.
     """
     if len(tokens) == 1 and tokens[0] == "empty":
         return EMPTY
     if len(tokens) != 2:
         raise FormatError(f"expected two endpoints or 'empty', got {tokens!r}", lineno)
     a, b = tokens
-    try:
-        lo, hi = int(a), int(b)
-    except ValueError:
-        # an infinity of its own side is read here, so it costs no second exception
-        lo = None if a == "-inf" else _endpoint(a, lineno, "-inf", "a lower")
-        return interval(lo, None if b == "+inf" else _endpoint(b, lineno, "+inf", "an upper"))
-    if -DEFAULT_MAGNITUDE_CAP <= lo <= DEFAULT_MAGNITUDE_CAP and (
-        -DEFAULT_MAGNITUDE_CAP <= hi <= DEFAULT_MAGNITUDE_CAP
-    ):
-        return EMPTY if lo > hi else Interval(lo, hi)
     lo = _endpoint(a, lineno, "-inf", "a lower")
     return interval(lo, _endpoint(b, lineno, "+inf", "an upper"))
 

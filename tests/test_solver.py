@@ -363,12 +363,24 @@ class TestSampleSolution:
         [
             (interval(0, 0), interval(0, 0)),  # one sweep empties y
             (interval(0, 8), interval(0, 10)),  # y's closure domain is [2, 10]
+            # only the arc from y to x tightens: x's closure domain is [0, 8]
+            (interval(0, 10), interval(2, 10)),
         ],
     )
     def test_domains_a_sweep_tightens_are_rejected(self, domains):
         net = parse_stn((SAMPLES / "two_var.stn").read_text())
         with pytest.raises(ValidationError, match="not a closure"):
             sample_solution(net, AcClosure(domains, 0, 0, 0), 0)
+
+    def test_domains_under_an_empty_constraint_are_rejected(self):
+        # the sweep's dead arc empties variable 0, the first it sweeps
+        net = Stn(2)
+        for v in range(2):
+            net.set_domain(v, interval(0, 10))
+        net.add_constraint(0, 1, EMPTY)
+        forged = AcClosure((interval(0, 10), interval(0, 10)), 0, 0, 0)
+        with pytest.raises(ValidationError, match="not a closure"):
+            sample_solution(net, forged, 0)
 
 
 class TestVerifyAssignment:

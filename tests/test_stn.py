@@ -225,11 +225,15 @@ class TestTokens:
             (["empty"], EMPTY),
             # the magnitude cap itself is in range on either side
             (["-1099511627776", "1099511627776"], interval(-(2**40), 2**40)),
+            (["-0", "+0"], interval(0, 0)),
+            (["-inf", "+inf"], interval(None, None)),
+            (["3", "1"], EMPTY),  # an inverted pair reads as the canonical EMPTY
         ],
     )
     def test_round_trip(self, tokens, expected):
         parsed = parse_interval(tokens, 1)
         assert parsed == expected
+        assert (parsed is EMPTY) == (expected is EMPTY)
         assert parse_interval(parsed.to_tokens().split(), 1) == parsed
 
     @pytest.mark.parametrize(
@@ -239,6 +243,7 @@ class TestTokens:
             (["1099511627777", "0"], "1099511627777"),  # an inverted pair too
             (["-1099511627777", "0"], "-1099511627777"),
             (["0", "1099511627777"], "1099511627777"),
+            (["1099511627777", "x"], "1099511627777"),  # before the upper's error
         ],
     )
     def test_one_past_the_cap_rejected(self, tokens, over):
