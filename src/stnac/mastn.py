@@ -16,10 +16,13 @@ File format (UTF-8, '#' comments)::
     constraint <v> <w> <a> <b>
     external <i> <v> <j> <w> <a> <b>   # a <= w_j - v_i <= b, i != j
 
-The size of each local block is inferred from its domain lines (one per
-variable, indices dense from 0).  An agent block is .stn body text, and
-both formats share stn.py's line reader, header parser, interval parser
-and body writer, so endpoints here have the same fixed magnitude cap.
+Blocks may come in any order, and an external line may stand anywhere
+after the header.  The size of each local block is inferred from its own
+domain lines (one per variable, indices dense from 0).  An agent block is
+.stn body text, and both formats share stn.py's line reader, header
+parser, interval parser, body reader (BodyReader.read) and body writer,
+so endpoints here have the same fixed magnitude cap and the same inline
+rule.
 """
 
 from __future__ import annotations
@@ -200,17 +203,31 @@ def agent_view(m: Mastn, i: int) -> AgentView:
 
 
 def parse_mastn(text: str) -> Mastn:
-    """Parse the .mastn text format; raises FormatError with a line number."""
+    """Parse the .mastn text format; raises FormatError with a line number.
+
+    Lines are classified through content_lines, and each agent's block is
+    kept as its (lineno, line) pairs.  Once every agent has a block,
+    BodyReader.read reads each, in agent order, into a network of one
+    variable per domain line; each domain line must name a distinct
+    variable in range, so once the block reads, every variable has its
+    domain.  The external lines come last, through the agents' readers.
+    """
     body = content_lines(split_lines(text))
     _, p = read_header(body, "mastn <p>")
     current: int | None = None
-    # collected per agent: lists of (lineno, tokens) to build once sizes are known
-    blocks: dict[int, list[tuple[int, list[str]]]] = {}
+    blocks: dict[int, list[tuple[int, str]]] = {}
+    sizes: dict[int, int] = {}  # domain lines per declared agent
     externals: list[tuple[int, list[str]]] = []
     for lineno, line in body:
-        tokens = line.split()
-        kind = tokens[0]
-        if kind == "agent":
+        kind = line.split(None, 1)[0]
+        if kind in ("var", "domain", "constraint"):
+            if current is None:
+                raise FormatError(f"{kind!r} line outside an agent block", lineno)
+            blocks[current].append((lineno, line))
+            if kind == "domain":
+                sizes[current] += 1
+        elif kind == "agent":
+            tokens = line.split()
             if len(tokens) != 2:
                 raise FormatError("expected 'agent <i>'", lineno)
             try:
@@ -221,13 +238,9 @@ def parse_mastn(text: str) -> Mastn:
                 raise FormatError(f"unknown agent {current} (problem has {p})", lineno)
             if current in blocks:
                 raise FormatError(f"agent {current} declared twice", lineno)
-            blocks[current] = []
-        elif kind in ("var", "domain", "constraint"):
-            if current is None:
-                raise FormatError(f"{kind!r} line outside an agent block", lineno)
-            blocks[current].append((lineno, tokens))
+            blocks[current], sizes[current] = [], 0
         elif kind == "external":
-            externals.append((lineno, tokens))
+            externals.append((lineno, line.split()))
         elif kind == "mastn":
             raise FormatError("duplicate 'mastn' header", lineno)
         else:
@@ -236,7 +249,9 @@ def parse_mastn(text: str) -> Mastn:
         if i not in blocks:
             raise FormatError(f"agent {i} has no block")
     intervals: dict = {}
-    readers = [_build_agent(blocks[i], intervals) for i in range(p)]
+    readers = [BodyReader(Stn(sizes[i]), intervals) for i in range(p)]
+    for i, reader in enumerate(readers):
+        reader.read(blocks[i])
     m = Mastn([r.net for r in readers])
     for lineno, tokens in externals:
         if len(tokens) not in (6, 7):
@@ -255,18 +270,6 @@ def parse_mastn(text: str) -> Mastn:
         except ValidationError as exc:
             raise FormatError(str(exc), lineno) from None
     return m
-
-
-def _build_agent(lines: list[tuple[int, list[str]]], intervals: dict) -> BodyReader:
-    """One agent's block read into a network of one variable per domain line.
-
-    Each domain line must name a distinct variable in range, so once every
-    line applies, every variable has its domain.
-    """
-    reader = BodyReader(Stn(sum(1 for _, tokens in lines if tokens[0] == "domain")), intervals)
-    for lineno, tokens in lines:
-        reader.apply(tokens, lineno)
-    return reader
 
 
 def serialize_mastn(m: Mastn) -> str:

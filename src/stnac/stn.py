@@ -37,13 +37,16 @@ through parse_index or parse_interval, which own every check and error.
 Names are never memoized, because a later var line can move a name to
 another variable.
 
-A .stn body is read by BodyReader.read, which stores the common line
+Every body, a .stn file's and each .mastn agent block's, is read by
+BodyReader.read from numbered lines, and it stores the common line
 inline: a 'constraint v w a b' or 'domain v a b' line without '#', whose
 indices are memo hits, that constrains a pair v < w for the first time
 or declares v's first domain, and whose endpoints are a memo hit or two
-integers within the cap, finite and non-empty either way.  Every other
-line goes to BodyReader.apply, the one owner of every check and error
-text, as does each line of a .mastn agent block.
+integers a <= b within the cap.  This is apply's own rule: a new pair
+takes any memo hit, since conjoin stores a new pair's interval
+unchanged, one-sided or EMPTY alike; a domain takes only a finite,
+non-empty one.  Every other line goes to BodyReader.apply, the one owner
+of every check and error text.
 """
 
 from __future__ import annotations
@@ -285,7 +288,9 @@ def _endpoint(token: str, lineno: int, infinity: str, side: str) -> int | None:
 
 class BodyReader:
     """Applies one network's var/domain/constraint lines, in file order: a
-    .stn body or one .mastn agent block, read into a new network.
+    .stn body or one .mastn agent block, read into a new network.  read is
+    the body route of both formats; apply, the one owner of every check
+    and error text, takes each line that read does not store inline.
 
     It holds the parse's memo (see above): its own network's index tokens,
     and the endpoint tokens it shares with every other reader of the file.
@@ -312,7 +317,8 @@ class BodyReader:
         return ivl
 
     def apply(self, tokens: list[str], lineno: int) -> None:
-        """Apply one line; shared by the .stn and .mastn parsers."""
+        """Apply one line's tokens; read's route for every line it does not
+        store inline."""
         kind = tokens[0]
         net = self.net
         try:
@@ -345,11 +351,12 @@ class BodyReader:
         except ValidationError as exc:
             raise FormatError(str(exc), lineno) from None
 
-    def read(self, lines, first_lineno: int) -> None:
-        """Apply raw lines, numbered from first_lineno, as content_lines and
-        apply would: the common line (see above) is stored here, in the
-        slot apply would store it in, and every other line goes to apply
-        with its tokens.
+    def read(self, numbered) -> None:
+        """Apply (lineno, line) pairs, a .stn file's raw body lines or a
+        .mastn block's content_lines, as content_lines and apply would:
+        the common line (see above) is stored here, in the slot apply
+        would store it in, and every other line goes to apply with its
+        tokens.
         """
         indices = self._indices
         intervals = self._intervals
@@ -357,7 +364,7 @@ class BodyReader:
         domains = self.net._domains
         apply = self.apply
         cap = DEFAULT_MAGNITUDE_CAP
-        for lineno, raw in enumerate(lines, first_lineno):
+        for lineno, raw in numbered:
             if "#" in raw:
                 tokens = raw.split("#", 1)[0].split()
                 if tokens:
@@ -392,8 +399,8 @@ class BodyReader:
                 if -cap <= lo <= hi <= cap:
                     store[key] = intervals[a, b] = Interval(lo, hi)
                     continue
-            elif ivl.lo is not None and ivl.hi is not None:  # neither infinite nor EMPTY
-                store[key] = ivl
+            elif store is cons or (ivl.lo is not None and ivl.hi is not None):
+                store[key] = ivl  # a new pair takes any interval, a domain a finite one
                 continue
             apply(tokens, lineno)
 
@@ -415,7 +422,7 @@ def parse_stn(text: str) -> Stn:
             lineno,
         )
     net = Stn(n)
-    BodyReader(net, {}).read(islice(lines, lineno, None), lineno + 1)
+    BodyReader(net, {}).read(enumerate(islice(lines, lineno, None), lineno + 1))
     if not all(net._domains):  # an Interval is always true; None marks no domain line
         try:
             net.domain(net._domains.index(None))  # raises the has-a-domain error

@@ -225,6 +225,32 @@ class TestFormat:
             parse_mastn("mastn 2\nagent 0\ndomain 0 0 5\n")
         assert "agent 1" in str(err.value)
 
+    def test_missing_block_of_a_huge_problem_fails_at_once(self):
+        # nothing is sized by the declared agent count before every block is found
+        for text, missing in (("", 0), ("agent 0\n", 1)):
+            with pytest.raises(FormatError) as err:
+                parse_mastn("mastn 1000000000000\n" + text)
+            assert (str(err.value), err.value.line) == (f"agent {missing} has no block", None)
+
+    def test_blocks_in_any_order_and_split_by_an_external(self):
+        # agent 1's block comes first and an external line splits agent 0's;
+        # each agent reads its own block and takes its size from its own
+        # domain lines, so a block paired with the wrong agent shows
+        a0 = local(3)
+        a0.add_constraint(0, 2, interval(1, 2))
+        a1 = local(1, horizon=7)
+        m = Mastn([a0, a1])
+        m.add_external(0, 2, 1, 0, interval(0, 5))
+        text = (
+            "mastn 2\n"
+            "agent 1\ndomain 0 0 7\n"
+            "agent 0\ndomain 0 0 50\ndomain 1 0 50\n"
+            "external 0 2 1 0 0 5\n"
+            "domain 2 0 50\nconstraint 0 2 1 2\n"
+        )
+        assert parse_mastn(text) == parse_mastn(serialize_mastn(m)) == m
+        assert [a.n for a in parse_mastn(text).agents] == [3, 1]
+
     def test_line_outside_block(self):
         with pytest.raises(FormatError) as err:
             parse_mastn("mastn 1\ndomain 0 0 5\nagent 0\n")

@@ -41,6 +41,7 @@ from stnac.stn import (
     parse_interval,
     read_header,
     split_lines,
+    write_body,
 )
 from stnac.workloads import gen_factory_mastn, gen_grid_stn, gen_random_mastn, gen_random_stn
 
@@ -73,8 +74,8 @@ def stns(draw, max_n=5, ends=st.integers(-DEFAULT_MAGNITUDE_CAP, DEFAULT_MAGNITU
 
 
 @st.composite
-def mastns(draw):
-    m = Mastn(draw(st.lists(stns(max_n=3), max_size=4)))
+def mastns(draw, ends=st.integers(-DEFAULT_MAGNITUDE_CAP, DEFAULT_MAGNITUDE_CAP), min_p=0):
+    m = Mastn(draw(st.lists(stns(max_n=3, ends=ends), min_size=min_p, max_size=4)))
     owners = [i for i, a in enumerate(m.agents) if a.n]
     if len(owners) >= 2:
         for _ in range(draw(st.integers(0, 4))):
@@ -531,9 +532,116 @@ def reader_texts(draw):
 @given(reader_texts() | mutated(reader_texts(), reader_lines()))
 # a memo hit is not a valid domain: the constraint line put -inf 5 in the memo
 @example("stn 3\ndomain 0 0 10\ndomain 1 0 10\nconstraint 0 1 -inf 5\ndomain 2 -inf 5\n")
+@example("stn 2\ndomain 0 0 9\nconstraint 0 1 0 +inf\ndomain 1 0 +inf\n")
+# a new pair takes any memo hit: a one-sided pair and an inverted one (EMPTY)
+@example("stn 3\ndomain 0 0 9\ndomain 1 0 9\ndomain 2 0 9\nconstraint 0 1 0 +inf\n"
+         "constraint 1 2 0 +inf\n")
+@example("stn 3\ndomain 0 0 9\ndomain 1 0 9\ndomain 2 0 9\nconstraint 0 1 5 3\n"
+         "constraint 0 2 5 3\n")
 # v > w, a repeated pair and an over-cap lower endpoint of a <= b
 @example("stn 2\ndomain 0 0 9\ndomain 1 0 9\nconstraint 1 0 0 5\n")
 @example("stn 2\ndomain 0 0 9\ndomain 1 0 9\nconstraint 0 1 0 5\nconstraint 0 1 3 9\n")
 @example("stn 2\ndomain 0 0 9\ndomain 1 0 9\nconstraint 0 1 -1099511627777 5\n")
 def test_inline_reader_matches_the_line_grammar(text):
     assert net_or_error(parse_stn, text) == net_or_error(grammar_parse_stn, text)
+
+
+# parse_mastn reads each agent block through BodyReader.read as well.  The
+# reference is the line grammar's route: content_lines, read_header, then
+# BodyReader.apply on each line of each block, blocks in agent order.
+
+
+def grammar_parse_mastn(text):
+    body = content_lines(split_lines(text))
+    _, p = read_header(body, "mastn <p>")
+    current = None
+    blocks, externals = {}, []
+    for lineno, line in body:
+        tokens = line.split()
+        kind = tokens[0]
+        if kind == "agent":
+            if len(tokens) != 2:
+                raise FormatError("expected 'agent <i>'", lineno)
+            try:
+                current = int(tokens[1])
+            except ValueError:
+                raise FormatError(f"expected an agent id, got {tokens[1]!r}", lineno) from None
+            if not 0 <= current < p:
+                raise FormatError(f"unknown agent {current} (problem has {p})", lineno)
+            if current in blocks:
+                raise FormatError(f"agent {current} declared twice", lineno)
+            blocks[current] = []
+        elif kind in ("var", "domain", "constraint"):
+            if current is None:
+                raise FormatError(f"{kind!r} line outside an agent block", lineno)
+            blocks[current].append((lineno, tokens))
+        elif kind == "external":
+            externals.append((lineno, tokens))
+        elif kind == "mastn":
+            raise FormatError("duplicate 'mastn' header", lineno)
+        else:
+            raise FormatError(f"unknown directive {kind!r}", lineno)
+    for i in range(p):
+        if i not in blocks:
+            raise FormatError(f"agent {i} has no block")
+    intervals, readers = {}, []
+    for i in range(p):
+        size = sum(tokens[0] == "domain" for _, tokens in blocks[i])
+        readers.append(BodyReader(Stn(size), intervals))
+        for lineno, tokens in blocks[i]:
+            readers[i].apply(tokens, lineno)
+    m = Mastn([r.net for r in readers])
+    for lineno, tokens in externals:
+        if len(tokens) not in (6, 7):
+            raise FormatError("expected 'external <i> <v> <j> <w> <a> <b>'", lineno)
+        try:
+            i, j = int(tokens[1]), int(tokens[3])
+        except ValueError:
+            raise FormatError("external agent ids must be integers", lineno) from None
+        if not 0 <= i < p or not 0 <= j < p:
+            raise FormatError(f"unknown agent in external ({i}, {j})", lineno)
+        v = readers[i].index(tokens[2], lineno)
+        w = readers[j].index(tokens[4], lineno)
+        try:
+            m.add_external(i, v, j, w, readers[i].interval(tokens[5:], lineno))
+        except ValidationError as exc:
+            raise FormatError(str(exc), lineno) from None
+    return m
+
+
+@st.composite
+def mastn_reader_texts(draw):
+    """serialize_mastn output with reader_lines added to each agent's block,
+    the blocks shuffled, and each external line moved to any place after the
+    header, inside a block too.  As in reader_texts, half the texts take no
+    odd lines, and each draws one or two odd endpoint pairs.  An unknown
+    directive fails before any block is read, so none is added here."""
+    odd_pairs = draw(st.lists(st.sampled_from(ODD_PAIRS), min_size=1, max_size=2))
+    odd = draw(st.booleans())
+    m = draw(mastns(ends=SMALL_ENDS, min_p=1))
+    blocks = []
+    for i, a in enumerate(m.agents):
+        body = []
+        write_body(a, body)
+        known = reader_lines(a.n, odd_pairs, odd).filter(lambda line: "foo" not in line)
+        body += draw(st.lists(known, max_size=4))
+        blocks.append([f"agent {i}", *draw(st.permutations(body))])
+    lines = [line for block in draw(st.permutations(blocks)) for line in block]
+    for ext in m.external_constraints():
+        line = f"external {ext.i} {ext.v} {ext.j} {ext.w} {ext.ivl.to_tokens()}"
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join([f"mastn {m.p}", *lines])
+
+
+@bounded(200)
+@given(mastn_reader_texts() | mutated(mastn_reader_texts(), reader_lines() | LINES))
+# agent 1's block first, agent 0's split by an external, and one one-sided
+# memo entry read on two new pairs and the external
+@example(
+    "mastn 2\nagent 1\ndomain 0 0 3\nagent 0\ndomain 0 0 9\ndomain 1 0 9\n"
+    "external 0 0 1 0 0 +inf\ndomain 2 0 9\nconstraint 0 1 0 +inf\nconstraint 1 2 0 +inf\n"
+)
+# a memo hit is not a valid domain in an agent block either
+@example("mastn 1\nagent 0\ndomain 0 0 9\nconstraint 0 1 0 +inf\ndomain 1 0 +inf\n")
+def test_mastn_reader_matches_the_line_grammar(text):
+    assert net_or_error(parse_mastn, text) == net_or_error(grammar_parse_mastn, text)

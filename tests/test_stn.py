@@ -13,6 +13,7 @@ from stnac import (
     interval,
     parse_mastn,
     parse_stn,
+    serialize_mastn,
     serialize_stn,
 )
 from stnac.stn import parse_interval, split_lines
@@ -533,6 +534,18 @@ class TestIntervalMemo:
         # a grid file repeats endpoint pairs; each is read into one shared value
         grid = generate(GenSpec("grid-stn", 0, dict(rows=24, cols=24, wmin=-20, wmax=20)))
         stored = [ivl for _, _, ivl in parse_stn(serialize_stn(grid)).pairs()]
+        pairs = {(ivl.lo, ivl.hi, ivl.is_empty) for ivl in stored}
+        assert len(stored) > len(pairs)
+        assert len({id(ivl) for ivl in stored}) == len(pairs)
+
+    def test_each_endpoint_pair_is_one_interval_across_a_mastn_file(self):
+        # every agent block and the external lines share one memo per file
+        spec = GenSpec("factory-mastn", 0, dict(agents=8, tasks=80, externals=12))
+        m = parse_mastn(serialize_mastn(generate(spec)))
+        stored = [ext.ivl for ext in m.external_constraints()]
+        for a in m.agents:
+            stored += [a.domain(v) for v in range(a.n)]
+            stored += [ivl for _, _, ivl in a.pairs()]
         pairs = {(ivl.lo, ivl.hi, ivl.is_empty) for ivl in stored}
         assert len(stored) > len(pairs)
         assert len({id(ivl) for ivl in stored}) == len(pairs)
