@@ -39,6 +39,7 @@ from .sim import (
     AgentMessage,
     AuditResult,
     LogEntry,
+    MessageLog,
     MsgKind,
     PrivacyAuditor,
     SimReport,

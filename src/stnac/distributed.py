@@ -64,7 +64,7 @@ from .sim import (
     INQUIRY,
     KEEP_LOG,
     AgentMessage,
-    LogEntry,
+    MessageLog,
     MsgKind,
     Observer,
     Payload,
@@ -393,7 +393,9 @@ class DistributedRun:
     messages: int
     setup_messages: int
     histogram: dict[str, int]
-    log: list[LogEntry] | None  # kept only under the default observer
+    # the delivered messages, setup waves' first, read by step as LogEntry
+    # items; kept only under the default observer
+    log: MessageLog | None
     agent_checks: list[int]
 
 
@@ -412,9 +414,10 @@ def solve_distributed(
 
     `observe` sees every message as run_simulation hands it over: the setup
     waves' first, as steps 1..setup_messages, then the solve run's.  The
-    default keeps them all in `log`; an observer of the caller's own (an
-    online PrivacyAuditor, say) or None leaves `log` None.  Every count is
-    the same whatever observes the run.
+    default keeps them all in `log`, a MessageLog whose item i is step
+    i + 1; an observer of the caller's own (an online PrivacyAuditor, say)
+    or None leaves `log` None.  Every count is the same whatever observes
+    the run.
     """
     if cfg is None:
         cfg = SimConfig()

@@ -14,11 +14,14 @@ An agent is any object with::
     on_start() -> list[AgentMessage]
     on_message(msg) -> list[AgentMessage]
 
-Each delivery is numbered with a step and handed, as a LogEntry, to one
-optional observer: by default a list that keeps every delivery (the message
-log that `dump_log` prints), or any callable, such as the online privacy
-auditor, that judges entries as they come and keeps only what it needs.  A
-run without an observer holds no message once its receiver has handled it.
+Each delivery is numbered with a step, counted from 1 over the whole run.
+By default the run keeps every delivered message, in step order, as a
+MessageLog (the message log that `dump_log` prints and `audit_privacy`
+judges): a message's step is its position, so the log holds the messages
+and no entry object per delivery.  Instead, one optional observer, any
+callable such as the online privacy auditor, can be handed each delivery as
+a LogEntry as it comes and keep only what it needs.  A run without an
+observer holds no message once its receiver has handled it.
 The runtime reports a deadlock (all blocked, nothing in flight) or a runaway
 (more deliveries than the agents' max_sends add up to) as errors that valid
 protocols never trigger.
@@ -36,7 +39,7 @@ import gc
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import DeadlockError, RunawayError, ValidationError
 from .mastn import Mastn
@@ -109,6 +112,38 @@ class LogEntry:
     message: AgentMessage
 
 
+class MessageLog(Sequence[LogEntry]):
+    """A run's kept deliveries: its messages in step order, and their steps.
+
+    Item i reads as LogEntry(steps[i], messages[i]), built when it is
+    accessed, so the log holds one reference per delivery and no entry
+    object.  A run's log numbers its messages from 1 (`steps` defaults to
+    1..len(messages)); a slice keeps the steps it cuts out, so log[5:9]
+    holds steps 6 to 9.
+    """
+
+    __slots__ = ("messages", "steps")
+
+    def __init__(self, messages: list[AgentMessage], steps: range | None = None):
+        if steps is None:
+            steps = range(1, len(messages) + 1)
+        elif len(steps) != len(messages):
+            raise ValueError(f"{len(steps)} steps for {len(messages)} messages")
+        self.messages = messages
+        self.steps = steps
+
+    def __len__(self) -> int:
+        return len(self.messages)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return MessageLog(self.messages[index], self.steps[index])
+        return LogEntry(self.steps[index], self.messages[index])
+
+    def __iter__(self):
+        return map(LogEntry, self.steps, self.messages)
+
+
 Observer = Callable[[LogEntry], None]
 
 # observe's default, told apart by identity: keep every delivery in SimReport.log
@@ -117,7 +152,7 @@ KEEP_LOG: Any = object()
 
 @dataclass
 class SimReport:
-    log: list[LogEntry] | None  # the kept deliveries; None under any other observer
+    log: MessageLog | None  # the kept deliveries; None under any other observer
     histogram: dict[str, int]
     steps: int
 
@@ -132,11 +167,11 @@ def run_simulation(
 
     `prior` holds messages delivered before this run, such as a setup
     wave's: they take steps 1..len(prior), in order, and this run's
-    deliveries are numbered on from there.  Every step, prior ones
-    included, reaches the observer as a LogEntry the moment it is taken.
-    With the default KEEP_LOG the entries are kept, in step order, in
-    SimReport.log; any other callable sees each entry once and the report's
-    log is None; with None nothing observes the run.
+    deliveries are numbered on from there.  With the default KEEP_LOG every
+    delivered message, prior ones included, is kept in step order in
+    SimReport.log, a MessageLog; any other callable is handed every step as
+    a LogEntry the moment it is taken, and the report's log is None; with
+    None nothing observes the run.
 
     The histogram counts the prior messages and each delivery as it is
     made.  `steps` counts only this run's deliveries, and so does the step
@@ -150,7 +185,7 @@ def run_simulation(
     The cyclic garbage collector is paused from the first on_start to the
     last delivery, and the caller's setting (gc.isenabled()) comes back
     however the run ends, as timeit does it.  A run makes no reference
-    cycles: messages, their int-only payloads and the log entries are trees
+    cycles: messages, their int-only payloads and the kept log are trees
     that reference counting frees, so the collections that allocation would
     trigger, each walking the kept log, could only find nothing.  No
     collection is forced afterwards; an observer's own cycles, if it makes
@@ -177,10 +212,11 @@ def run_simulation(
         for a in sorted(agents, key=lambda a: a.agent_id):
             enqueue(a.on_start())
 
-        log = None
+        kept = keep = None
         if observe is KEEP_LOG:
-            log = []
-            observe = log.append
+            kept = list(prior)  # steps 1..len(prior)
+            keep = kept.append
+            observe = None
         # keyed by the kind's plain value attribute: hashing a member or reading
         # its value property costs a Python-level call per delivery
         histogram: dict[str, int] = {}
@@ -202,7 +238,9 @@ def run_simulation(
             step += 1
             if step > budget:
                 raise RunawayError(f"exceeded the {budget} delivery steps the agents declared")
-            if observe is not None:
+            if keep is not None:
+                keep(msg)
+            elif observe is not None:
                 observe(LogEntry(offset + step, msg))
             kind = msg.kind._value_
             histogram[kind] = histogram.get(kind, 0) + 1
@@ -214,6 +252,7 @@ def run_simulation(
         if gc_was_enabled:
             gc.enable()
 
+    log = None if kept is None else MessageLog(kept)
     return SimReport(log=log, histogram=histogram, steps=step)
 
 
@@ -380,13 +419,13 @@ class PrivacyAuditor:
         return None
 
 
-def audit_privacy(log: Iterable[LogEntry], m: Mastn) -> AuditResult:
+def audit_privacy(log: MessageLog, m: Mastn) -> AuditResult:
     """PrivacyAuditor's verdict on a kept log; stops at the first offender."""
     judge = PrivacyAuditor(m).judge
-    for entry in log:
-        reason = judge(entry.message)
+    for i, msg in enumerate(log.messages):
+        reason = judge(msg)
         if reason is not None:
-            return AuditResult(False, entry, reason)
+            return AuditResult(False, log[i], reason)
     return AuditResult(True)
 
 
@@ -396,7 +435,10 @@ def audit_privacy(log: Iterable[LogEntry], m: Mastn) -> AuditResult:
 def log_line(entry: LogEntry) -> str:
     """One delivery's line, newline included: step clock sender receiver kind
     payload, tab-separated; the payload lists the message's set fields, or is -."""
-    msg = entry.message
+    return _line(entry.step, entry.message)
+
+
+def _line(step: int, msg: AgentMessage) -> str:
     parts = []
     if msg.k is not None:
         parts.append(f"k={msg.k}")
@@ -411,7 +453,7 @@ def log_line(entry: LogEntry) -> str:
         parts.append(f"vars={msg.subtree_vars}")
     payload = " ".join(parts) if parts else "-"
     return (
-        f"{entry.step}\t{msg.clock}\t{msg.sender}\t{msg.receiver}\t"
+        f"{step}\t{msg.clock}\t{msg.sender}\t{msg.receiver}\t"
         f"{msg.kind._value_}\t{payload}\n"
     )
 
@@ -421,9 +463,10 @@ def log_line(entry: LogEntry) -> str:
 DUMP_CHUNK = 1024
 
 
-def dump_log(log: Sequence[LogEntry]) -> str:
-    """The log_line of every entry, in order."""
+def dump_log(log: MessageLog) -> str:
+    """The log_line of every kept delivery, in order."""
+    steps, messages = log.steps, log.messages
     return "".join(
-        "".join(map(log_line, log[start : start + DUMP_CHUNK]))
-        for start in range(0, len(log), DUMP_CHUNK)
+        "".join(map(_line, steps[i : i + DUMP_CHUNK], messages[i : i + DUMP_CHUNK]))
+        for i in range(0, len(messages), DUMP_CHUNK)
     )

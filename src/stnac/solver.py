@@ -45,10 +45,11 @@ fixed, so identical inputs give identical counts.  The parent searches do
 no constraint checks.
 
 sample_solution() checks that the closure it is given is a fixpoint with
-one sweep_once(), a plain ascending sweep that reads every arc, and runs
-the same propagate() after each pick, seeded with the picked variable
-alone.  The agents of distributed.py run sweep_once() as their one sweep
-per iteration: an agent's lo/hi arrays end in ghost slots that hold its
+one propagate() seeded with every variable, which reads every arc, and
+runs the same propagate() after each pick, seeded with the picked
+variable alone.  sweep_once(), a plain ascending sweep that reads every
+arc, serves only the agents of distributed.py, as their one sweep per
+iteration: an agent's lo/hi arrays end in ghost slots that hold its
 peers' synced domains, and sweep_once() reads them as arc sources and
 never writes them.
 """
@@ -364,9 +365,10 @@ def sample_solution(net: Stn, closure: AcClosure, seed: int) -> Assignment:
     seeded-uniform value of its current domain, re-closing after each pick.
 
     `closure` is enforce_ac()'s closure of `net`, so every arc holds at the
-    start.  One sweep_once() checks that: it reads every arc, so domains it
-    leaves unchanged are a fixpoint, and domains it tightens or empties are
-    not a closure and are rejected with ValidationError.
+    start.  One propagate() seeded with every variable checks that: it
+    reads every arc, so domains it leaves unchanged are a fixpoint, and
+    domains it tightens or refutes are not a closure and are rejected with
+    ValidationError.
 
     Each re-closing is propagate() seeded with the picked variable alone:
     every other arc held before the pick.  propagate() reaches the greatest
@@ -386,11 +388,14 @@ def sample_solution(net: Stn, closure: AcClosure, seed: int) -> Assignment:
     rng = SplitMix64(seed)
     n = net.n
     arcs = build_arcs(n, net.pairs())
-    lo = [d.lo for d in closure.domains]
-    hi = [d.hi for d in closure.domains]
-    changed, emptied, _ = sweep_once(arcs, lo, hi)
-    if changed or emptied is not None:
-        raise ValidationError("the domains are not a closure of the network: a sweep tightens them")
+    start_lo = [d.lo for d in closure.domains]
+    start_hi = [d.hi for d in closure.domains]
+    lo = start_lo.copy()
+    hi = start_hi.copy()
+    if not propagate(arcs, lo, hi, range(n))[0] or lo != start_lo or hi != start_hi:
+        raise ValidationError(
+            "the domains are not a closure of the network: propagation tightens them"
+        )
     for v in range(n):
         lo[v] = hi[v] = rng.randint(lo[v], hi[v])
         if not propagate(arcs, lo, hi, (v,))[0]:

@@ -10,6 +10,7 @@ from stnac import (
     DeadlockError,
     LogEntry,
     Mastn,
+    MessageLog,
     MsgKind,
     ProtocolError,
     RunawayError,
@@ -30,6 +31,7 @@ from stnac.sim import (
     audit_privacy,
     dump_log,
     echo_setup,
+    log_line,
     run_simulation,
 )
 
@@ -196,7 +198,7 @@ class TestRunSimulation:
         seen = []
         observed = run_simulation(couriers(hops=5, work=3), seed, seen.append, prior)
         silent = run_simulation(couriers(hops=5, work=3), seed, None, prior)
-        assert dump_log(seen) == dump_log(kept.log)
+        assert seen == list(kept.log)
         assert observed.log is None and silent.log is None
         for report in (observed, silent):
             assert (report.histogram, report.steps) == (kept.histogram, kept.steps)
@@ -224,7 +226,7 @@ class TestRunSimulation:
 
     def test_empty_agent_set_runs_to_an_empty_report(self):
         report = run_simulation([], 0)
-        assert (report.log, report.histogram, report.steps) == ([], {}, 0)
+        assert (list(report.log), report.histogram, report.steps) == ([], {}, 0)
 
     def test_latency_must_be_non_negative(self):
         with pytest.raises(Exception):
@@ -245,7 +247,7 @@ class TestRunSimulation:
 
         report = run_simulation([Instant()], 0)
         assert report.steps == 0
-        assert report.log == []
+        assert list(report.log) == []
 
 
 @contextmanager
@@ -385,10 +387,6 @@ class TestEchoSetup:
         assert {(m.sender, m.receiver) for m in messages} == {(0, 2), (2, 0)}
 
 
-def entries(msgs):
-    return [LogEntry(step, msg) for step, msg in enumerate(msgs, 1)]
-
-
 # Tampered logs on interview.mastn, where agent 0's variable 0 is private:
 # only its slot variables 1 and 2 appear in external constraints, and agents
 # 0 and 2 sit on opposite corners of the ring.  (messages, reason, the
@@ -471,12 +469,12 @@ class TestAuditPrivacy:
 
     @pytest.mark.parametrize("msgs, reason, step", TAMPERED, ids=TAMPERED_IDS)
     def test_tampered_log_fails(self, msgs, reason, step):
-        result = audit_privacy(entries(msgs), self.m)
+        result = audit_privacy(MessageLog(msgs), self.m)
         assert (result.ok, result.reason, result.offender.step) == (False, reason, step)
 
     @pytest.mark.parametrize("msgs, reason, step", TAMPERED, ids=TAMPERED_IDS)
     def test_online_auditor_agrees_with_the_log_audit(self, msgs, reason, step):
-        log = entries(msgs)
+        log = MessageLog(msgs)
         auditor = PrivacyAuditor(self.m)
         for entry in log:
             auditor(entry)
@@ -484,6 +482,21 @@ class TestAuditPrivacy:
         assert (online.ok, online.reason, online.offender) == (
             batch.ok, batch.reason, batch.offender
         )
+
+    @pytest.mark.parametrize("at", [0, 17, -1])
+    def test_tampered_kept_log_reports_the_true_step(self, at):
+        run = solve_distributed(self.m, SimConfig(scheduler_seed=1))
+        msgs = list(run.log.messages)
+        at %= len(msgs)
+        leak = AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=(((0, 0), 0, 5),))
+        msgs[at] = leak
+        tampered = MessageLog(msgs)
+        offender = LogEntry(at + 1, leak)
+        result = audit_privacy(tampered, self.m)
+        assert (result.ok, result.offender) == (False, offender)
+        # a slice that starts mid-log still names the step of the whole log
+        assert audit_privacy(tampered[at:], self.m).offender == offender
+        assert audit_privacy(tampered[at + 1 :], self.m).ok
 
     def test_online_auditor_passes_real_runs(self):
         for seed in range(3):
@@ -502,7 +515,7 @@ class TestDumpLog:
             MsgKind.DOMAIN_SYNC, 2, 1, clock=7, k=3,
             domains=(((2, 0), 0, 5), ((2, 4), -1, 7)),
         )
-        line = dump_log([LogEntry(9, msg)]).strip()
+        line = log_line(LogEntry(9, msg)).strip()
         fields = line.split("\t")
         assert fields[:5] == ["9", "7", "2", "1", "DomainSync"]
         assert fields[5] == "k=3 2.0=[0,5] 2.4=[-1,7]"
@@ -511,10 +524,10 @@ class TestDumpLog:
 
     def test_empty_payload_platholder(self):
         msg = AgentMessage(MsgKind.ECHO_PROBE, 0, 1)
-        assert dump_log([LogEntry(1, msg)]).strip().split("\t")[5] == "-"
+        assert log_line(LogEntry(1, msg)).strip().split("\t")[5] == "-"
 
     def test_empty_log(self):
-        assert dump_log([]) == ""
+        assert dump_log(MessageLog([])) == ""
 
     @pytest.mark.parametrize("latency", [0, 3])
     def test_chunks_join_to_one_line_per_entry(self, latency):
@@ -524,4 +537,76 @@ class TestDumpLog:
         assert len(log) > 3 * DUMP_CHUNK
         for size in (DUMP_CHUNK - 1, DUMP_CHUNK, DUMP_CHUNK + 1, len(log)):
             part = log[:size]
-            assert dump_log(part) == "".join(dump_log([entry]) for entry in part)
+            assert dump_log(part) == "".join(map(log_line, part))
+
+    def test_a_mid_log_slice_dumps_its_own_steps(self):
+        # a slice across a chunk boundary prints the lines the whole log has there
+        m = gen_factory_mastn(agents=8, tasks=80, seed=0)
+        log = solve_distributed(m, SimConfig(scheduler_seed=1)).log
+        lines = dump_log(log).splitlines(keepends=True)
+        for start, stop in ((5, 9), (DUMP_CHUNK - 3, 2 * DUMP_CHUNK + 5), (len(log) - 2, None)):
+            assert dump_log(log[start:stop]) == "".join(lines[start:stop])
+        assert dump_log(log[5:9]).split("\t", 1)[0] == "6"
+
+
+class TestMessageLog:
+    """A kept run's log holds its messages; item i reads as LogEntry(i + 1, msg)."""
+
+    def setup_method(self):
+        self.m = parse_mastn((SAMPLES / "interview.mastn").read_text())
+
+    def test_steps_are_positions_from_the_setup_wave_on(self):
+        run = solve_distributed(self.m, SimConfig(scheduler_seed=2))
+        log = run.log
+        assert len(log) == run.messages
+        assert [e.step for e in log] == list(range(1, run.messages + 1))
+        assert [e.message for e in log] == log.messages
+        setup = {MsgKind.ECHO_PROBE, MsgKind.ECHO_REPLY}
+        assert run.setup_messages > 0
+        assert all(e.message.kind in setup for e in log[: run.setup_messages])
+        assert all(e.message.kind not in setup for e in log[run.setup_messages :])
+        assert log[run.setup_messages].step == run.setup_messages + 1
+
+    def test_negative_indices_count_from_the_end(self):
+        log = solve_distributed(self.m, SimConfig(scheduler_seed=0)).log
+        assert log[-1] == LogEntry(len(log), log.messages[-1])
+        assert log[-len(log)] == LogEntry(1, log.messages[0])
+        for index in (len(log), -len(log) - 1):
+            with pytest.raises(IndexError):
+                log[index]
+
+    def test_a_slice_keeps_its_steps(self):
+        log = solve_distributed(self.m, SimConfig(scheduler_seed=0)).log
+        part = log[5:9]
+        assert isinstance(part, MessageLog)
+        assert list(part) == [LogEntry(step, log.messages[step - 1]) for step in range(6, 10)]
+        assert [e.step for e in part[1:]] == [7, 8, 9]
+        assert part[-1].step == 9
+        assert [e.step for e in log[-3:]] == [len(log) - 2, len(log) - 1, len(log)]
+        assert [e.step for e in log[10:3:-3]] == [11, 8, 5]
+        assert len(log[len(log) :]) == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_iteration_gives_what_an_observer_sees(self, seed):
+        cfg = SimConfig(scheduler_seed=seed, latency=seed)
+        seen = []
+        assert solve_distributed(self.m, cfg, seen.append).log is None
+        assert list(solve_distributed(self.m, cfg).log) == seen
+
+    def test_steps_must_match_the_messages(self):
+        msgs = [AgentMessage(MsgKind.INQUIRY, 0, 1)] * 2
+        assert [e.step for e in MessageLog(msgs, range(4, 6))] == [4, 5]
+        with pytest.raises(ValueError):
+            MessageLog(msgs, range(1, 4))
+
+    def test_a_kept_run_holds_no_log_entry(self):
+        def log_entries():
+            return sum(type(obj) is LogEntry for obj in gc.get_objects())
+
+        before = log_entries()
+        run = solve_distributed(self.m, SimConfig(scheduler_seed=0))
+        assert run.messages > 0
+        # counted as a difference, so an entry some other test left alive
+        # does not count; a log of LogEntry objects would add run.messages
+        assert log_entries() == before
+        assert len(run.log) == run.messages

@@ -361,7 +361,7 @@ class TestSampleSolution:
     @pytest.mark.parametrize(
         "domains",
         [
-            (interval(0, 0), interval(0, 0)),  # one sweep empties y
+            (interval(0, 0), interval(0, 0)),  # propagation empties y
             (interval(0, 8), interval(0, 10)),  # y's closure domain is [2, 10]
             # only the arc from y to x tightens: x's closure domain is [0, 8]
             (interval(0, 10), interval(2, 10)),
@@ -373,7 +373,7 @@ class TestSampleSolution:
             sample_solution(net, AcClosure(domains, 0, 0, 0), 0)
 
     def test_domains_under_an_empty_constraint_are_rejected(self):
-        # the sweep's dead arc empties variable 0, the first it sweeps
+        # the dead arc refutes at the first variable the check pops
         net = Stn(2)
         for v in range(2):
             net.set_domain(v, interval(0, 10))
