@@ -362,6 +362,20 @@ class TestPinnedRuns:
             "8c89e024d4da6c9d830432726662324be6161da2d559fbf4b8a88a5e29bdda7c"
         )
 
+    def test_sweep_pool_instance(self):
+        # the first net of the benchmark's sweep-heavy workload: 16 agents
+        # that converge after about 126 iterations, with termination rounds
+        m = gen_factory_mastn(agents=16, tasks=400, seed=0)
+        run = solve_distributed(m, SimConfig(scheduler_seed=0))
+        assert (run.nccc, run.checks, run.iterations, run.messages) == (14048, 205128, 126, 6978)
+        assert run.histogram == {
+            "EchoProbe": 39, "EchoReply": 15, "DomainSync": 6804,
+            "Inquiry": 64, "Feedback": 17, "ArcConsistent": 39,
+        }
+        assert fingerprint(run) == (
+            "c2527ac938458ed9acd7c2b9c02162816ca61e37280e6e1cf96ec4f08dab23c5"
+        )
+
 
 class TestObservers:
     """What observes a run changes what it keeps, never what it counts."""
