@@ -4,12 +4,17 @@ Each iteration k an agent sends the current domains of its shared variables
 to its neighbors, as ((agent, var), lo, hi) triples of ints sorted by key;
 it waits until every neighbor's iteration-k domains have arrived, writes
 their bounds into its ghost slots (one per peer variable its external
-constraints read, after its own variables), then runs one plain ascending
-sweep, the solver's sweep_once(), over its own variables: each
-re-reads every arc into it, ghost arcs included.  If the sweep changed
-nothing the agent is quiescent and joins the termination round for k;
-otherwise it moves straight to k+1, and the fresh domain message doubles as
-the signal that wakes quiescent neighbors out of their round.
+constraints read, after its own variables), then runs one ascending sweep,
+the solver's sweep_once(), over its own variables.  The sweep is charged
+one constraint check per arc of each own variable, ghost arcs included,
+as if it re-read them all; it re-evaluates only the variables flagged
+stale, those with an own variable or ghost slot among their sources that
+moved since their last evaluation, which gives the same bounds.  All flags
+start set, and a ghost slot flags its readers when a sync rewrites it
+with a new value.  If the sweep changed nothing the agent is quiescent and
+joins the termination round for k; otherwise it moves straight to k+1, and
+the fresh domain message doubles as the signal that wakes quiescent
+neighbors out of their round.
 
 Termination is detected over the spanning tree from the setup wave: the
 root polls its children with an iteration-tagged inquiry, the inquiry
@@ -116,7 +121,13 @@ class SolverAgent:
         self._lo = [stn.domain(v).lo for v in range(n)] + [0] * len(ghosts)
         self._hi = [stn.domain(v).hi for v in range(n)] + [0] * len(ghosts)
         ext = ((e.local_var, ghosts[(e.peer_agent, e.peer_var)], e.ivl) for e in view.externals)
-        self._arcs = build_arcs(n + len(ghosts), chain(stn.pairs(), ext))[:n]
+        arcs = build_arcs(n + len(ghosts), chain(stn.pairs(), ext))
+        self._arcs = arcs[:n]
+        # a ghost slot's arc list comes from the own variables that read it:
+        # a sync that moves the slot flags them stale.  A sweep re-evaluates
+        # only stale variables; every slot is flagged before the first.
+        self._ghost_arcs = arcs[n:]
+        self._stale = [True] * len(arcs)
         # neighbor -> (the keys this agent reads from it, ascending, and their
         # ghost slots, aligned): a sync from it must carry exactly these keys,
         # in this order, and _sweep writes its bounds by position
@@ -282,14 +293,20 @@ class SolverAgent:
     def _sweep(self) -> None:
         lo = self._lo
         hi = self._hi
+        ghost_arcs = self._ghost_arcs
+        stale = self._stale
+        n = self._n
         syncs = self._inbox.pop(self.k, {})  # an agent without neighbors has none
         for stamp, slots, payload in syncs.values():
             if stamp > self.clock:  # receiving the awaited domains
                 self.clock = stamp
             for slot, (_, slo, shi) in zip(slots, payload):
-                lo[slot] = slo
-                hi[slot] = shi
-        self._changed, emptied, checks = sweep_once(self._arcs, lo, hi)
+                if slo != lo[slot] or shi != hi[slot]:
+                    lo[slot] = slo
+                    hi[slot] = shi
+                    for v, _, _, _ in ghost_arcs[slot - n]:
+                        stale[v] = True
+        self._changed, emptied, checks = sweep_once(self._arcs, lo, hi, stale)
         self.clock += checks
         self.checks += checks
         if emptied is not None:

@@ -47,17 +47,22 @@ no constraint checks.
 sample_solution() checks that the closure it is given is a fixpoint with
 one propagate() seeded with every variable, which reads every arc, and
 runs the same propagate() after each pick, seeded with the picked
-variable alone.  sweep_once(), a plain ascending sweep that reads every
-arc, serves only the agents of distributed.py, as their one sweep per
-iteration: an agent's lo/hi arrays end in ghost slots that hold its
-peers' synced domains, and sweep_once() reads them as arc sources and
-never writes them.
+variable alone.  sweep_once(), an ascending sweep, serves only the agents
+of distributed.py, as their one sweep per iteration: an agent's lo/hi
+arrays end in ghost slots that hold its peers' synced domains, and
+sweep_once() reads them as arc sources and never writes them.  It
+re-evaluates only the variables flagged stale, those with a source that
+moved since their last evaluation, and leaves the bounds a sweep of every
+variable would.  What it charges is that plain sweep's count: one check
+per arc of every variable it passes, re-evaluated or not, so an agent's
+checks and NCCC clock do not depend on what it skips.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -132,28 +137,44 @@ def build_arcs(n: int, pairs: Iterable[tuple[int, int, Interval]]) -> list[list[
 
 
 def sweep_once(
-    arcs: list[list[Arc]], lo: list[int], hi: list[int]
+    arcs: list[list[Arc]], lo: list[int], hi: list[int], stale: list[bool]
 ) -> tuple[int, int | None, int]:
-    """Sweep the variables 0..len(arcs)-1 once, in ascending order, in place.
+    """Sweep the variables 0..len(arcs)-1 once, in ascending order, in
+    place, re-evaluating only those flagged in `stale`.
 
-    Each variable re-reads every arc into it.  Slots of lo/hi beyond
-    len(arcs) (an agent's ghost slots, holding its peers' variables) are
-    read as arc sources and never written.  The sweep only tightens lo/hi,
-    so bounds that start as the start domains stay within them and the
-    zero-point edges never need re-applying.  Returns (changed, emptied,
-    checks): the number of changed domains, the variable whose domain
-    emptied or None, and the arcs read.  An emptied domain ends the sweep
-    at once, so the counts stop with that variable.
+    Slots of lo/hi beyond len(arcs) (an agent's ghost slots, holding its
+    peers' variables) are read as arc sources and never written.  The
+    sweep only tightens lo/hi, so bounds that start as the start domains
+    stay within them and the zero-point edges never need re-applying.
+
+    `stale` holds a flag for every slot of lo/hi.  A re-evaluated variable
+    reads every arc into it and clears its flag.  Every constraint gives
+    an arc each way, so the sources of v's arcs are the slots that read v,
+    and a variable that moves flags them: this sweep re-evaluates those
+    ahead of it and the next sweep those behind (a ghost slot's flag is
+    never read).  Whoever writes a ghost slot with a new value flags the
+    sources of its arcs, its readers, the same way.  The update is an
+    idempotent min/max, so a variable none of whose sources moved since
+    its last evaluation cannot move: with every flag set at the start,
+    each sweep leaves exactly the bounds that a sweep re-evaluating every
+    variable would.
+
+    Returns (changed, emptied, checks): the number of changed domains, the
+    variable whose domain emptied or None, and the checks charged.  Every
+    arc of every variable up to the emptied one is charged, re-evaluated
+    or not, so the count is that of the plain sweep, whose checks are the
+    arcs it reads.  An emptied domain ends the sweep at once.
     """
-    checks = 0
     changed = 0
-    for v in range(len(arcs)):
+    # compress reads each flag when the sweep reaches it, so a reader ahead
+    # of v that v flags below is still re-evaluated in this sweep
+    for v in compress(range(len(arcs)), stale):
+        stale[v] = False
         lv = lo[v]
         hv = hi[v]
         old_lo = lv
         old_hi = hv
         arcs_v = arcs[v]
-        checks += len(arcs_v)
         for w, add_lo, add_hi, dead in arcs_v:
             if dead:
                 hv = lv - 1
@@ -169,10 +190,12 @@ def sweep_once(
         if lv != old_lo or hv != old_hi:
             lo[v] = lv
             hi[v] = hv
+            for w, _, _, _ in arcs_v:
+                stale[w] = True
             if lv > hv:
-                return changed, v, checks
+                return changed, v, sum(map(len, arcs[: v + 1]))
             changed += 1
-    return changed, None, checks
+    return changed, None, sum(map(len, arcs))
 
 
 def propagate(

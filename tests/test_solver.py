@@ -196,13 +196,14 @@ class TestCertificates:
 
 
 class TestSweepOnce:
-    """The agents' sweep: slot 2 is a ghost, beyond the two swept variables."""
+    """The agents' sweep: slot 2 is a ghost, beyond the two swept variables.
+    `stale` holds a flag per slot; the ghost's is never read."""
 
     def test_tightens_from_ghost_and_leaves_it(self):
         # y - x in [2, 3]; g - y in [0, 4] with the ghost g in [10, 12]
         arcs = build_arcs(3, [(0, 1, interval(2, 3)), (1, 2, interval(0, 4))])[:2]
         lo, hi = [0, 0, 10], [100, 100, 12]
-        out = sweep_once(arcs, lo, hi)
+        out = sweep_once(arcs, lo, hi, [True] * 3)
         assert out == (2, None, 3)  # changed, emptied, checks
         assert (lo, hi) == ([0, 6, 10], [98, 12, 12])
 
@@ -210,9 +211,37 @@ class TestSweepOnce:
         # x has two arcs (y and g); g = x forces x to 200, past its bound 100
         arcs = build_arcs(3, [(0, 1, interval(0, 10)), (0, 2, interval(0, 0))])[:2]
         lo, hi = [0, 0, 200], [100, 100, 200]
-        out = sweep_once(arcs, lo, hi)
+        out = sweep_once(arcs, lo, hi, [True] * 3)
         assert out == (0, 0, 2)  # checks stop with x's two arcs
         assert (lo[1:], hi[1:]) == ([0, 200], [100, 200])  # y not swept, g untouched
+
+    def test_a_variable_not_stale_is_skipped_yet_charged(self):
+        # x would tighten to [8, 9] against y, but only y is flagged
+        arcs = build_arcs(3, [(0, 1, interval(1, 2)), (1, 2, interval(0, 0))])[:2]
+        lo, hi = [0, 10, 10], [100, 10, 10]
+        stale = [False, True, False]
+        out = sweep_once(arcs, lo, hi, stale)
+        assert out == (0, None, 3)  # x's arc is counted though x is not re-read
+        assert (lo, hi) == ([0, 10, 10], [100, 10, 10])
+        assert stale == [False] * 3
+
+    def test_a_move_flags_its_readers_ahead_and_behind(self):
+        # y - x in [2, 3]; g - y in [0, 4], only x flagged: x moves and
+        # flags y, ahead of it, so this sweep re-evaluates y; y moves
+        # against g and flags x, behind the cursor, for the next sweep
+        arcs = build_arcs(3, [(0, 1, interval(2, 3)), (1, 2, interval(0, 4))])[:2]
+        lo, hi = [0, 0, 10], [100, 100, 12]
+        stale = [True, False, False]
+        assert sweep_once(arcs, lo, hi, stale) == (2, None, 3)
+        assert (lo, hi) == ([0, 6, 10], [98, 12, 12])
+        assert stale[:2] == [True, False]
+        # x now moves against y and flags y, ahead of it: this sweep
+        # re-evaluates y, which holds, so no flag of a variable is left
+        out = sweep_once(arcs, lo, hi, stale)
+        assert out == (1, None, 3)
+        assert (lo, hi) == ([3, 6, 10], [10, 12, 12])
+        assert stale[:2] == [False, False]
+        assert sweep_once(arcs, lo, hi, stale) == (0, None, 3)
 
 
 class TestPropagate:
