@@ -57,6 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from typing import Iterable
 
 from .errors import ProtocolError, ValidationError
 from .intervals import Interval, interval
@@ -137,8 +138,9 @@ class SolverAgent:
             self._reads[j] = (keys, tuple(ghosts[key] for key in keys))
         # shared variable -> its (key, lo, hi) triple as last sent, and
         # neighbor -> the payload last sent; _advance rebuilds a triple only
-        # when its bounds moved, and a payload only when one of its triples
-        # was rebuilt, so unchanged domains go out as shared objects
+        # when the sweep before it moved its bounds, and a payload only when
+        # one of its triples was rebuilt, so unchanged domains go out as
+        # shared objects
         self._sent = {v: ((self.agent_id, v), self._lo[v], self._hi[v]) for v in view.shared_vars}
         self._payloads = {j: self._payload(j) for j in view.neighbors}
 
@@ -250,8 +252,13 @@ class SolverAgent:
 
     # -- iteration machinery -----------------------------------------
 
-    def _advance(self) -> None:
+    def _advance(self, moved: Iterable[int] = ()) -> None:
         """Enter the next iteration, or give up when the budget is spent.
+
+        `moved` lists the own variables that the sweep since the last
+        _advance moved.  At most one sweep runs between two calls, and
+        bounds only tighten, so these are the variables whose bounds differ
+        from the triples last sent.
 
         A network that still changes after a sweep per vertex has no
         solution, and the verdict is broadcast so no neighbor is left
@@ -265,12 +272,12 @@ class SolverAgent:
         lo = self._lo
         hi = self._hi
         sent = self._sent
-        moved = {v for v, (_, slo, shi) in sent.items() if slo != lo[v] or shi != hi[v]}
-        for v in moved:
+        resent = sent.keys() & moved  # the shared variables that moved
+        for v in resent:
             sent[v] = (sent[v][0], lo[v], hi[v])
         payloads = self._payloads
         for j in self.view.neighbors:
-            if not moved.isdisjoint(self.view.shared_with[j]):
+            if not resent.isdisjoint(self.view.shared_with[j]):
                 payloads[j] = self._payload(j)
             # built positionally: keyword arguments cost more, once per sync
             self._out.append(
@@ -306,16 +313,17 @@ class SolverAgent:
                     hi[slot] = shi
                     for v, _, _, _ in ghost_arcs[slot - n]:
                         stale[v] = True
-        self._changed, emptied, checks = sweep_once(self._arcs, lo, hi, stale)
+        moved, emptied, checks = sweep_once(self._arcs, lo, hi, stale)
+        self._changed = len(moved)
         self.clock += checks
         self.checks += checks
         if emptied is not None:
             self._conclude("inconsistent")
             return
-        if self._changed:
+        if moved:
             # the not-quiescent signal is indirect: moving on and sending the
             # next domain sync is what wakes waiting neighbors
-            self._advance()
+            self._advance(moved)
             return
         if self.k + 1 in self._inbox:
             # a neighbor already moved past k, so this round can never

@@ -138,7 +138,7 @@ def build_arcs(n: int, pairs: Iterable[tuple[int, int, Interval]]) -> list[list[
 
 def sweep_once(
     arcs: list[list[Arc]], lo: list[int], hi: list[int], stale: list[bool]
-) -> tuple[int, int | None, int]:
+) -> tuple[list[int], int | None, int]:
     """Sweep the variables 0..len(arcs)-1 once, in ascending order, in
     place, re-evaluating only those flagged in `stale`.
 
@@ -157,15 +157,18 @@ def sweep_once(
     idempotent min/max, so a variable none of whose sources moved since
     its last evaluation cannot move: with every flag set at the start,
     each sweep leaves exactly the bounds that a sweep re-evaluating every
-    variable would.
+    variable would.  A dead arc lowers hi below lo the same way, to at most
+    lo - 1, so an emptied variable re-evaluated with nothing new keeps its
+    bounds too.
 
-    Returns (changed, emptied, checks): the number of changed domains, the
-    variable whose domain emptied or None, and the checks charged.  Every
-    arc of every variable up to the emptied one is charged, re-evaluated
-    or not, so the count is that of the plain sweep, whose checks are the
-    arcs it reads.  An emptied domain ends the sweep at once.
+    Returns (moved, emptied, checks): the variables whose domains changed
+    and did not empty, ascending, the variable whose domain emptied or
+    None, and the checks charged.  Every arc of every variable up to the
+    emptied one is charged, re-evaluated or not, so the count is that of
+    the plain sweep, whose checks are the arcs it reads.  An emptied
+    domain ends the sweep at once.
     """
-    changed = 0
+    moved = []
     # compress reads each flag when the sweep reaches it, so a reader ahead
     # of v that v flags below is still re-evaluated in this sweep
     for v in compress(range(len(arcs)), stale):
@@ -177,7 +180,8 @@ def sweep_once(
         arcs_v = arcs[v]
         for w, add_lo, add_hi, dead in arcs_v:
             if dead:
-                hv = lv - 1
+                if lv - 1 < hv:
+                    hv = lv - 1
                 continue
             if add_lo is not None:
                 cand = lo[w] + add_lo
@@ -193,9 +197,9 @@ def sweep_once(
             for w, _, _, _ in arcs_v:
                 stale[w] = True
             if lv > hv:
-                return changed, v, sum(map(len, arcs[: v + 1]))
-            changed += 1
-    return changed, None, sum(map(len, arcs))
+                return moved, v, sum(map(len, arcs[: v + 1]))
+            moved.append(v)
+    return moved, None, sum(map(len, arcs))
 
 
 def propagate(

@@ -244,15 +244,16 @@ FLAT_NETS = st.one_of(
 def plain_sweep(arcs, lo, hi):
     """The reference sweep: variables 0..len(arcs)-1 in ascending order, in
     place, each re-reading every arc into it, slots beyond them read and
-    never written.  Returns (changed, emptied, arcs read), as sweep_once()
+    never written.  Returns (moved, emptied, arcs read), as sweep_once()
     does; an emptied domain ends the sweep."""
-    changed = checks = 0
+    moved = []
+    checks = 0
     for v, arcs_v in enumerate(arcs):
         checks += len(arcs_v)
         lv, hv = lo[v], hi[v]
         for w, add_lo, add_hi, dead in arcs_v:
             if dead:
-                hv = lv - 1
+                hv = min(hv, lv - 1)
                 continue
             if add_lo is not None:
                 lv = max(lv, lo[w] + add_lo)
@@ -261,19 +262,19 @@ def plain_sweep(arcs, lo, hi):
         if (lv, hv) != (lo[v], hi[v]):
             lo[v], hi[v] = lv, hv
             if lv > hv:
-                return changed, v, checks
-            changed += 1
-    return changed, None, checks
+                return moved, v, checks
+            moved.append(v)
+    return moved, None, checks
 
 
 def swept(arcs, lo, hi, sweeps):
     """Full plain_sweep() sweeps of lo/hi in place until one changes nothing:
     True, or False when a domain empties or `sweeps` sweeps still change."""
     for _ in range(sweeps):
-        changed, emptied, _ = plain_sweep(arcs, lo, hi)
+        moved, emptied, _ = plain_sweep(arcs, lo, hi)
         if emptied is not None:
             return False
-        if not changed:
+        if not moved:
             return True
     return False
 

@@ -204,7 +204,7 @@ class TestSweepOnce:
         arcs = build_arcs(3, [(0, 1, interval(2, 3)), (1, 2, interval(0, 4))])[:2]
         lo, hi = [0, 0, 10], [100, 100, 12]
         out = sweep_once(arcs, lo, hi, [True] * 3)
-        assert out == (2, None, 3)  # changed, emptied, checks
+        assert out == ([0, 1], None, 3)  # moved, emptied, checks
         assert (lo, hi) == ([0, 6, 10], [98, 12, 12])
 
     def test_emptied_stops_the_sweep(self):
@@ -212,7 +212,7 @@ class TestSweepOnce:
         arcs = build_arcs(3, [(0, 1, interval(0, 10)), (0, 2, interval(0, 0))])[:2]
         lo, hi = [0, 0, 200], [100, 100, 200]
         out = sweep_once(arcs, lo, hi, [True] * 3)
-        assert out == (0, 0, 2)  # checks stop with x's two arcs
+        assert out == ([], 0, 2)  # checks stop with x's two arcs
         assert (lo[1:], hi[1:]) == ([0, 200], [100, 200])  # y not swept, g untouched
 
     def test_a_variable_not_stale_is_skipped_yet_charged(self):
@@ -221,7 +221,7 @@ class TestSweepOnce:
         lo, hi = [0, 10, 10], [100, 10, 10]
         stale = [False, True, False]
         out = sweep_once(arcs, lo, hi, stale)
-        assert out == (0, None, 3)  # x's arc is counted though x is not re-read
+        assert out == ([], None, 3)  # x's arc is counted though x is not re-read
         assert (lo, hi) == ([0, 10, 10], [100, 10, 10])
         assert stale == [False] * 3
 
@@ -232,16 +232,32 @@ class TestSweepOnce:
         arcs = build_arcs(3, [(0, 1, interval(2, 3)), (1, 2, interval(0, 4))])[:2]
         lo, hi = [0, 0, 10], [100, 100, 12]
         stale = [True, False, False]
-        assert sweep_once(arcs, lo, hi, stale) == (2, None, 3)
+        assert sweep_once(arcs, lo, hi, stale) == ([0, 1], None, 3)
         assert (lo, hi) == ([0, 6, 10], [98, 12, 12])
         assert stale[:2] == [True, False]
         # x now moves against y and flags y, ahead of it: this sweep
         # re-evaluates y, which holds, so no flag of a variable is left
         out = sweep_once(arcs, lo, hi, stale)
-        assert out == (1, None, 3)
+        assert out == ([0], None, 3)
         assert (lo, hi) == ([3, 6, 10], [10, 12, 12])
         assert stale[:2] == [False, False]
-        assert sweep_once(arcs, lo, hi, stale) == (0, None, 3)
+        assert sweep_once(arcs, lo, hi, stale) == ([], None, 3)
+
+    def test_a_dead_arc_keeps_an_emptied_variable_as_it_is(self):
+        # x - y is an empty constraint, and g - x = 0 with the ghost g at 10:
+        # x reads the dead arc at lo 0, so hi drops to -1, then rises to lo 10
+        arcs = build_arcs(3, [(0, 1, EMPTY), (0, 2, interval(0, 0))])[:2]
+        lo, hi = [0, 0, 10], [100, 100, 10]
+        stale = [True] * 3
+        assert sweep_once(arcs, lo, hi, stale) == ([], 0, 2)
+        assert (lo[0], hi[0]) == (10, -1)
+        # re-evaluated with nothing new, x keeps hi -1 rather than taking
+        # lo - 1 = 9, so a sweep of every variable and one of the stale
+        # variables alone both pass x and empty y
+        every_lo, every_hi = lo.copy(), hi.copy()
+        assert sweep_once(arcs, every_lo, every_hi, [True] * 3) == ([], 1, 3)
+        assert sweep_once(arcs, lo, hi, stale) == ([], 1, 3)
+        assert (lo, hi) == (every_lo, every_hi) == ([10, 0, 10], [-1, -1, 10])
 
 
 class TestPropagate:
