@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conftest import SAMPLES, assert_certificate, cycle3_net, scale_stn, two_var_net, within
@@ -193,6 +195,34 @@ class TestCertificates:
         domains[v] = interval(0, 0)
         domains[w] = interval(ivl.hi + 1, ivl.hi + 1)
         assert self.check(net, domains) == 1
+
+
+class TestCertificateDigest:
+    """The exact certificates and counters on TestCertificates' families:
+    a refactor of the cycle searches must keep every byte of them."""
+
+    FAMILIES = [
+        lambda seed, h: gen_grid_stn(4, 5, wmin=-20, wmax=20, horizon=h, seed=seed),
+        lambda seed, h: gen_scale_free_stn(20, 2, wmin=-20, wmax=20, horizon=h, seed=seed),
+        lambda seed, h: gen_random_stn(n=16, density=0.2, wmin=-20, wmax=20, horizon=h, seed=seed),
+    ]
+
+    def test_refutations_are_pinned(self):
+        records = []
+        for make in self.FAMILIES:
+            for horizon in (None, 40):
+                for seed in range(30):
+                    net = make(seed, horizon)
+                    out = enforce_ac(net)
+                    if isinstance(out, AcInconsistent):
+                        ref = oracle_minimal_domains(net)
+                        records.append(
+                            (out.cycle.vertices, out.cycle.weight, out.iterations, out.checks,
+                             ref.vertices, ref.weight)
+                        )
+        assert len(records) == 179
+        digest = hashlib.sha256(repr(records).encode()).hexdigest()
+        assert digest == "1602e9a5cf30b1070fcb9a81475f275e91d12f8def5ed3262ab9f015a53f4039"
 
 
 class TestSweepOnce:
