@@ -33,17 +33,24 @@ is at least the weight of a simple path, a bound that does not move.
 So without a negative cycle the parent graph never closes a cycle, and the
 loop ends on a pass that relaxes nothing, as plain Bellman-Ford does.  With
 one, which the zero point reaches as it reaches every vertex, every pass
-relaxes something, so a look comes at least once every n + 1 passes.  If every look found the parent graph acyclic, every label
-would stay above its bound from (2) for good (labels only fall, so one
-that dropped below would still be below at the next look); integer labels
-that each relaxation lowers would then allow only finitely many
-relaxations.  So some look finds a cycle, and the loop needs no pass cap.
+relaxes something, so a look comes at least once every n + 1 passes.  If
+every look found the parent graph acyclic, every label would stay above
+its bound from (2) for good (labels only fall, so one that dropped below
+would still be below at the next look); integer labels that each
+relaxation lowers would then allow only finitely many relaxations.  So
+some look finds a cycle, and the loop needs no pass cap.
 
 This module deliberately shares no propagation code with the solver so the
-two routes can check each other.  What they do share is certify_cycle(),
-the one re-summation of a negative-cycle certificate: it reads every edge
-back from the network itself, so a certificate from either route is
-checked against the input, not against the structures that produced it.
+two routes can check each other.  What they do share are certify_cycle(),
+the one re-summation of a negative-cycle certificate, and parent_cycle(),
+the one walk that finds a cycle of a parent graph, which the solver runs
+over its hi and its lo parents.  Sharing them leaves the cross-check
+standing.  certify_cycle() reads every edge back from the network itself,
+so a walk from either route is checked against the input, not against
+the structures that produced it.  And a walk that misses a cycle cannot
+pass for a consistent verdict: the solver raises RuntimeError once its
+n + 1 rounds are spent, and the oracle, which has no pass cap, never
+returns.
 """
 
 from __future__ import annotations
@@ -109,30 +116,35 @@ def _bellman_ford(nv: int, edges: list[tuple[int, int, int]], src: int):
             return dist, None
         if relaxed >= nv:
             relaxed = 0
-            cycle = _pred_cycle(pred)
+            cycle = parent_cycle(pred)
             if cycle is not None:
                 return dist, cycle
 
 
-def _pred_cycle(pred: list[int]) -> tuple[int, ...] | None:
-    """A cycle of the parent graph as a closed walk along its edges, or None;
-    every vertex is visited once, in O(len(pred))."""
-    nv = len(pred)
-    mark = [-1] * nv + [nv]  # slot nv, "no parent", ends every walk
-    for start in range(nv):
+def parent_cycle(par: Sequence[int]) -> tuple[int, ...] | None:
+    """A cycle of a parent graph as a closed walk along its edges, or None.
+
+    par[v] = u stands for the edge u -> v, and a value at or above len(par)
+    is a root, which has no parent.  Starts are tried in ascending order,
+    and the first whose walk closes a cycle returns it; every vertex is
+    visited once, in O(len(par)).
+    """
+    n = len(par)
+    mark = [-1] * n
+    for start in range(n):
         v = start
-        while mark[v] < 0:
+        while v < n and mark[v] < 0:
             mark[v] = start
-            v = pred[v]
-        if mark[v] == start:
-            cycle = [v]
-            u = pred[v]
+            v = par[v]
+        if v < n and mark[v] == start:
+            walk = [v]
+            u = par[v]
             while u != v:
-                cycle.append(u)
-                u = pred[u]
-            cycle.append(v)
-            cycle.reverse()  # pred points against edge direction
-            return tuple(cycle)
+                walk.append(u)
+                u = par[u]
+            walk.append(v)
+            walk.reverse()  # parents point against the edges
+            return tuple(walk)
     return None
 
 
@@ -143,12 +155,15 @@ def certify_cycle(
 
     Vertex net.n is the zero point, whose edges are `domains` when given and
     the network's domains otherwise.  Raises RuntimeError when the walk is
-    not closed, uses an edge the network lacks, or sums to a non-negative
-    weight.
+    not closed, names a vertex outside 0..n, uses an edge the network
+    lacks, or sums to a non-negative weight.
     """
     n = net.n
     if len(walk) < 2 or walk[0] != walk[-1]:
         raise RuntimeError(f"certificate {tuple(walk)} is not a closed walk")
+    for v in walk:
+        if not 0 <= v <= n:
+            raise RuntimeError(f"certificate vertex {v} is outside 0..{n}")
     start = [net.domain(v) for v in range(n)] if domains is None else domains
     weight = 0
     for u, v in zip(walk, walk[1:]):

@@ -27,13 +27,14 @@ The kernel records, for every lo and every hi, the variable (or the zero
 point) whose arc last tightened it.  Any cycle of these parent pointers
 has negative weight (Cherkassky & Goldberg, "Negative-cycle detection
 algorithms", Math. Programming 1999), so after each round that brings the
-changes since the last look to at least n, both parent graphs are
-searched in O(n) and a cycle ends the run.  An emptied domain lo_v > hi_v
-is a negative cycle too: the hi-parent path 0 -> v plus the lo-parent
-path v -> 0 weighs at most hi_v - lo_v < 0.  An empty constraint between
-u and x gives the 2-cycle u -> x -> u.  Every refutation therefore
-carries a NegativeCycle, which enforce_ac() has oracle.certify_cycle()
-re-sum over the network's own edges.
+changes since the last look to at least n, the oracle's parent_cycle()
+walks the hi parent graph and then the lo one, each in O(n), and a cycle
+ends the run.  An emptied domain lo_v > hi_v is a negative cycle too: the
+hi-parent path 0 -> v plus the lo-parent path v -> 0 weighs at most
+hi_v - lo_v < 0.  An empty constraint between u and x gives the 2-cycle
+u -> x -> u.  Every refutation therefore carries a NegativeCycle, which
+enforce_ac() has oracle.certify_cycle() re-sum over the network's own
+edges.
 
 Each arc read, that is each evaluation of the update rule against a
 pairwise constraint, counts as one constraint check.  The domain itself
@@ -67,7 +68,7 @@ from typing import Iterable, Sequence
 
 from .errors import ValidationError
 from .intervals import Interval, interval
-from .oracle import NegativeCycle, certify_cycle
+from .oracle import NegativeCycle, certify_cycle, parent_cycle
 from .rng import SplitMix64
 from .stn import Stn
 
@@ -299,30 +300,14 @@ def propagate(
 
 
 def _parent_cycle(lo_par: list[int], hi_par: list[int]) -> tuple[int, ...] | None:
-    """A cycle of either parent graph as a closed walk along its edges, or None.
-
-    Each graph is walked once, every vertex at most once, in O(n); vertex n
-    (the zero point) is the root and has no parent.
-    """
-    n = len(lo_par)
-    for par, along_edges in ((hi_par, False), (lo_par, True)):
-        mark = [-1] * n
-        for start in range(n):
-            v = start
-            while v < n and mark[v] < 0:
-                mark[v] = start
-                v = par[v]
-            if v < n and mark[v] == start:
-                walk = [v]
-                u = par[v]
-                while u != v:
-                    walk.append(u)
-                    u = par[u]
-                walk.append(v)
-                if not along_edges:  # hi parents point against the edges
-                    walk.reverse()
-                return tuple(walk)
-    return None
+    """A cycle of either parent graph as a closed walk along its edges, or
+    None: the hi graph is searched first.  Vertex n, the zero point, is the
+    root of both."""
+    walk = parent_cycle(hi_par)
+    if walk is not None:
+        return walk
+    walk = parent_cycle(lo_par)
+    return None if walk is None else walk[::-1]  # lo parents point along the edges
 
 
 def _emptied_walk(lo_par: list[int], hi_par: list[int], v: int) -> tuple[int, ...]:

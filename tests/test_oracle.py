@@ -17,6 +17,7 @@ from stnac import (
     interval,
     oracle_minimal_domains,
 )
+from stnac.oracle import parent_cycle
 from stnac.rng import SplitMix64
 from stnac.workloads import gen_grid_stn, gen_random_stn, gen_scale_free_stn
 
@@ -83,6 +84,12 @@ class TestCertifyCycle:
         with pytest.raises(RuntimeError, match="missing edge"):
             certify_cycle(net, walk)
 
+    # cycle3 has n = 3: vertex 3 is the zero point, and 8 and -1 name no vertex
+    @pytest.mark.parametrize("walk, bad", [((3, 8, 3), 8), ((0, 8, 0), 8), ((3, -1, 3), -1)])
+    def test_walk_outside_the_vertices_is_rejected(self, walk, bad):
+        with pytest.raises(RuntimeError, match=rf"vertex {bad} is outside 0\.\.3"):
+            certify_cycle(cycle3_net(), walk)
+
     def test_zero_point_edges_come_from_domains_when_given(self):
         # zero -> x -> y -> zero weighs hi_x + 3 - lo_y
         net = two_var_net()
@@ -137,6 +144,53 @@ class TestEarlyStop:
         result = oracle_minimal_domains(net)
         assert_simple_cycle(net, result)
         assert net.n in result.vertices
+
+
+def first_parent_cycle(par):
+    """Brute-force reference for parent_cycle: follow the parents of each
+    start in ascending order, on its own, until a root or a repeat.  None
+    comes back exactly when every start reaches a root, so no cycle
+    exists."""
+    n = len(par)
+    for start in range(n):
+        path = [start]
+        while path[-1] < n and par[path[-1]] not in path:
+            path.append(par[path[-1]])
+        if path[-1] < n:  # stopped at a repeat
+            entry = par[path[-1]]
+            loop = path[path.index(entry):] + [entry]
+            return tuple(reversed(loop))  # par[v] = u is the edge u -> v
+    return None
+
+
+class TestParentCycle:
+    """The one walk over a parent graph, shared by the solver and the
+    oracle: par[v] = u is the edge u -> v, and a value >= len(par) a root."""
+
+    def test_random_parent_arrays_against_brute_force(self):
+        rng = SplitMix64(7)
+        found = acyclic = 0
+        for i in range(3000):
+            n = 1 + rng.randbelow(12)
+            # values up to n + 3: four roots above the vertices
+            par = [rng.randbelow(n + 4) for _ in range(n)]
+            if i % 3 == 0:  # plant a cycle over k distinct vertices
+                ring = list(range(n))
+                for j in range(n - 1, 0, -1):
+                    r = rng.randbelow(j + 1)
+                    ring[j], ring[r] = ring[r], ring[j]
+                ring = ring[: 1 + rng.randbelow(n)]
+                for u, v in zip(ring, ring[1:] + ring[:1]):
+                    par[v] = u
+            walk = parent_cycle(par)
+            assert walk == first_parent_cycle(par)
+            if walk is None:
+                acyclic += 1
+                continue
+            found += 1
+            assert walk[0] == walk[-1] and len(walk) >= 2
+            assert all(par[v] == u for u, v in zip(walk, walk[1:]))
+        assert found > 1500 and acyclic > 500
 
 
 def minimal_constraint(dist, v, w):
