@@ -1,7 +1,7 @@
 """Per-agent state machine for distributed arc-consistency.
 
 Each iteration k an agent sends the current domains of its shared variables
-to its neighbors, as ((agent, var), lo, hi) triples of ints sorted by key;
+to its neighbors, as (var, lo, hi) triples of ints sorted by var;
 it waits until every neighbor's iteration-k domains have arrived, writes
 their bounds into its ghost slots (one per peer variable its external
 constraints read, after its own variables), then runs one ascending sweep,
@@ -33,8 +33,8 @@ sweep that reads them pops the iteration; an inquiry that arrives before
 the sweep it asks about is remembered by a flag until that sweep ends.
 Anything genuinely impossible, a second sync from one neighbor or a second
 inquiry for one iteration included, raises ProtocolError with a state dump;
-so does a sync whose keys are not exactly the ones the receiver reads, in
-order, or whose bounds are not two ints.
+so does a sync whose variables are not exactly the ones the receiver reads
+from its sender, in order, or whose triples are not three ints.
 
 An agent builds no Interval on the sync path: it keeps int bounds, sends
 them as they are, and reuses the triple (and the payload) it sent last
@@ -76,7 +76,7 @@ from .sim import (
     Payload,
     TreeInfo,
     echo_setup,
-    payload_keys,
+    payload_vars,
     run_simulation,
 )
 from .solver import build_arcs, sweep_once
@@ -129,19 +129,19 @@ class SolverAgent:
         # only stale variables; every slot is flagged before the first.
         self._ghost_arcs = arcs[n:]
         self._stale = [True] * len(arcs)
-        # neighbor -> (the keys this agent reads from it, ascending, and their
-        # ghost slots, aligned): a sync from it must carry exactly these keys,
-        # in this order, and _sweep writes its bounds by position
+        # neighbor -> (the variables of its that this agent reads, ascending,
+        # and their ghost slots, aligned): a sync from it must carry exactly
+        # these variables, in this order, and _sweep writes its bounds by position
         self._reads = {}
         for j in view.neighbors:
-            keys = tuple(key for key in view.external_vars if key[0] == j)
-            self._reads[j] = (keys, tuple(ghosts[key] for key in keys))
-        # shared variable -> its (key, lo, hi) triple as last sent, and
+            keys = [key for key in view.external_vars if key[0] == j]
+            self._reads[j] = (tuple(w for _, w in keys), tuple(ghosts[key] for key in keys))
+        # shared variable -> its (var, lo, hi) triple as last sent, and
         # neighbor -> the payload last sent; _advance rebuilds a triple only
         # when the sweep before it moved its bounds, and a payload only when
         # one of its triples was rebuilt, so unchanged domains go out as
         # shared objects
-        self._sent = {v: ((self.agent_id, v), self._lo[v], self._hi[v]) for v in view.shared_vars}
+        self._sent = {v: (v, self._lo[v], self._hi[v]) for v in view.shared_vars}
         self._payloads = {j: self._payload(j) for j in view.neighbors}
 
         # k -> {neighbor: (arrival stamp, its ghost slots, payload)}
@@ -186,7 +186,7 @@ class SolverAgent:
 
     def _on_sync(self, msg: AgentMessage, arrival: int) -> None:
         reads = self._reads.get(msg.sender)
-        if reads is None or payload_keys(msg.domains) != reads[0]:
+        if reads is None or payload_vars(msg.domains) != reads[0]:
             self._fail(f"malformed domain sync from {msg.sender}")
         if self.phase is AWAIT_TERMINATION and msg.k != self.k + 1:
             self._fail(f"domain sync for iteration {msg.k} while waiting at {self.k}")
@@ -274,7 +274,7 @@ class SolverAgent:
         sent = self._sent
         resent = sent.keys() & moved  # the shared variables that moved
         for v in resent:
-            sent[v] = (sent[v][0], lo[v], hi[v])
+            sent[v] = (v, lo[v], hi[v])
         payloads = self._payloads
         for j in self.view.neighbors:
             if not resent.isdisjoint(self.view.shared_with[j]):
@@ -286,7 +286,7 @@ class SolverAgent:
         self.phase = AWAIT_SYNC
 
     def _payload(self, j: int) -> Payload:
-        """The triples neighbor j reads, as last sent and sorted by key: a
+        """The triples neighbor j reads, as last sent and sorted by var: a
         new tuple each call, sharing the triples themselves."""
         sent = self._sent
         return tuple([sent[v] for v in self.view.shared_with[j]])

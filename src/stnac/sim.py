@@ -26,8 +26,9 @@ The runtime reports a deadlock (all blocked, nothing in flight) or a runaway
 (more deliveries than the agents' max_sends add up to) as errors that valid
 protocols never trigger.
 
-A domain sync carries ((agent, var), lo, hi) triples of ints, not Interval
-objects, so the cyclic garbage collector can stop tracking a kept payload.
+A domain sync carries (var, lo, hi) triples of ints, not Interval objects,
+so the cyclic garbage collector can stop tracking a kept payload.  Each var
+is one of the sender's own variables: the message's sender names the agent.
 A run makes no reference cycles, and run_simulation pauses that collector
 while it delivers, so a long run's kept log is not walked over and over by
 collections that can free nothing.
@@ -36,9 +37,11 @@ collections that can free nothing.
 from __future__ import annotations
 
 import gc
+import operator
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 from typing import Any, Callable, Sequence
 
 from .errors import DeadlockError, RunawayError, ValidationError
@@ -61,34 +64,35 @@ class MsgKind(Enum):
 DOMAIN_SYNC, INCONSISTENT, INQUIRY, FEEDBACK, ARC_CONSISTENT, ECHO_PROBE, ECHO_REPLY = MsgKind
 
 
-# a domain sync's payload: ((agent, var), lo, hi) triples, sorted by key.  An
-# agent only sends a finite, non-empty domain, so both bounds are ints, and a
-# payload is tuples of ints all through, which the cyclic collector can untrack
-Payload = tuple[tuple[tuple[int, int], int, int], ...]
+# a domain sync's payload: (var, lo, hi) triples over the sender's own
+# variables, sorted by var.  An agent only sends a finite, non-empty domain, so
+# both bounds are ints, and a payload is tuples of ints two levels deep, which
+# the cyclic collector untracks in two collections
+Payload = tuple[tuple[int, int, int], ...]
 
 
-def payload_keys(payload: object) -> tuple | None:
-    """A payload's keys in order, or None unless it is a tuple of
-    (key, lo, hi) triples whose bounds are ints (a bool is not one)."""
+def payload_vars(payload: object) -> tuple[int, ...] | None:
+    """A payload's variables in order, or None unless it is a tuple of
+    (var, lo, hi) triples of ints (a bool is not one)."""
     if type(payload) is not tuple:
         return None
-    keys = []
+    variables = []
     for triple in payload:
         if type(triple) is not tuple or len(triple) != 3:
             return None
-        key, lo, hi = triple
-        if type(lo) is not int or type(hi) is not int:
+        var, lo, hi = triple
+        if type(var) is not int or type(lo) is not int or type(hi) is not int:
             return None
-        keys.append(key)
-    return tuple(keys)
+        variables.append(var)
+    return tuple(variables)
 
 
 @dataclass(slots=True)
 class AgentMessage:
     """One protocol message.
 
-    `domains` is a domain sync's Payload: one (key, lo, hi) triple per
-    variable of the sender that the receiver reads, sorted by key.  A tuple
+    `domains` is a domain sync's Payload: one (var, lo, hi) triple per
+    variable of the sender that the receiver reads, sorted by var.  A tuple
     cannot change once sent, so a sender may hand one payload, and the
     triples in it, to several messages.
     `origin` names the agent that started a broadcast; forwarded copies
@@ -113,35 +117,27 @@ class LogEntry:
 
 
 class MessageLog(Sequence[LogEntry]):
-    """A run's kept deliveries: its messages in step order, and their steps.
+    """A run's kept deliveries: its messages in step order, numbered from 1.
 
-    Item i reads as LogEntry(steps[i], messages[i]), built when it is
-    accessed, so the log holds one reference per delivery and no entry
-    object.  A run's log numbers its messages from 1 (`steps` defaults to
-    1..len(messages)); a slice keeps the steps it cuts out, so log[5:9]
-    holds steps 6 to 9.
+    Item i reads as LogEntry(i + 1, messages[i]), built when it is accessed,
+    so the log holds one reference per delivery and no entry object.
     """
 
-    __slots__ = ("messages", "steps")
+    __slots__ = ("messages",)
 
-    def __init__(self, messages: list[AgentMessage], steps: range | None = None):
-        if steps is None:
-            steps = range(1, len(messages) + 1)
-        elif len(steps) != len(messages):
-            raise ValueError(f"{len(steps)} steps for {len(messages)} messages")
+    def __init__(self, messages: list[AgentMessage]):
         self.messages = messages
-        self.steps = steps
 
     def __len__(self) -> int:
         return len(self.messages)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return MessageLog(self.messages[index], self.steps[index])
-        return LogEntry(self.steps[index], self.messages[index])
+    def __getitem__(self, index: int) -> LogEntry:
+        """Item `index`, negative counting from the end; a slice is a TypeError."""
+        step = range(1, len(self.messages) + 1)[operator.index(index)]
+        return LogEntry(step, self.messages[index])
 
     def __iter__(self):
-        return map(LogEntry, self.steps, self.messages)
+        return map(LogEntry, count(1), self.messages)
 
 
 Observer = Callable[[LogEntry], None]
@@ -356,18 +352,16 @@ class AuditResult:
     reason: str | None = None
 
 
-_NOT_TRIPLES = "payload is not a tuple of (variable, lo, hi) triples"
-
-
 class PrivacyAuditor:
     """The privacy audit as an observer: judges one LogEntry at a time.
 
     A message fails the audit when it names a variable its sender does not
     share (echo replies are exempt: they carry only aggregate counts), when
     it carries interval payloads on anything but a domain synchronization,
-    when a domain synchronization's payload is not a tuple of
-    ((agent, var), lo, hi) triples with int bounds, or when it travels
-    between agents that are not agent-graph neighbors.
+    when a domain synchronization's payload is not a tuple of (var, lo, hi)
+    triples of ints, or when it travels between agents that are not
+    agent-graph neighbors.  A payload's variables are its sender's own, so
+    each is judged as (sender, var).
     Shared variables and agent edges are read from the external constraints
     themselves, not from the agent views that decide what agents send.
     Called with each entry, the auditor keeps only the first failing one;
@@ -397,19 +391,13 @@ class PrivacyAuditor:
             domains = msg.domains
             if domains is None:
                 return "domain sync without a payload"
-            keys = payload_keys(domains)
-            if keys is None:
-                return _NOT_TRIPLES
+            variables = payload_vars(domains)
+            if variables is None:
+                return "payload is not a tuple of (variable, lo, hi) triples"
             shared = self._shared
-            for key in keys:
-                if type(key) is not tuple or len(key) != 2:
-                    return _NOT_TRIPLES
-                agent, var = key
-                if type(agent) is not int or type(var) is not int:
-                    return _NOT_TRIPLES
-                if agent != msg.sender:
-                    return "payload names a foreign variable"
-                if key not in shared:
+            sender = msg.sender
+            for var in variables:
+                if (sender, var) not in shared:
                     return "payload names a private variable"
         elif kind is ECHO_REPLY:
             if msg.domains is not None:
@@ -445,8 +433,8 @@ def _line(step: int, msg: AgentMessage) -> str:
     if msg.origin is not None:
         parts.append(f"origin={msg.origin}")
     if msg.domains is not None:
-        for (agent, var), lo, hi in msg.domains:
-            parts.append(f"{agent}.{var}=[{lo},{hi}]")
+        for var, lo, hi in msg.domains:
+            parts.append(f"{msg.sender}.{var}=[{lo},{hi}]")
     if msg.subtree_agents is not None:
         parts.append(f"agents={msg.subtree_agents}")
     if msg.subtree_vars is not None:
@@ -465,8 +453,8 @@ DUMP_CHUNK = 1024
 
 def dump_log(log: MessageLog) -> str:
     """The log_line of every kept delivery, in order."""
-    steps, messages = log.steps, log.messages
+    messages = log.messages
     return "".join(
-        "".join(map(_line, steps[i : i + DUMP_CHUNK], messages[i : i + DUMP_CHUNK]))
+        "".join(map(_line, count(i + 1), messages[i : i + DUMP_CHUNK]))
         for i in range(0, len(messages), DUMP_CHUNK)
     )

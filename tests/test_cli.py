@@ -8,6 +8,7 @@ import pytest
 from conftest import SAMPLES
 from stnac import (
     LogEntry,
+    MessageLog,
     MsgKind,
     SimConfig,
     StnacError,
@@ -225,7 +226,7 @@ class TestDsolve:
             def tamper(entry):
                 msg = entry.message
                 if msg.kind is MsgKind.DOMAIN_SYNC:
-                    domains = tuple(sorted(msg.domains + (((msg.sender, 0), 0, 1),)))
+                    domains = tuple(sorted(msg.domains + ((0, 0, 1),)))
                     entry = LogEntry(entry.step, replace(msg, domains=domains))
                 observe(entry)
 
@@ -281,7 +282,7 @@ class TestDsolve:
         args = ("dsolve", str(mastn), "--sched-seed", "0", "--log", str(log_path))
         assert run_cli(capsys, *args) == (2, "", "error: stopped\n")
         kept = real(parse_mastn(mastn.read_text()), SimConfig(scheduler_seed=0)).log
-        assert log_path.read_text() == dump_log(kept[:10])
+        assert log_path.read_text() == dump_log(MessageLog(kept.messages[:10]))
 
     def test_latency_flag(self, capsys):
         code, out, _ = run_cli(

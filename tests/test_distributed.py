@@ -411,9 +411,9 @@ class TestObservers:
 
 
 class TestPayloadSharing:
-    """A domain sync carries a tuple of ((agent, var), lo, hi) triples sorted
-    by key; agents hand an unchanged triple, and an unchanged payload, to
-    several messages."""
+    """A domain sync carries a tuple of (var, lo, hi) triples over the sender's
+    variables, sorted by var; agents hand an unchanged triple, and an
+    unchanged payload, to several messages."""
 
     @staticmethod
     def edge_syncs(run) -> dict[tuple[int, int], list]:
@@ -433,8 +433,8 @@ class TestPayloadSharing:
         # read from the external constraints themselves
         reads: dict[tuple[int, int], set] = {}
         for e in m.external_constraints():
-            reads.setdefault((e.j, e.i), set()).add((e.j, e.w))
-            reads.setdefault((e.i, e.j), set()).add((e.i, e.v))
+            reads.setdefault((e.j, e.i), set()).add(e.w)
+            reads.setdefault((e.i, e.j), set()).add(e.v)
         run = solve_distributed(m, SimConfig(scheduler_seed=seed))
         per_edge = self.edge_syncs(run)
         assert per_edge.keys() == reads.keys()
@@ -442,8 +442,7 @@ class TestPayloadSharing:
             for payload in payloads:
                 assert type(payload) is tuple
                 assert all(type(triple) is tuple and len(triple) == 3 for triple in payload)
-                keys = [key for key, _, _ in payload]
-                assert keys == sorted(reads[edge])
+                assert [var for var, _, _ in payload] == sorted(reads[edge])
                 # a sent domain is finite and non-empty
                 assert all(type(lo) is type(hi) is int and lo <= hi for _, lo, hi in payload)
 
@@ -500,9 +499,9 @@ class TestAgentStep:
             (MsgKind.DOMAIN_SYNC, 0),
             (MsgKind.DOMAIN_SYNC, 2),
         ]
-        sync0 = AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=(((0, 0), 0, 100),))
+        sync0 = AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=((0, 0, 100),))
         agent.on_message(sync0)
-        sync2 = AgentMessage(MsgKind.DOMAIN_SYNC, 2, 1, k=1, domains=(((2, 0), 0, 100),))
+        sync2 = AgentMessage(MsgKind.DOMAIN_SYNC, 2, 1, k=1, domains=((0, 0, 100),))
         agent.on_message(sync2)  # completes the sync set; sweep is quiescent
         inquiry = AgentMessage(MsgKind.INQUIRY, 0, 1, k=1)
         out = agent.on_message(inquiry)
@@ -524,7 +523,7 @@ class TestAgentStep:
         tree = TreeInfo(parent=0, children=(), n_total=3)
         agent = SolverAgent(view, tree, 0)
         agent.on_start()
-        agent.on_message(AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=(((0, 0), 0, 10),)))
+        agent.on_message(AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=((0, 0, 10),)))
         out = agent.on_message(AgentMessage(MsgKind.INQUIRY, 0, 1, k=1))
         assert [(msg.kind, msg.receiver, msg.k) for msg in out] == [
             (MsgKind.FEEDBACK, 0, 1)
@@ -533,7 +532,7 @@ class TestAgentStep:
 
 def ring4_sync(sender: int, k: int, receiver: int = 0, clock: int = 0) -> AgentMessage:
     """A ring4 agent syncs its variable 0, the one its neighbors read, at [0, 100]."""
-    domains = (((sender, 0), 0, 100),)
+    domains = ((0, 0, 100),)
     return AgentMessage(MsgKind.DOMAIN_SYNC, sender, receiver, clock, k, domains)
 
 
@@ -614,9 +613,9 @@ class TestProtocolErrors:
         with pytest.raises(ProtocolError, match="malformed domain sync from 1"):
             agent.on_message(AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains=()))
 
-    def test_sync_with_a_foreign_key(self):
+    def test_sync_with_an_unread_variable(self):
         agent = self.ring4_agent0()
-        domains = (((1, 0), 0, 100), ((2, 0), 0, 100))
+        domains = ((0, 0, 100), (1, 0, 100))
         with pytest.raises(ProtocolError, match="malformed domain sync from 1"):
             agent.on_message(AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains=domains))
 
@@ -676,31 +675,35 @@ class TestProtocolErrors:
 
     def test_second_sync_for_one_iteration(self):
         agent = self.ring4_agent0()
-        sync = AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains=(((1, 0), 0, 100),))
+        sync = AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains=((0, 0, 100),))
         agent.on_message(sync)
         with pytest.raises(ProtocolError, match="second domain sync from 1 for iteration 1"):
             agent.on_message(
-                AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains=(((1, 0), 0, 50),))
+                AgentMessage(MsgKind.DOMAIN_SYNC, 1, 0, k=1, domains=((0, 0, 50),))
             )
 
 
 # agent 1 of pair_problem() reads agent 0's variables 0 and 1
 MALFORMED_SYNCS = {
-    "missing": (((0, 0), 0, 10),),
-    "extra": (((0, 0), 0, 10), ((0, 1), 0, 10), ((0, 2), 0, 10)),
-    "duplicate": (((0, 0), 0, 10), ((0, 1), 0, 10), ((0, 1), 0, 10)),
-    "out-of-order": (((0, 1), 0, 10), ((0, 0), 0, 10)),
-    "dict": {(0, 0): (0, 10), (0, 1): (0, 10)},
-    "list-triples": ([(0, 0), 0, 10], [(0, 1), 0, 10]),
-    "keys-only": ((0, 0), (0, 1)),
+    "missing": ((0, 0, 10),),
+    "extra": ((0, 0, 10), (1, 0, 10), (2, 0, 10)),
+    "duplicate": ((0, 0, 10), (1, 0, 10), (1, 0, 10)),
+    "out-of-order": ((1, 0, 10), (0, 0, 10)),
+    "dict": {0: (0, 10), 1: (0, 10)},
+    "list-triples": ([0, 0, 10], [1, 0, 10]),
+    "keys-only": (0, 1),
     "none": None,
-    # the right keys in the right order, but bounds that are not two ints
-    "none-bounds": (((0, 0), None, None), ((0, 1), None, None)),
-    "float-bound": (((0, 0), 0, 10), ((0, 1), 0.0, 10)),
-    "bool-bound": (((0, 0), 0, 10), ((0, 1), False, True)),
-    "interval-bound": (((0, 0), interval(0, 10), 10), ((0, 1), 0, 10)),
-    "old-pairs": (((0, 0), interval(0, 10)), ((0, 1), interval(0, 10))),
-    "none-pairs": (((0, 0), None), ((0, 1), None)),
+    # variables that are not ints: the (agent, var) keys payloads once
+    # carried, or bools, which compare equal to 0 and 1
+    "old-keys": (((0, 0), 0, 10), ((0, 1), 0, 10)),
+    "bool-var": ((False, 0, 10), (True, 0, 10)),
+    # the right variables in the right order, but bounds that are not two ints
+    "none-bounds": ((0, None, None), (1, None, None)),
+    "float-bound": ((0, 0, 10), (1, 0.0, 10)),
+    "bool-bound": ((0, 0, 10), (1, False, True)),
+    "interval-bound": ((0, interval(0, 10), 10), (1, 0, 10)),
+    "old-pairs": ((0, interval(0, 10)), (1, interval(0, 10))),
+    "none-pairs": ((0, None), (1, None)),
 }
 
 
@@ -724,7 +727,7 @@ class TestMalformedSyncs:
     def test_well_formed_sync_is_swept(self):
         agent = self.agent1()
         agent.on_message(
-            AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=(((0, 0), 0, 10), ((0, 1), 0, 10)))
+            AgentMessage(MsgKind.DOMAIN_SYNC, 0, 1, k=1, domains=((0, 0, 10), (1, 0, 10)))
         )
         assert agent.checks > 0
 
