@@ -134,8 +134,8 @@ class SolverAgent:
         # these variables, in this order, and _sweep writes its bounds by position
         self._reads = {}
         for j in view.neighbors:
-            keys = [key for key in view.external_vars if key[0] == j]
-            self._reads[j] = (tuple(w for _, w in keys), tuple(ghosts[key] for key in keys))
+            read = tuple(w for i, w in view.external_vars if i == j)
+            self._reads[j] = (read, tuple(ghosts[(j, w)] for w in read))
         # shared variable -> its (var, lo, hi) triple as last sent, and
         # neighbor -> the payload last sent; _advance rebuilds a triple only
         # when the sweep before it moved its bounds, and a payload only when
