@@ -55,7 +55,6 @@ the largest final clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import chain
 from typing import Iterable
 
@@ -82,14 +81,8 @@ from .sim import (
 from .solver import build_arcs, sweep_once
 
 
-class Phase(Enum):
-    AWAIT_SYNC = "AwaitSync"
-    AWAIT_TERMINATION = "AwaitTermination"
-    DONE = "Done"
-
-
-# Phase's members bound once, for the reason sim.py gives for MsgKind's
-AWAIT_SYNC, AWAIT_TERMINATION, DONE = Phase
+# an agent's phase: always one of these three strings, so `is` tells them apart
+AWAIT_SYNC, AWAIT_TERMINATION, DONE = "AwaitSync", "AwaitTermination", "Done"
 
 
 class SolverAgent:
@@ -119,8 +112,9 @@ class SolverAgent:
         # peer variable (agent, var) -> its ghost slot; sorted keys keep each
         # variable's arcs in the order local neighbors, then peers by key
         ghosts = {key: n + i for i, key in enumerate(view.external_vars)}
-        self._lo = [stn.domain(v).lo for v in range(n)] + [0] * len(ghosts)
-        self._hi = [stn.domain(v).hi for v in range(n)] + [0] * len(ghosts)
+        domains = stn.domains()
+        self._lo = [d.lo for d in domains] + [0] * len(ghosts)
+        self._hi = [d.hi for d in domains] + [0] * len(ghosts)
         ext = ((e.local_var, ghosts[(e.peer_agent, e.peer_var)], e.ivl) for e in view.externals)
         arcs = build_arcs(n + len(ghosts), chain(stn.pairs(), ext))
         self._arcs = arcs[:n]
@@ -193,7 +187,7 @@ class SolverAgent:
         if self.phase is AWAIT_SYNC and msg.k not in (self.k, self.k + 1):
             self._fail(f"domain sync for iteration {msg.k} while at {self.k}")
         if self.phase is DONE:
-            self._fail(f"domain sync in phase {self.phase.value}")
+            self._fail(f"domain sync in phase {self.phase}")
         syncs = self._inbox.setdefault(msg.k, {})
         if msg.sender in syncs:
             self._fail(f"second domain sync from {msg.sender} for iteration {msg.k}")
@@ -220,7 +214,7 @@ class SolverAgent:
         if self.phase is AWAIT_TERMINATION:
             self._poll()
         elif self.phase is not AWAIT_SYNC:  # in AwaitSync, k's sweep answers it
-            self._fail(f"inquiry in phase {self.phase.value}")
+            self._fail(f"inquiry in phase {self.phase}")
 
     def _on_feedback(self, msg: AgentMessage) -> None:
         if msg.sender not in self.tree.children:
@@ -228,7 +222,7 @@ class SolverAgent:
         if msg.k < self.k:
             return  # feedback of an abandoned round
         if msg.k > self.k or self.phase is not AWAIT_TERMINATION:
-            self._fail(f"feedback for iteration {msg.k} in phase {self.phase.value}")
+            self._fail(f"feedback for iteration {msg.k} in phase {self.phase}")
         if msg.sender not in self._feedback_pending:
             self._fail(f"duplicate feedback from {msg.sender}")
         self._feedback_pending.discard(msg.sender)
@@ -388,7 +382,7 @@ class SolverAgent:
     def _fail(self, reason: str) -> None:
         raise ProtocolError(
             f"agent {self.agent_id}: {reason} "
-            f"(phase={self.phase.value}, k={self.k}, q={self._n - self._changed}/{self._n})"
+            f"(phase={self.phase}, k={self.k}, q={self._n - self._changed}/{self._n})"
         )
 
 

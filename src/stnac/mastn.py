@@ -103,7 +103,7 @@ class Mastn:
         out = []
         for i, a in enumerate(self.agents):
             try:
-                out.append([a.domain(v) for v in range(a.n)])
+                out.append(a.domains())
             except ValidationError as exc:
                 raise ValidationError(f"agent {i}: {exc}") from None
         return out

@@ -77,8 +77,7 @@ class NegativeCycle:
 def _edges(net: Stn) -> list[tuple[int, int, int]]:
     o = net.n
     edges: list[tuple[int, int, int]] = []
-    for v in range(net.n):
-        d = net.domain(v)
+    for v, d in enumerate(net.domains()):
         edges.append((o, v, d.hi))
         edges.append((v, o, -d.lo))
     for v, w, ivl in net.pairs():
@@ -164,7 +163,7 @@ def certify_cycle(
     for v in walk:
         if not 0 <= v <= n:
             raise RuntimeError(f"certificate vertex {v} is outside 0..{n}")
-    start = [net.domain(v) for v in range(n)] if domains is None else domains
+    start = net.domains() if domains is None else domains
     weight = 0
     for u, v in zip(walk, walk[1:]):
         if u == v:

@@ -253,9 +253,7 @@ def run_simulation(
 
 
 def _describe(agent) -> str:
-    phase = getattr(agent, "phase", None)
-    k = getattr(agent, "k", None)
-    return f"phase={getattr(phase, 'value', phase)} k={k}"
+    return f"phase={getattr(agent, 'phase', None)} k={getattr(agent, 'k', None)}"
 
 
 # -- spanning-tree setup -----------------------------------------------
@@ -355,25 +353,31 @@ class AuditResult:
 class PrivacyAuditor:
     """The privacy audit as an observer: judges one LogEntry at a time.
 
-    A message fails the audit when it names a variable its sender does not
-    share (echo replies are exempt: they carry only aggregate counts), when
-    it carries interval payloads on anything but a domain synchronization,
-    when a domain synchronization's payload is not a tuple of (var, lo, hi)
-    triples of ints, or when it travels between agents that are not
-    agent-graph neighbors.  A payload's variables are its sender's own, so
-    each is judged as (sender, var).
-    Shared variables and agent edges are read from the external constraints
-    themselves, not from the agent views that decide what agents send.
+    The contract is judged per agent edge: a domain synchronization from
+    agent i to agent j may name only i's variables on the external
+    constraints between i and j, the variables j reads.  A message fails
+    the audit when it travels between agents that are not agent-graph
+    neighbors, when a domain synchronization's payload is not a tuple of
+    (var, lo, hi) triples of ints or names any other variable (a payload's
+    variables are its sender's own), or when any other message carries
+    interval payloads.
+    Agent edges and what each side reads are taken from the external
+    constraints themselves, not from the agent views that decide what
+    agents send.
+    The setup wave discloses counts, not intervals: its echo replies carry
+    subtree agent and variable totals, and every agent learns n_total, its
+    component's variable count with the private variables included.
     Called with each entry, the auditor keeps only the first failing one;
     `result` reports it.
     """
 
     def __init__(self, m: Mastn):
-        self._edges: set[tuple[int, int]] = set()  # (agent, agent), both ways
-        self._shared: set[tuple[int, int]] = set()  # (agent, var) on an external constraint
+        # (sender, receiver) -> the sender's variables on the external
+        # constraints between the two; its keys are the agent edges
+        self._shared: dict[tuple[int, int], set[int]] = {}
         for ext in m.external_constraints():
-            self._edges.update(((ext.i, ext.j), (ext.j, ext.i)))
-            self._shared.update(((ext.i, ext.v), (ext.j, ext.w)))
+            self._shared.setdefault((ext.i, ext.j), set()).add(ext.v)
+            self._shared.setdefault((ext.j, ext.i), set()).add(ext.w)
         self.result = AuditResult(True)
 
     def __call__(self, entry: LogEntry) -> None:
@@ -384,7 +388,8 @@ class PrivacyAuditor:
 
     def judge(self, msg: AgentMessage) -> str | None:
         """Why msg breaks the contract, or None when it keeps it."""
-        if (msg.sender, msg.receiver) not in self._edges:
+        shared = self._shared.get((msg.sender, msg.receiver))
+        if shared is None:
             return "message between non-neighbor agents"
         kind = msg.kind
         if kind is DOMAIN_SYNC:
@@ -394,11 +399,8 @@ class PrivacyAuditor:
             variables = payload_vars(domains)
             if variables is None:
                 return "payload is not a tuple of (variable, lo, hi) triples"
-            shared = self._shared
-            sender = msg.sender
-            for var in variables:
-                if (sender, var) not in shared:
-                    return "payload names a private variable"
+            if not shared.issuperset(variables):
+                return "payload names a private variable"
         elif kind is ECHO_REPLY:
             if msg.domains is not None:
                 return "echo reply carries intervals"

@@ -330,7 +330,7 @@ def _emptied_walk(lo_par: list[int], hi_par: list[int], v: int) -> tuple[int, ..
 
 def _start_domains(net: Stn, domains: Sequence[Interval] | None) -> list[Interval]:
     """The stored domains, each read (so a missing one fails first), or the override."""
-    stored = [net.domain(v) for v in range(net.n)]
+    stored = net.domains()
     if domains is None:
         return stored
     if len(domains) != net.n:
@@ -392,10 +392,10 @@ def sample_solution(net: Stn, closure: AcClosure, seed: int) -> Assignment:
         raise ValidationError("sampling requires a consistent closure")
     if len(closure.domains) != net.n:
         raise ValidationError(f"expected a closure of {net.n} domains, got {len(closure.domains)}")
-    for v, d in enumerate(closure.domains):
-        if d.is_empty or d.intersect(net.domain(v)) != d:
+    for v, (d, own) in enumerate(zip(closure.domains, net.domains())):
+        if d.is_empty or d.intersect(own) != d:
             raise ValidationError(
-                f"closure domain {d} of variable {v} is not within its domain {net.domain(v)}"
+                f"closure domain {d} of variable {v} is not within its domain {own}"
             )
     rng = SplitMix64(seed)
     n = net.n
@@ -422,7 +422,7 @@ def verify_assignment(
 
     Returns the first violation as ('domain', v) or ('constraint', v, w).
     """
-    domains = [net.domain(v) for v in range(net.n)]
+    domains = net.domains()
     if len(assignment) != net.n:
         raise ValidationError(f"expected {net.n} values, got {len(assignment)}")
     for v, d in enumerate(domains):

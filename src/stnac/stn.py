@@ -140,6 +140,14 @@ class Stn:
             raise ValidationError(f"variable {v} has no domain")
         return d
 
+    def domains(self) -> list[Interval]:
+        """Every variable's domain, as a new list in index order; the lowest
+        variable without one raises domain()'s ValidationError."""
+        domains = self._domains
+        if not all(domains):  # an Interval is always true; None marks no domain
+            self.domain(domains.index(None))
+        return domains.copy()
+
     # -- constraints -----------------------------------------------
 
     def add_constraint(self, v: int, w: int, ivl: Interval) -> None:
@@ -423,11 +431,10 @@ def parse_stn(text: str) -> Stn:
         )
     net = Stn(n)
     BodyReader(net, {}).read(enumerate(islice(lines, lineno, None), lineno + 1))
-    if not all(net._domains):  # an Interval is always true; None marks no domain line
-        try:
-            net.domain(net._domains.index(None))  # raises the has-a-domain error
-        except ValidationError as exc:
-            raise FormatError(str(exc)) from exc
+    try:
+        net.domains()  # raises the has-a-domain error
+    except ValidationError as exc:
+        raise FormatError(str(exc)) from exc
     return net
 
 
@@ -436,10 +443,9 @@ def write_body(net: Stn, out: list[str]) -> None:
 
     This is the body of a .stn file and of each .mastn agent block.
     """
-    if not all(net._domains):  # an Interval is always true; None marks no domain
-        net.domain(net._domains.index(None))  # raises the has-a-domain error
+    domains = net.domains()
     out.extend(f"var {v} {name}" for v, name in enumerate(net._names) if name is not None)
-    out.extend(f"domain {v} {d.to_tokens()}" for v, d in enumerate(net._domains))
+    out.extend(f"domain {v} {d.to_tokens()}" for v, d in enumerate(domains))
     out.extend(f"constraint {v} {w} {ivl.to_tokens()}" for v, w, ivl in net.pairs())
 
 

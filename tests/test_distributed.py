@@ -23,7 +23,7 @@ from stnac import (
     serialize_mastn,
     solve_distributed,
 )
-from stnac.distributed import Phase, SolverAgent
+from stnac.distributed import AWAIT_SYNC, AWAIT_TERMINATION, SolverAgent
 from stnac.sim import TreeInfo, audit_privacy, echo_setup
 from stnac.workloads import gen_factory_mastn, gen_random_mastn
 
@@ -565,7 +565,7 @@ class TestClockRule:
     def test_sync_in_await_sync_waits_for_its_sweep(self):
         agent = self.ring4_agent(0)
         agent.on_message(ring4_sync(1, 1, clock=300))
-        assert (agent.phase, agent.k, agent.clock) == (Phase.AWAIT_SYNC, 1, 0)
+        assert (agent.phase, agent.k, agent.clock) == (AWAIT_SYNC, 1, 0)
         agent.on_message(ring4_sync(3, 1, clock=7))  # completes k = 1: the sweep pops it
         assert agent.checks > 0
         assert agent.clock == 300 + self.LATENCY + agent.checks
@@ -575,11 +575,11 @@ class TestClockRule:
         for k in (1, 2):
             for j in (1, 3):
                 agent.on_message(ring4_sync(j, k))
-        assert (agent.phase, agent.k) == (Phase.AWAIT_TERMINATION, 2)
+        assert (agent.phase, agent.k) == (AWAIT_TERMINATION, 2)
         stamp = agent.clock + 100
         agent.on_message(ring4_sync(1, 3, clock=stamp))
         # the round is abandoned for k = 3, whose sweep still waits on agent 3
-        assert (agent.phase, agent.k) == (Phase.AWAIT_SYNC, 3)
+        assert (agent.phase, agent.k) == (AWAIT_SYNC, 3)
         assert agent.clock == stamp + self.LATENCY
 
 
@@ -667,7 +667,7 @@ class TestProtocolErrors:
             for k in (1, 2):
                 for j in (1, 3):
                     agent.on_message(ring4_sync(j, k))
-            assert (agent.phase, agent.k) == (Phase.AWAIT_TERMINATION, 2)
+            assert (agent.phase, agent.k) == (AWAIT_TERMINATION, 2)
         for msg in msgs[:-1]:
             agent.on_message(msg)
         with pytest.raises(ProtocolError, match=match):

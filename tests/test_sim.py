@@ -505,6 +505,45 @@ class TestAuditPrivacy:
             assert auditor.result.ok
 
 
+class TestAuditPerEdge:
+    """A sync may carry only the sender's variables that its receiver reads."""
+
+    def setup_method(self):
+        # externals (0.0, 1.0) and (0.1, 2.0): agent 1 reads agent 0's
+        # variable 0 only, and agent 2 its variable 1 only
+        agents = []
+        for n in (2, 1, 1):
+            a = Stn(n)
+            for v in range(n):
+                a.set_domain(v, interval(0, 10))
+            agents.append(a)
+        self.m = Mastn(agents)
+        self.m.add_external(0, 0, 1, 0, interval(0, 5))
+        self.m.add_external(0, 1, 2, 0, interval(0, 5))
+
+    @pytest.mark.parametrize(
+        "receiver, domains",
+        [(1, ((0, 0, 10), (1, 0, 10))), (1, ((1, 0, 10),)), (2, ((0, 0, 10),))],
+        ids=["both-to-1", "var1-to-1", "var0-to-2"],
+    )
+    def test_a_variable_only_another_neighbor_reads_fails(self, receiver, domains):
+        leak = AgentMessage(MsgKind.DOMAIN_SYNC, 0, receiver, k=1, domains=domains)
+        auditor = PrivacyAuditor(self.m)
+        auditor(LogEntry(1, leak))
+        batch = audit_privacy(MessageLog([leak]), self.m)
+        for result in (auditor.result, batch):
+            assert (result.ok, result.reason, result.offender) == (
+                False, "payload names a private variable", LogEntry(1, leak)
+            )
+
+    def test_real_runs_pass(self):
+        for seed in range(4):
+            auditor = PrivacyAuditor(self.m)
+            run = solve_distributed(self.m, SimConfig(scheduler_seed=seed), auditor)
+            assert run.verdict == "consistent"
+            assert auditor.result.ok
+
+
 class TestDumpLog:
     def test_format(self):
         msg = AgentMessage(
