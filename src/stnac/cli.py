@@ -5,8 +5,7 @@ cross-check), dsolve (distributed run in the simulated runtime), gen
 (workload files), bench (parameter sweeps to CSV).  solve and oracle
 print an inconsistent verdict's negative cycle on stderr.  Exit codes: 0
 the instance is consistent, 1 inconsistent, 2 usage or I/O errors; a
-reader that closes stdout early ends the run quietly with 0.  The
-STNAC_SEED environment variable supplies default seeds.
+reader that closes stdout early ends the run quietly with 0.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import count
 from pathlib import Path
 
 from .bench import csv_text, parse_bench_config, run_bench
@@ -41,16 +41,6 @@ EXIT_ERROR = 2
 GEN_FLAGS = {name: typ for family in FAMILIES for name, typ in parameters(family).items()}
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("STNAC_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise StnacError(f"STNAC_SEED must be an integer, got {raw!r}") from None
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="stnac", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -71,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("dsolve", help="distributed solve of a .mastn file")
     pd.add_argument("file")
-    pd.add_argument("--sched-seed", type=int, default=None)
+    pd.add_argument("--sched-seed", type=int, default=0)
     pd.add_argument("--latency", type=int, default=0)
     pd.add_argument("--log", metavar="PATH", help="write the message log")
     pd.add_argument("--audit-privacy", action="store_true")
@@ -80,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pg = sub.add_parser("gen", help="generate a workload instance")
     pg.add_argument("family", choices=FAMILIES)
     pg.add_argument("-o", "--output", metavar="FILE", help="default: stdout")
-    pg.add_argument("--seed", type=int, default=None)
+    pg.add_argument("--seed", type=int, default=0)
     for flag, typ in GEN_FLAGS.items():
         kind = {"action": "store_true"} if typ is bool else {"type": typ}
         pg.add_argument(f"--{flag}", default=None, **kind)
@@ -121,13 +111,14 @@ def _read_input(path: str) -> str:
 def _cmd_solve(args) -> int:
     if args.verify and args.solution is None:
         raise StnacError("--verify needs --solution: it re-checks the printed assignment")
+    extract = None if args.solution is None else _extractor(args.solution)
     net = parse_stn(_read_input(args.file))
     outcome = enforce_ac(net)
     if not isinstance(outcome, AcClosure):
         return _refuted(net, outcome.cycle)
     _print_domains(net, outcome.domains)
-    if args.solution is not None:
-        assignment = _extract(net, outcome, args.solution)
+    if extract is not None:
+        assignment = extract(net, outcome)
         for v in range(net.n):
             print(f"{net.label(v)} = {assignment[v]}")
         if args.verify:
@@ -138,18 +129,21 @@ def _cmd_solve(args) -> int:
     return EXIT_CONSISTENT
 
 
-def _extract(net, closure, mode: str) -> list[int]:
+def _extractor(mode: str):
+    """The assignment that --solution names, as a function of (net, closure);
+    a bad mode fails here, before any file is read.  Bare sample is sample:0."""
     if mode in ("lower", "upper"):
-        return extract_bound_solution(closure, mode)
-    if mode.startswith("sample:"):
+        return lambda net, closure: extract_bound_solution(closure, mode)
+    if mode == "sample":
+        seed = 0
+    elif mode.startswith("sample:"):
         try:
             seed = int(mode.split(":", 1)[1])
         except ValueError:
             raise StnacError(f"bad sample seed in {mode!r}") from None
-        return sample_solution(net, closure, seed)
-    if mode == "sample":
-        return sample_solution(net, closure, _default_seed())
-    raise StnacError(f"--solution must be lower, upper, or sample[:<seed>], got {mode!r}")
+    else:
+        raise StnacError(f"--solution must be lower, upper, or sample[:<seed>], got {mode!r}")
+    return lambda net, closure: sample_solution(net, closure, seed)
 
 
 def _cmd_oracle(args) -> int:
@@ -179,18 +173,18 @@ def _print_domains(net, domains, prefix: str = "") -> None:
 
 def _cmd_dsolve(args) -> int:
     m = parse_mastn(_read_input(args.file))
-    sched_seed = args.sched_seed if args.sched_seed is not None else _default_seed()
-    cfg = SimConfig(scheduler_seed=sched_seed, latency=args.latency)
+    cfg = SimConfig(scheduler_seed=args.sched_seed, latency=args.latency)
     # the audit judges each message as it is delivered, and --log writes
     # each one's line as it is delivered: the run keeps no message
     auditor = PrivacyAuditor(m) if args.audit_privacy else None
     if args.log:
         with open(args.log, "w", encoding="utf-8") as out:
+            steps = count(1)
 
-            def observe(entry):
-                out.write(log_line(entry))
+            def observe(msg):
+                out.write(log_line(next(steps), msg))
                 if auditor is not None:
-                    auditor(entry)
+                    auditor(msg)
 
             run = solve_distributed(m, cfg, observe)
     else:
@@ -212,8 +206,7 @@ def _cmd_dsolve(args) -> int:
 
 def _cmd_gen(args) -> int:
     params = {k: v for k, v in vars(args).items() if k in GEN_FLAGS and v is not None}
-    seed = args.seed if args.seed is not None else _default_seed()
-    spec = GenSpec(args.family, seed, params)
+    spec = GenSpec(args.family, args.seed, params)
     _write_output(render_generated(generate(spec), spec), args.output)
     return EXIT_CONSISTENT
 

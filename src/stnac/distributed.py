@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Any, Iterable
 
 from .errors import ProtocolError, ValidationError
 from .intervals import Interval, interval
@@ -67,7 +67,6 @@ from .sim import (
     FEEDBACK,
     INCONSISTENT,
     INQUIRY,
-    KEEP_LOG,
     AgentMessage,
     MessageLog,
     MsgKind,
@@ -412,10 +411,14 @@ class DistributedRun:
     messages: int
     setup_messages: int
     histogram: dict[str, int]
-    # the delivered messages, setup waves' first, read by step as LogEntry
-    # items; kept only under the default observer
+    # the delivered messages, setup waves' first, iterated as LogEntry items;
+    # kept only under the default observer
     log: MessageLog | None
     agent_checks: list[int]
+
+
+# observe's default, told apart by identity: keep every delivery in DistributedRun.log
+KEEP_LOG: Any = object()
 
 
 def solve_distributed(
@@ -431,12 +434,13 @@ def solve_distributed(
     Disconnected agent graphs run one protocol instance per component inside
     the same simulation; the overall verdict is inconsistent when any is.
 
-    `observe` sees every message as run_simulation hands it over: the setup
-    waves' first, as steps 1..setup_messages, then the solve run's.  The
-    default keeps them all in `log`, a MessageLog whose item i is step
-    i + 1; an observer of the caller's own (an online PrivacyAuditor, say)
-    or None leaves `log` None.  Every count is the same whatever observes
-    the run.
+    `observe` is called with each delivered AgentMessage, in step order, as
+    run_simulation hands it over: the setup waves' messages first, as steps
+    1..setup_messages, then the solve run's.  The default KEEP_LOG observes
+    with a list's append and returns that list as `log`, a MessageLog
+    numbered from step 1; an observer of the caller's own (an online
+    PrivacyAuditor, say) or None leaves `log` None.  Every count is the same
+    whatever observes the run.
     """
     if cfg is None:
         cfg = SimConfig()
@@ -452,6 +456,10 @@ def solve_distributed(
             trees.update(tree)
             setup_msgs.extend(delivered)
     agents = [SolverAgent(views[i], trees[i], cfg.latency) for i in range(m.p)]
+    kept = None
+    if observe is KEEP_LOG:
+        kept = []
+        observe = kept.append
     report = run_simulation(agents, cfg.scheduler_seed, observe, setup_msgs)
 
     verdict = "inconsistent" if any(a.result == "inconsistent" for a in agents) else "consistent"
@@ -465,6 +473,6 @@ def solve_distributed(
         messages=len(setup_msgs) + report.steps,
         setup_messages=len(setup_msgs),
         histogram=report.histogram,
-        log=report.log,
+        log=None if kept is None else MessageLog(kept),
         agent_checks=[a.checks for a in agents],
     )

@@ -14,14 +14,14 @@ An agent is any object with::
     on_start() -> list[AgentMessage]
     on_message(msg) -> list[AgentMessage]
 
-Each delivery is numbered with a step, counted from 1 over the whole run.
-By default the run keeps every delivered message, in step order, as a
-MessageLog (the message log that `dump_log` prints and `audit_privacy`
-judges): a message's step is its position, so the log holds the messages
-and no entry object per delivery.  Instead, one optional observer, any
-callable such as the online privacy auditor, can be handed each delivery as
-a LogEntry as it comes and keep only what it needs.  A run without an
-observer holds no message once its receiver has handled it.
+The runtime keeps nothing.  Its one contract with a watcher: an optional
+observer, any callable, is called with each delivered AgentMessage, in step
+order.  A step is a delivery's position, counted from 1 over the whole run,
+so an observer that needs steps counts its calls.  Keeping the message log
+is one such observer, a list's append: a MessageLog holds those messages,
+the log that `dump_log` prints and `audit_privacy` judges, and no entry
+object per delivery.  The online privacy auditor is another, and a run
+without an observer holds no message once its receiver has handled it.
 The runtime reports a deadlock (all blocked, nothing in flight) or a runaway
 (more deliveries than the agents' max_sends add up to) as errors that valid
 protocols never trigger.
@@ -37,12 +37,11 @@ collections that can free nothing.
 from __future__ import annotations
 
 import gc
-import operator
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from .errors import DeadlockError, RunawayError, ValidationError
 from .mastn import Mastn
@@ -116,10 +115,10 @@ class LogEntry:
     message: AgentMessage
 
 
-class MessageLog(Sequence[LogEntry]):
+class MessageLog:
     """A run's kept deliveries: its messages in step order, numbered from 1.
 
-    Item i reads as LogEntry(i + 1, messages[i]), built when it is accessed,
+    Iteration yields LogEntry(i + 1, messages[i]), each built as it is read,
     so the log holds one reference per delivery and no entry object.
     """
 
@@ -131,24 +130,15 @@ class MessageLog(Sequence[LogEntry]):
     def __len__(self) -> int:
         return len(self.messages)
 
-    def __getitem__(self, index: int) -> LogEntry:
-        """Item `index`, negative counting from the end; a slice is a TypeError."""
-        step = range(1, len(self.messages) + 1)[operator.index(index)]
-        return LogEntry(step, self.messages[index])
-
     def __iter__(self):
         return map(LogEntry, count(1), self.messages)
 
 
-Observer = Callable[[LogEntry], None]
-
-# observe's default, told apart by identity: keep every delivery in SimReport.log
-KEEP_LOG: Any = object()
+Observer = Callable[[AgentMessage], None]
 
 
 @dataclass
 class SimReport:
-    log: MessageLog | None  # the kept deliveries; None under any other observer
     histogram: dict[str, int]
     steps: int
 
@@ -156,18 +146,16 @@ class SimReport:
 def run_simulation(
     agents: list,
     scheduler_seed: int,
-    observe: Observer | None = KEEP_LOG,
+    observe: Observer | None = None,
     prior: Sequence[AgentMessage] = (),
 ) -> SimReport:
-    """Drive the agents until all terminate; returns the metrics and any kept log.
+    """Drive the agents until all terminate; returns the run's metrics.
 
     `prior` holds messages delivered before this run, such as a setup
     wave's: they take steps 1..len(prior), in order, and this run's
-    deliveries are numbered on from there.  With the default KEEP_LOG every
-    delivered message, prior ones included, is kept in step order in
-    SimReport.log, a MessageLog; any other callable is handed every step as
-    a LogEntry the moment it is taken, and the report's log is None; with
-    None nothing observes the run.
+    deliveries are numbered on from there.  `observe`, unless None, is
+    called with every prior message and then with each delivered one, in
+    step order, the moment it is delivered; the runtime keeps none of them.
 
     The histogram counts the prior messages and each delivery as it is
     made.  `steps` counts only this run's deliveries, and so does the step
@@ -183,7 +171,7 @@ def run_simulation(
     however the run ends, as timeit does it.  A run makes no reference
     cycles: messages, their int-only payloads and the kept log are trees
     that reference counting frees, so the collections that allocation would
-    trigger, each walking the kept log, could only find nothing.  No
+    trigger, each walking a kept log, could only find nothing.  No
     collection is forced afterwards; an observer's own cycles, if it makes
     any, wait for the next one.
     """
@@ -208,20 +196,14 @@ def run_simulation(
         for a in sorted(agents, key=lambda a: a.agent_id):
             enqueue(a.on_start())
 
-        kept = keep = None
-        if observe is KEEP_LOG:
-            kept = list(prior)  # steps 1..len(prior)
-            keep = kept.append
-            observe = None
         # keyed by the kind's plain value attribute: hashing a member or reading
         # its value property costs a Python-level call per delivery
         histogram: dict[str, int] = {}
-        for step, msg in enumerate(prior, 1):
+        for msg in prior:
             if observe is not None:
-                observe(LogEntry(step, msg))
+                observe(msg)
             kind = msg.kind._value_
             histogram[kind] = histogram.get(kind, 0) + 1
-        offset = len(prior)
         step = 0
         while True:
             if not pending:
@@ -234,10 +216,8 @@ def run_simulation(
             step += 1
             if step > budget:
                 raise RunawayError(f"exceeded the {budget} delivery steps the agents declared")
-            if keep is not None:
-                keep(msg)
-            elif observe is not None:
-                observe(LogEntry(offset + step, msg))
+            if observe is not None:
+                observe(msg)
             kind = msg.kind._value_
             histogram[kind] = histogram.get(kind, 0) + 1
             agent = by_id[msg.receiver]
@@ -248,8 +228,7 @@ def run_simulation(
         if gc_was_enabled:
             gc.enable()
 
-    log = None if kept is None else MessageLog(kept)
-    return SimReport(log=log, histogram=histogram, steps=step)
+    return SimReport(histogram=histogram, steps=step)
 
 
 def _describe(agent) -> str:
@@ -351,7 +330,7 @@ class AuditResult:
 
 
 class PrivacyAuditor:
-    """The privacy audit as an observer: judges one LogEntry at a time.
+    """The privacy audit as an observer: judges one delivered message at a time.
 
     The contract is judged per agent edge: a domain synchronization from
     agent i to agent j may name only i's variables on the external
@@ -367,8 +346,9 @@ class PrivacyAuditor:
     The setup wave discloses counts, not intervals: its echo replies carry
     subtree agent and variable totals, and every agent learns n_total, its
     component's variable count with the private variables included.
-    Called with each entry, the auditor keeps only the first failing one;
-    `result` reports it.
+    Called with each delivered message, in step order, the auditor counts
+    its calls as the steps, the first call being step 1, and keeps only the
+    first failing message; `result` reports it as a LogEntry.
     """
 
     def __init__(self, m: Mastn):
@@ -379,12 +359,14 @@ class PrivacyAuditor:
             self._shared.setdefault((ext.i, ext.j), set()).add(ext.v)
             self._shared.setdefault((ext.j, ext.i), set()).add(ext.w)
         self.result = AuditResult(True)
+        self._step = 0
 
-    def __call__(self, entry: LogEntry) -> None:
+    def __call__(self, msg: AgentMessage) -> None:
+        self._step += 1
         if self.result.ok:
-            reason = self.judge(entry.message)
+            reason = self.judge(msg)
             if reason is not None:
-                self.result = AuditResult(False, entry, reason)
+                self.result = AuditResult(False, LogEntry(self._step, msg), reason)
 
     def judge(self, msg: AgentMessage) -> str | None:
         """Why msg breaks the contract, or None when it keeps it."""
@@ -412,23 +394,19 @@ class PrivacyAuditor:
 def audit_privacy(log: MessageLog, m: Mastn) -> AuditResult:
     """PrivacyAuditor's verdict on a kept log; stops at the first offender."""
     judge = PrivacyAuditor(m).judge
-    for i, msg in enumerate(log.messages):
+    for step, msg in enumerate(log.messages, 1):
         reason = judge(msg)
         if reason is not None:
-            return AuditResult(False, log[i], reason)
+            return AuditResult(False, LogEntry(step, msg), reason)
     return AuditResult(True)
 
 
 # -- log dump ----------------------------------------------------------
 
 
-def log_line(entry: LogEntry) -> str:
+def log_line(step: int, msg: AgentMessage) -> str:
     """One delivery's line, newline included: step clock sender receiver kind
     payload, tab-separated; the payload lists the message's set fields, or is -."""
-    return _line(entry.step, entry.message)
-
-
-def _line(step: int, msg: AgentMessage) -> str:
     parts = []
     if msg.k is not None:
         parts.append(f"k={msg.k}")
@@ -457,6 +435,6 @@ def dump_log(log: MessageLog) -> str:
     """The log_line of every kept delivery, in order."""
     messages = log.messages
     return "".join(
-        "".join(map(_line, count(i + 1), messages[i : i + DUMP_CHUNK]))
+        "".join(map(log_line, count(i + 1), messages[i : i + DUMP_CHUNK]))
         for i in range(0, len(messages), DUMP_CHUNK)
     )

@@ -407,7 +407,39 @@ class TestObservers:
             assert run.log is None
             assert self.counts(run) == self.counts(kept)
         # an observer sees every message, the setup wave's included, in step order
-        assert seen == list(kept.log)
+        assert seen == kept.log.messages
+
+
+LEARN_NETS = {
+    "ring4": lambda: parse_mastn((SAMPLES / "ring4.mastn").read_text()),
+    "interview": lambda: parse_mastn((SAMPLES / "interview.mastn").read_text()),
+    # seeds 0 and 5 are consistent, 1-4 inconsistent
+    **{
+        f"random-3x3-s{s}": (
+            lambda s=s: gen_random_mastn(
+                agents=3, activities=3, externals=4, wmin=-5, wmax=8, horizon=90, seed=s
+            )
+        )
+        for s in range(6)
+    },
+}
+
+
+class TestWhatEachAgentLearns:
+    """The bounds that reach an agent are exactly those of the peer variables
+    its external constraints read: nothing more and nothing less."""
+
+    @pytest.mark.parametrize("make", LEARN_NETS.values(), ids=LEARN_NETS.keys())
+    def test_synced_variables_are_the_external_vars(self, make):
+        m = make()
+        for cfg in [SimConfig(scheduler_seed=s, latency=t) for s in range(4) for t in (0, 3)]:
+            learned = {j: set() for j in range(m.p)}
+            for entry in solve_distributed(m, cfg).log:
+                msg = entry.message
+                if msg.kind is MsgKind.DOMAIN_SYNC:
+                    learned[msg.receiver].update((msg.sender, var) for var, _, _ in msg.domains)
+            for j in range(m.p):
+                assert learned[j] == set(agent_view(m, j).external_vars), (cfg, j)
 
 
 class TestPayloadSharing:

@@ -1,6 +1,7 @@
 import gc
 from contextlib import contextmanager
 from dataclasses import astuple
+from itertools import count
 
 import pytest
 
@@ -137,21 +138,26 @@ def couriers(hops=6, work=0, max_sends=(50, 50)):
     ]
 
 
+def kept_run(agents, seed, prior=()):
+    """run_simulation observed by a list's append: (report, delivered messages)."""
+    kept = []
+    return run_simulation(agents, seed, kept.append, prior), kept
+
+
 class TestRunSimulation:
     def test_reproducible_logs(self):
         logs = []
         for _ in range(2):
-            agents = couriers()
-            report = run_simulation(agents, 5)
-            logs.append(dump_log(report.log))
+            _, kept = kept_run(couriers(), 5)
+            logs.append(dump_log(MessageLog(kept)))
         assert logs[0] == logs[1]
 
     def test_token_run_terminates(self):
         agents = couriers(hops=4, work=2)
         assert not any(hasattr(a, "clock") for a in agents)  # the runtime reads none
-        report = run_simulation(agents, 0)
+        report, kept = kept_run(agents, 0)
         assert report.steps == 5  # four token hops plus the stop
-        assert len(report.log) == 5
+        assert len(kept) == 5
         assert all(a.done for a in agents)
 
     def test_deadlock_reported_with_snapshot(self):
@@ -167,17 +173,17 @@ class TestRunSimulation:
     def test_delivered_messages_are_as_sent(self):
         # the runtime keeps no time: it stamps and rewrites no field
         agents = couriers(hops=6, work=300)
-        report = run_simulation(agents, 1)
+        _, kept = kept_run(agents, 1)
         sent = {id(msg): fields for a in agents for msg, fields in a.sent}
-        assert len(report.log) == len(sent) == 7
-        for entry in report.log:
-            assert astuple(entry.message) == sent[id(entry.message)]
+        assert len(kept) == len(sent) == 7
+        for msg in kept:
+            assert astuple(msg) == sent[id(msg)]
 
     def test_prior_messages_number_steps_on(self):
         prior = [AgentMessage(MsgKind.INQUIRY, 0, 1) for _ in range(3)]
-        report = run_simulation(couriers(hops=4), 0, prior=prior)
-        assert report.log.messages[:3] == prior
-        assert [e.step for e in report.log] == list(range(1, 9))
+        report, kept = kept_run(couriers(hops=4), 0, prior)
+        # the observer sees the prior messages first, as steps 1..3
+        assert kept[:3] == prior and len(kept) == 8
         assert report.steps == 5  # this run's deliveries only
         # the histogram counts the prior messages too
         assert report.histogram == {"Inquiry": 3, "EchoProbe": 4, "EchoReply": 1}
@@ -185,31 +191,27 @@ class TestRunSimulation:
     def test_prior_messages_leave_the_step_budget_alone(self):
         prior = [AgentMessage(MsgKind.INQUIRY, 0, 1) for _ in range(60)]
         # with four hops the starter sends three messages and its peer two
-        report = run_simulation(couriers(hops=4, max_sends=(3, 2)), 0, prior=prior)
+        report, kept = kept_run(couriers(hops=4, max_sends=(3, 2)), 0, prior)
         assert report.steps == 5
-        assert report.log[-1].step == 65
+        assert len(kept) == 65
         with pytest.raises(RunawayError):
             run_simulation(couriers(hops=4, max_sends=(3, 1)), 0)
 
     @pytest.mark.parametrize("seed", [0, 2])
-    def test_an_observer_sees_what_the_log_keeps(self, seed):
+    def test_an_observer_changes_no_count(self, seed):
         prior = [AgentMessage(MsgKind.INQUIRY, 0, 1)]
-        kept = run_simulation(couriers(hops=5, work=3), seed, prior=prior)
-        seen = []
-        observed = run_simulation(couriers(hops=5, work=3), seed, seen.append, prior)
+        observed, seen = kept_run(couriers(hops=5, work=3), seed, prior)
         silent = run_simulation(couriers(hops=5, work=3), seed, None, prior)
-        assert seen == list(kept.log)
-        assert observed.log is None and silent.log is None
-        for report in (observed, silent):
-            assert (report.histogram, report.steps) == (kept.histogram, kept.steps)
+        assert seen[0] is prior[0] and len(seen) == 1 + observed.steps
+        assert (silent.histogram, silent.steps) == (observed.histogram, observed.steps)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_nothing_is_delivered_to_a_done_agent(self, seed):
         # each agent finishes on its first message while the second is still
         # in flight; that one is logged and counted but never handed over
         agents = [OneShot(0, 1), OneShot(1, 0)]
-        report = run_simulation(agents, seed)
-        assert report.steps == len(report.log) == 4
+        report, kept = kept_run(agents, seed)
+        assert report.steps == len(kept) == 4
         for a in agents:
             assert len(a.received) == 1
 
@@ -225,8 +227,8 @@ class TestRunSimulation:
             run_simulation(agents, 0)
 
     def test_empty_agent_set_runs_to_an_empty_report(self):
-        report = run_simulation([], 0)
-        assert (list(report.log), report.histogram, report.steps) == ([], {}, 0)
+        report, kept = kept_run([], 0)
+        assert (kept, report.histogram, report.steps) == ([], {}, 0)
 
     def test_latency_must_be_non_negative(self):
         with pytest.raises(Exception):
@@ -245,9 +247,9 @@ class TestRunSimulation:
             def on_message(self, msg):
                 return []
 
-        report = run_simulation([Instant()], 0)
+        report, kept = kept_run([Instant()], 0)
         assert report.steps == 0
-        assert list(report.log) == []
+        assert kept == []
 
 
 @contextmanager
@@ -286,7 +288,7 @@ def forged_pair() -> list:
     return [Forger(), SolverAgent(agent_view(m, 1), TreeInfo(0, (), 3), 0)]
 
 
-def raising_observer(entry):
+def raising_observer(msg):
     raise RuntimeError("observer failed")
 
 
@@ -308,7 +310,7 @@ class TestGcPause:
     def test_paused_during_the_run_and_restored_after(self, enabled):
         during = []
         with gc_enabled(enabled):
-            report = run_simulation(couriers(), 0, lambda entry: during.append(gc.isenabled()))
+            report = run_simulation(couriers(), 0, lambda msg: during.append(gc.isenabled()))
             assert gc.isenabled() is enabled
         assert len(during) == report.steps > 0
         assert not any(during)
@@ -471,11 +473,10 @@ class TestAuditPrivacy:
 
     @pytest.mark.parametrize("msgs, reason, step", TAMPERED, ids=TAMPERED_IDS)
     def test_online_auditor_agrees_with_the_log_audit(self, msgs, reason, step):
-        log = MessageLog(msgs)
         auditor = PrivacyAuditor(self.m)
-        for entry in log:
-            auditor(entry)
-        online, batch = auditor.result, audit_privacy(log, self.m)
+        for msg in msgs:
+            auditor(msg)
+        online, batch = auditor.result, audit_privacy(MessageLog(msgs), self.m)
         assert (online.ok, online.reason, online.offender) == (
             batch.ok, batch.reason, batch.offender
         )
@@ -529,7 +530,7 @@ class TestAuditPerEdge:
     def test_a_variable_only_another_neighbor_reads_fails(self, receiver, domains):
         leak = AgentMessage(MsgKind.DOMAIN_SYNC, 0, receiver, k=1, domains=domains)
         auditor = PrivacyAuditor(self.m)
-        auditor(LogEntry(1, leak))
+        auditor(leak)
         batch = audit_privacy(MessageLog([leak]), self.m)
         for result in (auditor.result, batch):
             assert (result.ok, result.reason, result.offender) == (
@@ -550,7 +551,7 @@ class TestDumpLog:
             MsgKind.DOMAIN_SYNC, 2, 1, clock=7, k=3,
             domains=((0, 0, 5), (4, -1, 7)),
         )
-        line = log_line(LogEntry(9, msg)).strip()
+        line = log_line(9, msg).strip()
         fields = line.split("\t")
         assert fields[:5] == ["9", "7", "2", "1", "DomainSync"]
         assert fields[5] == "k=3 2.0=[0,5] 2.4=[-1,7]"
@@ -559,7 +560,7 @@ class TestDumpLog:
 
     def test_empty_payload_platholder(self):
         msg = AgentMessage(MsgKind.ECHO_PROBE, 0, 1)
-        assert log_line(LogEntry(1, msg)).strip().split("\t")[5] == "-"
+        assert log_line(1, msg).strip().split("\t")[5] == "-"
 
     def test_empty_log(self):
         assert dump_log(MessageLog([])) == ""
@@ -572,11 +573,11 @@ class TestDumpLog:
         assert len(log) > 3 * DUMP_CHUNK
         for size in (DUMP_CHUNK - 1, DUMP_CHUNK, DUMP_CHUNK + 1, len(log)):
             part = MessageLog(log.messages[:size])
-            assert dump_log(part) == "".join(map(log_line, part))
+            assert dump_log(part) == "".join(log_line(e.step, e.message) for e in part)
 
 
 class TestMessageLog:
-    """A kept run's log holds its messages; item i reads as LogEntry(i + 1, msg)."""
+    """A kept run's log holds its messages; iteration yields LogEntry(i + 1, msg)."""
 
     def setup_method(self):
         self.m = parse_mastn((SAMPLES / "interview.mastn").read_text())
@@ -591,15 +592,6 @@ class TestMessageLog:
         assert run.setup_messages > 0
         assert all(msg.kind in setup for msg in log.messages[: run.setup_messages])
         assert all(msg.kind not in setup for msg in log.messages[run.setup_messages :])
-        assert log[run.setup_messages].step == run.setup_messages + 1
-
-    def test_negative_indices_count_from_the_end(self):
-        log = solve_distributed(self.m, SimConfig(scheduler_seed=0)).log
-        assert log[-1] == LogEntry(len(log), log.messages[-1])
-        assert log[-len(log)] == LogEntry(1, log.messages[0])
-        for index in (len(log), -len(log) - 1):
-            with pytest.raises(IndexError):
-                log[index]
 
     def test_a_slice_is_a_type_error(self):
         # a log is numbered from 1, so a cut of it would misnumber its steps
@@ -612,7 +604,9 @@ class TestMessageLog:
         cfg = SimConfig(scheduler_seed=seed, latency=seed)
         seen = []
         assert solve_distributed(self.m, cfg, seen.append).log is None
-        assert list(solve_distributed(self.m, cfg).log) == seen
+        log = solve_distributed(self.m, cfg).log
+        assert log.messages == seen
+        assert list(log) == list(map(LogEntry, count(1), seen))
 
     def test_a_kept_run_holds_no_log_entry(self):
         def log_entries():
